@@ -17,6 +17,7 @@ from . import catalog as cat
 from . import family as fm
 from .errors import (
     ComplexEvalUnavailable,
+    DomainError,
     GcdNotOne,
     NoCoefficientAccess,
     QGcdNotOne,
@@ -284,7 +285,9 @@ def cut_diagnostics(fam: Family, t: float, h: float, grid: int = 2048) -> tuple[
 
     major: sup_{|theta| <= h sigma} |E e^{i theta X-check} e^{theta^2/2} - 1|
     minor: sigma * sup_{h sigma <= |theta| <= pi sigma} |E e^{i theta X-check}|
-    both over symmetric grids; the minor arc is empty when h >= pi.
+    both over symmetric grids; the minor arc is empty when h >= pi. A
+    DomainError reports a grid value that overflows a float, which happens
+    when sigma is large and the major arc reaches far.
     """
     if fam.log_value_complex is None:
         raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
@@ -299,13 +302,18 @@ def cut_diagnostics(fam: Family, t: float, h: float, grid: int = 2048) -> tuple[
         return cmath.exp(fam.log_value_complex(z) - log_f - 1j * theta * m / sigma)
 
     major = 0.0
-    for i in range(grid + 1):
-        theta = h * sigma * i / grid
-        v = abs(phi(theta) * cmath.exp(theta * theta / 2.0) - 1.0)
-        major = max(major, v)
     minor = 0.0
-    if h < math.pi:
+    try:
         for i in range(grid + 1):
-            theta = (h + (math.pi - h) * i / grid) * sigma
-            minor = max(minor, abs(phi(theta)))
+            theta = h * sigma * i / grid
+            v = abs(phi(theta) * cmath.exp(theta * theta / 2.0) - 1.0)
+            major = max(major, v)
+        if h < math.pi:
+            for i in range(grid + 1):
+                theta = (h + (math.pi - h) * i / grid) * sigma
+                minor = max(minor, abs(phi(theta)))
+    except OverflowError as exc:
+        raise DomainError(
+            f"cut diagnostics overflow a float at t={t}, h={h} (sigma={sigma:.6g})"
+        ) from exc
     return major, sigma * minor

@@ -17,11 +17,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cache, lru_cache
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 from . import series as se
 from .errors import (
+    DomainError,
     InvalidSpec,
     NoApproxAvailable,
     NoAxisFormula,
@@ -115,7 +117,12 @@ def parse_family(text: str) -> FamilySpec:
 
 
 def _parse_rat(text: str) -> Fraction:
-    return Fraction(text.strip())
+    value = Fraction(text.strip())
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidSpec(f"{text.strip()} does not fit a float") from None
+    return value
 
 
 def _validate(spec: FamilySpec) -> None:
@@ -309,6 +316,41 @@ def distinct_expansion(n_max: int) -> list[int]:
     return out
 
 
+def sets_of_lists_numbers(n_max: int) -> list[int]:
+    """s_0..s_n, the sets of lists on n labels (OEIS A000262), by the
+    recurrence s_n = (2n - 1) s_{n-1} - (n - 1)(n - 2) s_{n-2}."""
+    out = [1, 1][: n_max + 1]
+    for n in range(2, n_max + 1):
+        out.append((2 * n - 1) * out[-1] - (n - 1) * (n - 2) * out[-2])
+    return out
+
+
+def _egf(numerators: Iterable[int]) -> se.CoeffSeries:
+    """The series sum_n b_n z^n / n!, with n! kept as a running product."""
+    vals = []
+    fact = 1
+    for n, b in enumerate(numerators):
+        if n:
+            fact *= n
+        vals.append(Fraction(b, fact))
+    return se.CoeffSeries(tuple(vals))
+
+
+def _canprod_poly(zeros: Sequence[Fraction], n_max: int) -> se.CoeffSeries:
+    """prod (1 + z/b) over the zeros b, truncated at order n_max."""
+    acc = se.CoeffSeries.from_list([1], order=n_max)
+    for z in zeros:
+        acc = se.mul(acc, se.CoeffSeries.from_list([1, Fraction(1, 1) / z], order=n_max))
+    return acc
+
+
+def _check_order(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError(f"truncation {n_max} must be >= 0")
+    if n_max > MAX_TRUNC:
+        raise TruncationTooLarge(f"truncation {n_max} exceeds the guard {MAX_TRUNC}")
+
+
 def bell_numbers(n_max: int) -> list[int]:
     """B_0..B_n by the Bell triangle (each row starts with the previous
     row's last entry; the row's last entry is the next Bell number)."""
@@ -329,12 +371,10 @@ def bell_numbers(n_max: int) -> list[int]:
 def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
     """Exact coefficients a_0..a_{n_max} of the catalog family."""
     _validate(spec)
-    if n_max > MAX_TRUNC:
-        raise TruncationTooLarge(f"truncation {n_max} exceeds the guard {MAX_TRUNC}")
+    _check_order(n_max)
     v = spec.variant
     if v == "exp":
-        vals = [Fraction(1, math.factorial(n)) for n in range(n_max + 1)]
-        return se.CoeffSeries(tuple(vals))
+        return _egf(repeat(1, n_max + 1))
     if v == "bernoulli":
         return se.CoeffSeries.from_list([1, 1], order=n_max)
     if v == "binom":
@@ -348,9 +388,7 @@ def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
     if v == "poly":
         return se.CoeffSeries.from_list(spec.coeffs, order=n_max)
     if v == "bell":
-        bells = bell_numbers(n_max)
-        vals = [Fraction(b, math.factorial(n)) for n, b in enumerate(bells)]
-        return se.CoeffSeries(tuple(vals))
+        return _egf(bell_numbers(n_max))
     if v == "P":
         return se.CoeffSeries.from_list(pentagonal_partitions(n_max))
     if v == "Q":
@@ -370,14 +408,9 @@ def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
         exp_g, _ = se.exp_series(g)
         return exp_g
     if v == "canprod":
-        acc = se.CoeffSeries.from_list([1], order=n_max)
-        for z in spec.zeros:
-            acc = se.mul(acc, se.CoeffSeries.from_list([1, Fraction(1, 1) / z], order=n_max))
-        return acc
+        return _canprod_poly(spec.zeros, n_max)
     if v == "setsoflists":
-        g = se.CoeffSeries.from_list([0] + [1] * n_max)
-        exp_g, _ = se.exp_series(g)
-        return exp_g
+        return _egf(sets_of_lists_numbers(n_max))
     raise InvalidSpec(f"unknown variant {v}")
 
 
@@ -385,9 +418,14 @@ def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
 
 
 def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
-    """Bind closed-form evaluators and the exact oracle into a Family."""
+    """Bind closed-form evaluators and the exact oracle into a Family.
+
+    The oracle, ``exact_coeffs(spec, trunc)``, is built on the first read of
+    ``coeffs`` and kept by the family.
+    """
     _validate(spec)
-    coeffs = exact_coeffs(spec, trunc)
+    _check_order(trunc)
+    oracle = cache(lambda: exact_coeffs(spec, trunc))
     v = spec.variant
     usg = v in ("exp", "bell", "P", "Q") or (v == "Wab" and spec.a == 1)
     key = spec.key()
@@ -399,7 +437,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             mean=lambda t: t,
             variance=lambda t: t,
             log_value_complex=lambda z: z,
-            coeffs=coeffs, usg=True,
+            oracle=oracle, usg=True,
             fulcrum34=lambda s: (math.exp(s), math.exp(s)),
             spec_key=key,
         )
@@ -412,7 +450,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             mean=lambda t: n * t / (1.0 + t),
             variance=lambda t: n * t / (1.0 + t) ** 2,
             log_value_complex=lambda z: n * cmath.log(1 + z),
-            coeffs=coeffs,
+            oracle=oracle,
             fulcrum34=lambda s: _binom_f34(n, math.exp(s)),
             spec_key=key,
         )
@@ -425,14 +463,14 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             mean=lambda t: n * t / (1.0 - t),
             variance=lambda t: n * t / (1.0 - t) ** 2,
             log_value_complex=lambda z: -n * cmath.log(1 - z),
-            coeffs=coeffs,
+            oracle=oracle,
             fulcrum34=lambda s: _geom_f34(n, math.exp(s)),
             spec_key=key,
         )
 
     if v in ("poly", "canprod"):
         if v == "canprod":
-            poly = exact_coeffs(spec, len(spec.zeros))
+            poly = _canprod_poly(spec.zeros, len(spec.zeros))
         else:
             poly = se.CoeffSeries.from_list(spec.coeffs)
         from .family import family_from_coeffs
@@ -442,7 +480,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             name=key, radius=math.inf, mean_sup=float(poly.order),
             log_value=base.log_value, mean=base.mean, variance=base.variance,
             log_value_complex=base.log_value_complex,
-            coeffs=coeffs, q_gcd=base.q_gcd, fulcrum34=base.fulcrum34,
+            oracle=oracle, q_gcd=base.q_gcd, fulcrum34=base.fulcrum34,
             spec_key=key,
             meta={"truncated_product": v == "canprod"},
         )
@@ -450,22 +488,22 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
     if v == "bell":
         def f34(s: float) -> tuple[float, float]:
             t = math.exp(s)
-            et = math.exp(t)
+            et = _float_exp(math.exp, t)
             return (t + 3 * t * t + t**3) * et, (t + 7 * t * t + 6 * t**3 + t**4) * et
 
         return Family(
             name="bell", radius=math.inf, mean_sup=math.inf,
-            log_value=lambda t: math.expm1(t),
-            mean=lambda t: t * math.exp(t),
-            variance=lambda t: t * (1.0 + t) * math.exp(t),
+            log_value=lambda t: _float_exp(math.expm1, t),
+            mean=lambda t: t * _float_exp(math.exp, t),
+            variance=lambda t: t * (1.0 + t) * _float_exp(math.exp, t),
             log_value_complex=lambda z: cmath.exp(z) - 1,
-            coeffs=coeffs, usg=True, fulcrum34=f34,
+            oracle=oracle, usg=True, fulcrum34=f34,
             spec_key=key,
         )
 
     if v == "expof":
         g = se.CoeffSeries.from_list(spec.inner.coeffs)
-        return _exp_poly_family(key, g, coeffs)
+        return _exp_poly_family(key, g, oracle)
 
     if v == "setsoflists":
         def f34(s: float) -> tuple[float, float]:
@@ -480,7 +518,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             mean=lambda t: t / (1.0 - t) ** 2,
             variance=lambda t: t * (1.0 + t) / (1.0 - t) ** 3,
             log_value_complex=lambda z: z / (1 - z),
-            coeffs=coeffs, fulcrum34=f34,
+            oracle=oracle, fulcrum34=f34,
             spec_key=key,
         )
 
@@ -506,10 +544,18 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
         name=key, radius=1.0, mean_sup=math.inf,
         log_value=log_value, mean=mean, variance=variance,
         log_value_complex=log_complex,
-        coeffs=coeffs, q_gcd=q_gcd, usg=usg,
+        oracle=oracle, q_gcd=q_gcd, usg=usg,
         fulcrum34=lambda s: (fulcrum_q(s, 3), fulcrum_q(s, 4)),
         spec_key=key,
     )
+
+
+def _float_exp(fn: Callable[[float], float], t: float) -> float:
+    """fn(t) for fn = math.exp or math.expm1, naming a float overflow."""
+    try:
+        return fn(t)
+    except OverflowError:
+        raise DomainError(f"e^{t} overflows a float") from None
 
 
 def _binom_f34(n: int, t: float) -> tuple[float, float]:
@@ -524,7 +570,8 @@ def _geom_f34(n: int, t: float) -> tuple[float, float]:
     return f3, f4
 
 
-def _exp_poly_family(key: str, g: se.CoeffSeries, coeffs: se.CoeffSeries) -> Family:
+def _exp_poly_family(key: str, g: se.CoeffSeries,
+                     oracle: Callable[[], se.CoeffSeries]) -> Family:
     gf = [float(c) for c in g.coeffs]
 
     def g_at(t: float) -> float:
@@ -556,7 +603,7 @@ def _exp_poly_family(key: str, g: se.CoeffSeries, coeffs: se.CoeffSeries) -> Fam
         mean=lambda t: t * g_deriv(t, 1),
         variance=lambda t: t * g_deriv(t, 1) + t * t * g_deriv(t, 2),
         log_value_complex=g_complex,
-        coeffs=coeffs,
+        oracle=oracle,
         q_gcd=se.support_gcd(g),
         fulcrum34=f34,
         spec_key=key,

@@ -20,7 +20,7 @@ from . import catalog as C
 from . import family as F
 from . import lagrange as L
 from . import large_powers as LP
-from .errors import InvalidSpec, KhinfamError
+from .errors import DomainError, InvalidSpec, KhinfamError
 from .numerics import LogNumber
 from .selftest import run_selftest
 from .series import DEFAULT_ORDER
@@ -213,6 +213,7 @@ def cmd_family(args, cfg: Config, stream) -> int:
         if name == "mass" and arg:
             trunc = max(trunc, min(C.MAX_TRUNC, int(arg)))
     fam = C.make_family(spec, trunc=trunc)
+    fam.check_radius(args.t)
     rows = []
     for stat in stats:
         val = _family_stat(fam, stat, args.t, cfg)
@@ -226,6 +227,8 @@ def cmd_family(args, cfg: Config, stream) -> int:
             rows.append({"stat": stat, "ln": ln_cell, "value": v_cell})
         else:
             x = float(val)
+            if not math.isfinite(x):
+                raise DomainError(f"{stat} at t={args.t} is {x}")
             if x > 0:
                 rows.append({"stat": stat, "ln": _fmt(math.log(x)), "value": _fmt(x)})
             else:
@@ -389,14 +392,14 @@ def cmd_diag(args, cfg: Config, stream) -> int:
     spec = C.parse_family(args.family)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
     radii = [float(x) for x in args.t.split(",")]
-    need_coeffs = any(s.startswith("cltsup") for s in stats)
-    trunc = cfg.trunc
-    if need_coeffs:
-        fam_probe = C.make_family(spec, trunc=8)
+    fam = C.make_family(spec, trunc=cfg.trunc)
+    for t in radii:
+        fam.check_radius(t)
+    if any(s.startswith("cltsup") for s in stats):
         top = max(radii)
-        need = int(fam_probe.mean(top) + 12.0 * math.sqrt(fam_probe.variance(top))) + 2
-        trunc = min(C.MAX_TRUNC, max(trunc, need))
-    fam = C.make_family(spec, trunc=trunc)
+        need = int(fam.mean(top) + 12.0 * math.sqrt(fam.variance(top))) + 2
+        if need > cfg.trunc:
+            fam = C.make_family(spec, trunc=min(C.MAX_TRUNC, need))
     rows = []
     for t in radii:
         row: dict = {"t": _fmt(t)}

@@ -56,6 +56,9 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+_ORACLE = object()  # Family(coeffs=...) default: take the coefficients from ``oracle``
+
+
 @dataclass(frozen=True)
 class Family:
     """An evaluable generating function together with its family data.
@@ -66,6 +69,12 @@ class Family:
     of X_t); otherwise they are obtained by finite differences of the
     variance. ``log_value_complex`` is any branch of log f(z); only
     exp(log f(z) - log f(t)) is ever consumed, which is branch-free.
+
+    ``coeffs`` is the exact coefficient oracle, or None. It is given either
+    ready, as ``coeffs=``, or as ``oracle``, a function of no arguments that
+    builds it; ``make_family`` passes one that builds on the first read of
+    ``coeffs`` and keeps the result. ``dataclasses.replace`` hands the
+    oracle on without calling it, and ``replace(fam, coeffs=None)`` drops it.
     """
 
     name: str
@@ -75,15 +84,50 @@ class Family:
     mean: Callable[[float], float]
     variance: Callable[[float], float]
     log_value_complex: Callable[[complex], complex] | None = None
-    coeffs: se.CoeffSeries | None = None
     q_gcd: int = 1
     usg: bool = False
     fulcrum34: Callable[[float], tuple[float, float]] | None = None
     boundary_variance: float | None = None
     spec_key: str | None = None
     meta: dict = field(default_factory=dict, compare=False)
+    oracle: Callable[[], se.CoeffSeries] | None = field(default=None, compare=False, repr=False)
+
+    # Written out so that ``coeffs`` is an argument but not a field:
+    # dataclasses.replace reads every field, and reading coeffs builds it.
+    def __init__(
+        self,
+        name: str,
+        radius: float,
+        mean_sup: float,
+        log_value: Callable[[float], float],
+        mean: Callable[[float], float],
+        variance: Callable[[float], float],
+        log_value_complex: Callable[[complex], complex] | None = None,
+        coeffs: se.CoeffSeries | None = _ORACLE,  # type: ignore[assignment]
+        q_gcd: int = 1,
+        usg: bool = False,
+        fulcrum34: Callable[[float], tuple[float, float]] | None = None,
+        boundary_variance: float | None = None,
+        spec_key: str | None = None,
+        meta: dict | None = None,
+        oracle: Callable[[], se.CoeffSeries] | None = None,
+    ) -> None:
+        if coeffs is not _ORACLE:
+            oracle = None if coeffs is None else (lambda: coeffs)
+        self.__dict__.update(  # frozen: bypass __setattr__
+            name=name, radius=radius, mean_sup=mean_sup, log_value=log_value, mean=mean,
+            variance=variance, log_value_complex=log_value_complex, q_gcd=q_gcd, usg=usg,
+            fulcrum34=fulcrum34, boundary_variance=boundary_variance, spec_key=spec_key,
+            meta={} if meta is None else meta, oracle=oracle,
+        )
+
+    @property
+    def coeffs(self) -> se.CoeffSeries | None:
+        return None if self.oracle is None else self.oracle()
 
     def check_radius(self, t: float) -> None:
+        if not math.isfinite(t):
+            raise RadiusOutOfRange(f"t={t} must be finite")
         if t <= 0:
             raise RadiusOutOfRange(f"t={t} must be positive")
         if t > self.radius:

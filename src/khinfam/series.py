@@ -177,18 +177,21 @@ def exp_series(g: CoeffSeries) -> tuple[CoeffSeries, Fraction]:
     transcendental factor e^{g0} stays symbolic as the returned exponent,
     which keeps the coefficient lattice rational.
 
-    Uses the derivative identity f' = g' f, i.e. n f_n = sum k g_k f_{n-k}.
+    Uses the derivative identity f' = g' f, i.e. n f_n = sum k g_k f_{n-k},
+    summed over the nonzero g_k only, so a polynomial g costs O(n deg g).
     """
     g0 = g.coeffs[0]
     n = g.order
     f = [Fraction(0)] * (n + 1)
     f[0] = Fraction(1)
-    gc = g.coeffs
+    kg = [(k, k * c) for k, c in enumerate(g.coeffs) if k and c != 0]
     for m in range(1, n + 1):
         acc = Fraction(0)
-        for k in range(1, m + 1):
-            if gc[k] != 0 and f[m - k] != 0:
-                acc += k * gc[k] * f[m - k]
+        for k, kg_k in kg:
+            if k > m:
+                break
+            if f[m - k] != 0:
+                acc += kg_k * f[m - k]
         f[m] = acc / m
     return CoeffSeries(tuple(f)), g0
 

@@ -13,6 +13,7 @@ from khinfam import asym as A
 from khinfam import family as F
 from khinfam.catalog import bell_numbers, exact_coeffs, make_family, parse_family
 from khinfam.errors import (
+    DomainError,
     GcdNotOne,
     QGcdNotOne,
     TargetAboveMeanSup,
@@ -295,3 +296,10 @@ class TestCutDiagnostics:
             vals.append(major)
         assert vals[0] > vals[1]
         assert vals[1] < 1.1  # frozen: 0.950; the approach to 0 is O(s^0.2)
+
+    @pytest.mark.parametrize("spec", ["Wab:1,1", "Wab:1,2"])
+    def test_overflow_is_a_domain_error(self, spec):
+        # sigma is in the hundreds at t = 0.9, so e^{theta^2/2} overflows
+        fam = make_family(parse_family(spec), trunc=8)
+        with pytest.raises(DomainError):
+            A.cut_diagnostics(fam, 0.9, 0.5)

@@ -93,6 +93,72 @@ class TestExactCoefficients:
         with pytest.raises(TruncationTooLarge):
             C.exact_coeffs(C.parse_family("exp"), 200_000)
 
+    def test_huge_rational_rejected_at_parse_time(self):
+        with pytest.raises(InvalidSpec):
+            C.parse_family("poly:1e400,1")
+
+
+def dense_exp_series(g):
+    """exp(g - g0) by the loop over every k <= m, the reference for the
+    loop over the nonzero g_k in ``series.exp_series``."""
+    gc = g.coeffs
+    f = [Fraction(0)] * (g.order + 1)
+    f[0] = Fraction(1)
+    for m in range(1, g.order + 1):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            if gc[k] != 0 and f[m - k] != 0:
+                acc += k * gc[k] * f[m - k]
+        f[m] = acc / m
+    return S.CoeffSeries(tuple(f))
+
+
+ORACLE_N = 300
+
+
+def all_fractions(series):
+    return all(type(c) is Fraction for c in series.coeffs)
+
+
+class TestLinearOracles:
+    """The running-product and recurrence oracles equal the routes they
+    replaced, up to n = 300, coefficient for coefficient."""
+
+    def test_exp_is_one_over_factorial(self):
+        got = C.exact_coeffs(C.parse_family("exp"), ORACLE_N)
+        assert got.coeffs == tuple(Fraction(1, math.factorial(n)) for n in range(ORACLE_N + 1))
+        assert all_fractions(got)
+
+    def test_bell_is_bell_number_over_factorial(self):
+        got = C.exact_coeffs(C.parse_family("bell"), ORACLE_N)
+        bells = C.bell_numbers(ORACLE_N)
+        assert got.coeffs == tuple(Fraction(b, math.factorial(n)) for n, b in enumerate(bells))
+        assert all_fractions(got)
+
+    def test_sets_of_lists_is_exp_of_z_over_one_minus_z(self):
+        got = C.exact_coeffs(C.parse_family("setsoflists"), ORACLE_N)
+        assert got == dense_exp_series(S.CoeffSeries.from_list([0] + [1] * ORACLE_N))
+        assert all_fractions(got)
+
+    @pytest.mark.parametrize("inner", ["0,1,1", "0,1,0,1", "0,1/2,0,0,2/3", "0,0,3/7,5"])
+    def test_expof_matches_dense_loop(self, inner):
+        spec = C.parse_family("expof:poly:" + inner)
+        got = C.exact_coeffs(spec, ORACLE_N)
+        assert got == dense_exp_series(S.CoeffSeries.from_list(spec.inner.coeffs, order=ORACLE_N))
+        assert all_fractions(got)
+
+    @pytest.mark.parametrize("g", [
+        [Fraction(3, 2), 1, Fraction(-1, 3), 0, 2],  # g0 != 0 and a negative term
+        [0] + [Fraction(1, k) for k in range(1, 40)],  # dense
+        [0, 0, 0, 0, 0, 0, Fraction(5, 7)],
+    ])
+    def test_exp_series_matches_dense_loop(self, g):
+        series = S.CoeffSeries.from_list(g, order=60)
+        got, g0 = S.exp_series(series)
+        assert got == dense_exp_series(series)
+        assert g0 == series.coeffs[0]
+        assert all_fractions(got)
+
 
 class TestClosedEvaluations:
     def test_partition_identity_at_radii(self):

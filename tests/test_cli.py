@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import re
+import shlex
 
 import pytest
 
@@ -183,3 +185,26 @@ class TestEnvConfig:
         code = cli.main(["--trunc", "200000", "family", "--family", "exp",
                          "--t", "1.0", "--stats", "mean"])
         assert code == 3
+
+
+# Inputs that once crashed with a traceback or printed nan/inf/-1 with exit 0.
+CONTRACT_INPUTS = [
+    "family --family geom --t 1",
+    "family --family bell --t 800",
+    "family --family bell --t 705",  # t e^t overflows to inf without an exception
+    "family --family poly:1e400,1 --t 1",
+    "diag --family exp --t 0",
+    "family --family exp --t nan",
+    "family --family exp --t -1",
+    "family --family exp --t inf",
+]
+
+
+@pytest.mark.parametrize("line", CONTRACT_INPUTS)
+def test_out_of_domain_input_exits_with_a_named_error(line, capsys):
+    code = cli.main(shlex.split(line))
+    out, err = capsys.readouterr()
+    assert code in (2, 3)
+    assert re.match(r"(error: [A-Za-z]+: |usage error: )", err)
+    assert "Traceback" not in err
+    assert out == ""

@@ -1,10 +1,12 @@
 """Khinchin-family operations against closed forms and direct mass sums."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
 
+from khinfam import catalog
 from khinfam import family as F
 from khinfam import series as S
 from khinfam.catalog import exact_coeffs, make_family, parse_family
@@ -13,6 +15,7 @@ from khinfam.errors import (
     NoCoefficientAccess,
     NotEntire,
     RadiusOutOfRange,
+    TruncationTooLarge,
     ZeroMean,
 )
 
@@ -401,3 +404,72 @@ class TestOperationsLaws:
         t = 0.5
         assert abs(sub.mean(t) - 3 * gf.mean(t**3)) <= 1e-10 * (1 + sub.mean(t))
         assert abs(sub.variance(t) - 9 * gf.variance(t**3)) <= 1e-10 * (1 + sub.variance(t))
+
+
+ALL_VARIANTS = ["exp", "bernoulli", "binom:4", "geom", "negbinom:3", "poly:1,1/2,3",
+                "bell", "P", "Q", "Pab:2,1", "Wab:1,1", "expof:poly:0,0,1",
+                "canprod:1,2,4", "setsoflists"]
+
+
+class TestLazyOracle:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (spec key, order) of every exact_coeffs call made from now on."""
+        calls = []
+        real = catalog.exact_coeffs
+
+        def counting(spec, n_max):
+            calls.append((spec.key(), n_max))
+            return real(spec, n_max)
+
+        monkeypatch.setattr(catalog, "exact_coeffs", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", ALL_VARIANTS)
+    def test_built_on_first_read_and_kept(self, builds, text):
+        spec = parse_family(text)
+        fam = make_family(spec, trunc=16)
+        assert builds == []
+        first = fam.coeffs
+        assert builds == [(spec.key(), 16)]
+        assert fam.coeffs is first
+        assert len(builds) == 1
+        assert first == exact_coeffs(spec, 16)
+
+    def test_replace_neither_builds_nor_drops(self, builds):
+        fam = make_family(parse_family("setsoflists"), trunc=16)
+        hot = dataclasses.replace(fam, mean=lambda t: 1.0)
+        assert builds == []
+        assert hot.coeffs is fam.coeffs
+        assert len(builds) == 1
+
+    def test_replace_keeps_a_built_oracle(self, builds):
+        fam = make_family(parse_family("P"), trunc=16)
+        first = fam.coeffs
+        assert dataclasses.replace(fam, name="P'").coeffs is first
+        assert len(builds) == 1
+
+    def test_replace_with_none_drops_the_oracle(self, builds):
+        fam = make_family(parse_family("exp"), trunc=16)
+        bare = dataclasses.replace(fam, coeffs=None)
+        assert bare.coeffs is None
+        assert dataclasses.replace(bare, mean=lambda t: t).coeffs is None
+        assert builds == []
+
+    def test_replace_with_a_series(self):
+        fam = make_family(parse_family("exp"), trunc=16)
+        series = S.CoeffSeries.from_list([1, 2, 3])
+        assert dataclasses.replace(fam, coeffs=series).coeffs is series
+
+    def test_truncation_checked_up_front(self):
+        with pytest.raises(TruncationTooLarge):
+            make_family(parse_family("exp"), trunc=catalog.MAX_TRUNC + 1)
+        with pytest.raises(ValueError):
+            make_family(parse_family("P"), trunc=-1)
+
+
+class TestRadiusCheck:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_and_non_positive(self, t):
+        with pytest.raises(RadiusOutOfRange):
+            make_family(parse_family("exp"), trunc=8).check_radius(t)
