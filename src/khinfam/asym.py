@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from . import catalog as cat
@@ -27,11 +28,12 @@ from .errors import (
 )
 from .family import Family
 from .numerics import (
+    ZETA_NEG,
     LogNumber,
     bracket_increasing,
     lambert_w0,
     log_gamma,
-    solve_monotone,
+    solve_monotone_point,
     zeta_prime_neg,
     zeta_real,
 )
@@ -63,13 +65,15 @@ def saddle_solve(fam: Family, n: float, tol: float | None = None) -> SaddlePoint
         raise ValueError("saddle target must be positive")
     if n >= fam.mean_sup:
         raise TargetAboveMeanSup(f"target {n} >= mean limit {fam.mean_sup} of {fam.name}")
+    # The bracket carries the means at its ends and the solver returns the
+    # mean at the root, so no t is evaluated twice.
     bracket = bracket_increasing(fam.mean, n, fam.radius)
-    t = solve_monotone(fam.mean, n, bracket, tol_value=tol)
+    t, mean = solve_monotone_point(fam.mean, n, bracket, tol_value=tol)
     return SaddlePoint(
         n=int(n) if float(n).is_integer() else n,
         t=t,
         log_f=fam.log_value(t),
-        mean=fam.mean(t),
+        mean=mean,
         variance=fam.variance(t),
     )
 
@@ -166,7 +170,7 @@ def closed_partition_asym(kind: str, n: int, a: int | None = None, b: int | None
 
 
 def _colored_estimate(b: int, n: int, method: str) -> Estimate:
-    zb = {0: -0.5, 1: -1.0 / 12.0, 2: 0.0}[b]
+    zb = ZETA_NEG[b]
     gz = math.exp(log_gamma(b + 2.0)) * zeta_real(b + 2.0)
     ln_alpha = (
         -0.5 * math.log(2.0 * math.pi)
@@ -233,8 +237,9 @@ def local_clt_sup(fam: Family, t: float, window: tuple[int, int] | None = None) 
 def strong_gaussian_integral(fam: Family, t: float, tol: float = 1e-8) -> float:
     """Integral over |theta| <= pi sigma of |E e^{i theta X-check} - e^{-theta^2/2}|.
 
-    Composite Simpson on a 4096-point base grid with interval halving until
-    two successive refinements agree to ``tol``.
+    Composite Simpson on a 4096-interval base grid with interval halving
+    until two successive refinements agree to ``tol``; each refinement
+    evaluates the integrand only at its new points (see ``_adaptive_simpson``).
     """
     if fam.log_value_complex is None:
         raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
@@ -252,25 +257,33 @@ def strong_gaussian_integral(fam: Family, t: float, tol: float = 1e-8) -> float:
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, base: int = 4096) -> float:
+    """Composite Simpson on base, 2 base, 4 base, ... intervals (base even,
+    at most six halvings) until two successive values agree to ``tol``.
+
+    Each halving evaluates f only at its new odd points and keeps the
+    ordinates of the level before: those are its even points bit for bit,
+    since h/2 is exact and a + (h/2)(2i) == a + h i. ``math.fsum`` is
+    correctly rounded, so the result equals re-evaluating every level.
+    """
+    if base % 2:
+        raise ValueError("Simpson needs an even number of intervals")
     n = base
-    prev = _simpson(f, a, b, n)
-    for _ in range(6):
-        n *= 2
-        cur = _simpson(f, a, b, n)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
-
-
-def _simpson(f, a: float, b: float, n: int) -> float:
-    if n % 2:
-        n += 1
     h = (b - a) / n
-    acc = f(a) + f(b)
-    acc += 4.0 * math.fsum(f(a + h * i) for i in range(1, n, 2))
-    acc += 2.0 * math.fsum(f(a + h * i) for i in range(2, n, 2))
-    return acc * h / 3.0
+    ends = f(a) + f(b)
+    interior = array("d", (f(a + h * i) for i in range(2, n, 2)))
+    prev = None
+    for _ in range(7):
+        odd = array("d", (f(a + h * i) for i in range(1, n, 2)))
+        acc = ends + 4.0 * math.fsum(odd)
+        acc += 2.0 * math.fsum(interior)
+        cur = acc * h / 3.0
+        if prev is not None and abs(cur - prev) < tol:
+            return cur
+        interior.extend(odd)
+        prev = cur
+        n *= 2
+        h = (b - a) / n
+    return prev
 
 
 def gaussianity_ratio(fam: Family, t: float) -> float:

@@ -30,7 +30,7 @@ from .errors import (
     TruncationTooLarge,
 )
 from .family import Family
-from .numerics import LogNumber, lambert_w0, log_gamma, zeta_prime_neg, zeta_real
+from .numerics import ZETA_NEG, LogNumber, lambert_w0, log_gamma, zeta_prime_neg, zeta_real
 
 MAX_TRUNC = 100_000
 
@@ -104,7 +104,12 @@ def parse_family(text: str) -> FamilySpec:
         if head == "expof":
             return FamilySpec("expof", inner=parse_family(rest))
         if head == "canprod":
-            return FamilySpec("canprod", zeros=tuple(_parse_rat(v) for v in rest.split(",")))
+            texts = rest.split(",")
+            zeros = tuple(_parse_rat(v) for v in texts)
+            for text, z in zip(texts, zeros):
+                if z > 0 and not _fits_float(1 / z):
+                    raise InvalidSpec(f"1/{text.strip()} does not fit a float")
+            return FamilySpec("canprod", zeros=zeros)
     except InvalidSpec:
         raise
     except (ValueError, ZeroDivisionError) as exc:
@@ -118,11 +123,17 @@ def parse_family(text: str) -> FamilySpec:
 
 def _parse_rat(text: str) -> Fraction:
     value = Fraction(text.strip())
+    if not _fits_float(value):
+        raise InvalidSpec(f"{text.strip()} does not fit a float")
+    return value
+
+
+def _fits_float(value: Fraction) -> bool:
     try:
         float(value)
     except OverflowError:
-        raise InvalidSpec(f"{text.strip()} does not fit a float") from None
-    return value
+        return False
+    return True
 
 
 def _validate(spec: FamilySpec) -> None:
@@ -149,79 +160,84 @@ def _validate(spec: FamilySpec) -> None:
             raise InvalidSpec("canprod needs a positive increasing zero list")
 
 
-# -- truncated-sum helpers -------------------------------------------------------
+# -- partition-product sums ------------------------------------------------------
+
+_MAX_TERMS = 10_000_000
 
 
-def _sum_terms(term: Callable[[int], float], majorant: Callable[[int], float],
-               start: int = 1, step: int = 1) -> float:
-    total = 0.0
-    j = start
-    while True:
-        v = term(j)
-        total += v
-        if total > 0 and v < _REL_TERM * total and majorant(j + step) < _REL_TAIL * total:
-            return total
-        j += step
-        if j > 10_000_000:
-            raise TruncationTooLarge("series summation did not reach its tail criterion")
+def _parts_sums(p0: int, d: int, b: int):
+    """Evaluators of the product prod_j (1 - t^{p_j})^(-c_j), j >= 1.
 
-
-def _parts_sums(parts: Callable[[int], tuple[int, float]]):
-    """Mean/variance/log sums for products prod (1 - t^p)^(-c) over parts.
-
-    ``parts(j)`` yields (p_j, c_j); the part sizes p_j must be increasing.
-    Returns closures for ln f, m, sigma^2 and the fulcrum derivative of
-    order q >= 3.
+    The parts are p_j = p0 + d (j - 1) and the weights c_j = j^b: P is
+    (1, 1, 0), Q (odd parts) is (1, 2, 0), Pab:a,b is (b, a, 0) and Wab:a,b
+    is (a, a, b). Returns ln f, m, sigma^2, complex ln f and the fulcrum
+    derivative of order q >= 3. Each is one loop over the parts that
+    evaluates u^p once per term; the majorant of the tail is read at the
+    next part. Float expressions keep their order and grouping, and only
+    side-effect-free comparisons are reordered or have max() written out,
+    so every result is bit-identical to summing term by term.
     """
 
     def log_value(u: float) -> float:
-        def term(j: int) -> float:
-            p, c = parts(j)
-            return -c * math.log1p(-u**p)
-
-        def major(j: int) -> float:
-            p, c = parts(j)
-            return c * u**p / (1.0 - u)
-
-        return _sum_terms(term, major)
+        total = 0.0
+        j, p = 1, p0
+        while True:
+            v = -(j**b) * math.log1p(-u**p)
+            total += v
+            j += 1
+            p += d
+            if (total > 0 and v < _REL_TERM * total
+                    and j**b * u**p / (1.0 - u) < _REL_TAIL * total):
+                return total
+            if j > _MAX_TERMS:
+                raise TruncationTooLarge("series summation did not reach its tail criterion")
 
     def mean(u: float) -> float:
-        def term(j: int) -> float:
-            p, c = parts(j)
+        total = 0.0
+        j, p = 1, p0
+        while True:
             x = u**p
-            return c * p * x / (1.0 - x)
-
-        def major(j: int) -> float:
-            p, c = parts(j)
-            return c * p * u**p / (1.0 - u)
-
-        return _sum_terms(term, major)
+            v = j**b * p * x / (1.0 - x)
+            total += v
+            j += 1
+            p += d
+            if (total > 0 and v < _REL_TERM * total
+                    and j**b * p * u**p / (1.0 - u) < _REL_TAIL * total):
+                return total
+            if j > _MAX_TERMS:
+                raise TruncationTooLarge("series summation did not reach its tail criterion")
 
     def variance(u: float) -> float:
-        def term(j: int) -> float:
-            p, c = parts(j)
+        total = 0.0
+        j, p = 1, p0
+        while True:
             x = u**p
-            return c * p * p * x / (1.0 - x) ** 2
-
-        def major(j: int) -> float:
-            p, c = parts(j)
-            return c * p * p * u**p / (1.0 - u) ** 2
-
-        return _sum_terms(term, major)
+            v = j**b * p * p * x / (1.0 - x) ** 2
+            total += v
+            j += 1
+            p += d
+            if (total > 0 and v < _REL_TERM * total
+                    and j**b * p * p * u**p / (1.0 - u) ** 2 < _REL_TAIL * total):
+                return total
+            if j > _MAX_TERMS:
+                raise TruncationTooLarge("series summation did not reach its tail criterion")
 
     def log_value_complex(z: complex) -> complex:
         # sum_j -c_j Log(1 - z^{p_j}); |z| < 1 so the tail is geometric.
         total = complex(0.0)
-        j = 1
         az = abs(z)
+        j, p = 1, p0
         while True:
-            p, c = parts(j)
-            w = z**p
-            total += -c * cmath.log(1 - w)
-            if az**p * c < 1e-17 * max(1.0, abs(total)) and az**p < 0.5:
-                return total
+            c = j**b
+            total += -c * cmath.log(1 - z**p)
+            ap = az**p
+            if ap < 0.5:
+                a = abs(total)
+                if ap * c < 1e-17 * (a if a > 1.0 else 1.0):  # max(1.0, a)
+                    return total
             j += 1
-            if j > 10_000_000:
+            p += d
+            if j > _MAX_TERMS:
                 raise TruncationTooLarge("complex log product did not converge")
 
     def fulcrum_high(s: float, q: int) -> float:
@@ -229,29 +245,34 @@ def _parts_sums(parts: Callable[[int], tuple[int, float]]):
         # expansion sum_{j,k} c_j p_j^q k^{q-1} e^{k p_j s}; summed as a
         # double series in (j, k).
         u = math.exp(s)
-
-        def term(j: int) -> float:
-            p, c = parts(j)
+        e = q - 1
+        total = 0.0
+        j, p = 1, p0
+        while True:
             x = u**p
             inner = 0.0
             k = 1
             xk = x
             while True:
-                v = k ** (q - 1) * xk
+                v = k**e * xk
                 inner += v
-                if v < 1e-17 * max(inner, 1e-300) and xk < 0.5:
+                # max(inner, 1e-300) written out: the call would cost more
+                # than the rest of the iteration
+                if xk < 0.5 and v < 1e-17 * (1e-300 if 1e-300 > inner else inner):
                     break
                 k += 1
                 xk *= x
-                if k > 10_000_000:
+                if k > _MAX_TERMS:
                     raise TruncationTooLarge("fulcrum inner sum did not converge")
-            return c * float(p) ** q * inner
-
-        def major(j: int) -> float:
-            p, c = parts(j)
-            return c * float(p) ** q * u**p / (1.0 - u) ** q
-
-        return _sum_terms(term, major)
+            v = j**b * float(p) ** q * inner
+            total += v
+            j += 1
+            p += d
+            if (total > 0 and v < _REL_TERM * total
+                    and j**b * float(p) ** q * u**p / (1.0 - u) ** q < _REL_TAIL * total):
+                return total
+            if j > _MAX_TERMS:
+                raise TruncationTooLarge("series summation did not reach its tail criterion")
 
     return log_value, mean, variance, log_value_complex, fulcrum_high
 
@@ -522,23 +543,17 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             spec_key=key,
         )
 
-    # partition products: P, Q, Pab, Wab
+    # partition products: P, Q, Pab, Wab as (first part, step, weight exponent)
     if v == "P":
-        parts = lambda j: (j, 1)  # noqa: E731
-        q_gcd = 1
+        shape, q_gcd = (1, 1, 0), 1
     elif v == "Q":
-        parts = lambda j: (2 * j - 1, 1)  # noqa: E731  (odd-parts form of the product)
-        q_gcd = 1
+        shape, q_gcd = (1, 2, 0), 1  # odd-parts form of the product
     elif v == "Pab":
-        a, b = spec.a, spec.b
-        parts = lambda j: (a * (j - 1) + b, 1)  # noqa: E731
-        q_gcd = math.gcd(a, b)
+        shape, q_gcd = (spec.b, spec.a, 0), math.gcd(spec.a, spec.b)
     else:  # Wab
-        a, b = spec.a, spec.b
-        parts = lambda j: (a * j, j**b)  # noqa: E731
-        q_gcd = a
+        shape, q_gcd = (spec.a, spec.a, spec.b), spec.a
 
-    log_value, mean, variance, log_complex, fulcrum_q = _parts_sums(parts)
+    log_value, mean, variance, log_complex, fulcrum_q = _parts_sums(*shape)
 
     return Family(
         name=key, radius=1.0, mean_sup=math.inf,
@@ -706,15 +721,11 @@ def axis_asymptotic(spec: FamilySpec, s: float) -> LogNumber:
         e = (b + 1.0) / a
         ln = (
             zeta_real(1.0 + e) * math.exp(log_gamma(e)) / a / s**e
-            - _zeta_neg(b) * math.log(s)
+            - ZETA_NEG[b] * math.log(s)
             + a * zeta_prime_neg(b)
         )
         return LogNumber.from_log(ln)
     raise NoAxisFormula(f"no axis asymptotic formula for {v}")
-
-
-def _zeta_neg(b: int) -> float:
-    return {0: -0.5, 1: -1.0 / 12.0, 2: 0.0}[b]
 
 
 # -- set/multiset coefficient transforms ------------------------------------------

@@ -24,6 +24,7 @@ from . import series as se
 from .errors import (
     ComplexEvalUnavailable,
     DerivativeOrderUnavailable,
+    DomainError,
     NoCoefficientAccess,
     NotEntire,
     RadiusOutOfRange,
@@ -499,7 +500,10 @@ def family_from_coeffs(
     an independent cross-check oracle in tests (products, subordination) and
     for polynomial data, where the truncation is the whole function.
     """
-    pairs = [(n, float(c)) for n, c in enumerate(coeffs.coeffs) if c != 0]
+    try:
+        pairs = [(n, float(c)) for n, c in enumerate(coeffs.coeffs) if c != 0]
+    except OverflowError:
+        raise DomainError("a coefficient does not fit a float") from None
     if not pairs or coeffs.coeffs[0] <= 0:
         raise ValueError("coefficient family needs a positive constant term")
 
@@ -536,15 +540,25 @@ def family_from_coeffs(
             acc = acc * z + c
         return cmath.log(acc)
 
+    def overflow_named(fn: Callable, stat: str) -> Callable:
+        # c * t**n raises OverflowError once t**n leaves the float range.
+        def in_range(x: float):
+            try:
+                return fn(x)
+            except OverflowError:
+                raise DomainError(f"{stat} of {name} at {x} overflows a float") from None
+
+        return in_range
+
     return Family(
         name=name,
         radius=radius,
         mean_sup=float(coeffs.order) if math.isinf(radius) else math.inf,
-        log_value=log_value,
-        mean=mean_fn,
-        variance=variance_fn,
+        log_value=overflow_named(log_value, "ln f"),
+        mean=overflow_named(mean_fn, "mean"),
+        variance=overflow_named(variance_fn, "variance"),
         log_value_complex=log_complex_dense,
         coeffs=coeffs,
         q_gcd=q_gcd if q_gcd is not None else se.support_gcd(coeffs),
-        fulcrum34=fulcrum34_fn,
+        fulcrum34=overflow_named(fulcrum34_fn, "fulcrum derivatives"),
     )

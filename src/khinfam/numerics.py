@@ -9,7 +9,7 @@ long before the interesting range of n is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -122,10 +122,16 @@ class LogNumber:
 
 @dataclass(frozen=True)
 class RootBracket:
-    """Interval [lo, hi] known to straddle the target of a monotone map."""
+    """Interval [lo, hi] known to straddle the target of a monotone map.
+
+    ``g_lo`` and ``g_hi``, when given, are the map's values at the ends, so
+    a solver started from the bracket need not evaluate them again.
+    """
 
     lo: float
     hi: float
+    g_lo: float | None = field(default=None, compare=False)
+    g_hi: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.lo < self.hi):
@@ -227,17 +233,31 @@ def solve_monotone(
     Hybrid bisection/secant: a secant step is accepted only when it lands
     strictly inside the current bracket, otherwise the step bisects.
     """
+    return solve_monotone_point(g, target, bracket, tol_value, tol_t, max_iter)[0]
+
+
+def solve_monotone_point(
+    g: Callable[[float], float],
+    target: float,
+    bracket: RootBracket,
+    tol_value: float | None = None,
+    tol_t: float | None = None,
+    max_iter: int = 200,
+) -> tuple[float, float]:
+    """The root t of ``solve_monotone`` together with g(t), as evaluated there."""
     lo, hi = bracket.lo, bracket.hi
     if tol_value is None:
         tol_value = 1e-9 * max(1.0, abs(target))
-    g_lo = g(lo) - target
-    g_hi = g(hi) - target
+    v_lo = g(lo) if bracket.g_lo is None else bracket.g_lo
+    v_hi = g(hi) if bracket.g_hi is None else bracket.g_hi
+    g_lo = v_lo - target
+    g_hi = v_hi - target
     if g_lo > 0 or g_hi < 0:
         raise BracketInvalid("bracket does not straddle the target")
     if g_lo == 0:
-        return lo
+        return lo, v_lo
     if g_hi == 0:
-        return hi
+        return hi, v_hi
     t = 0.5 * (lo + hi)
     for it in range(max_iter):
         # A pure secant/false-position scheme can stall with one frozen
@@ -247,16 +267,18 @@ def solve_monotone(
             t = t_sec if lo < t_sec < hi else 0.5 * (lo + hi)
         else:
             t = 0.5 * (lo + hi)
-        g_t = g(t) - target
+        v = g(t)
+        g_t = v - target
         if g_t < 0:
             lo, g_lo = t, g_t
         else:
             hi, g_hi = t, g_t
         width_goal = tol_t if tol_t is not None else 1e-13 * max(t, 1e-300)
         if abs(g_t) <= tol_value and (hi - lo) <= width_goal:
-            return t
-    if abs(g(t) - target) <= tol_value:
-        return t
+            return t, v
+    v = g(t)
+    if abs(v - target) <= tol_value:
+        return t, v
     raise NoConvergence(f"no root to tolerance after {max_iter} iterations")
 
 
@@ -273,7 +295,8 @@ def bracket_increasing(
     """
     lo = min(t0, radius / 2.0 if math.isfinite(radius) else t0)
     for _ in range(2000):
-        if g(lo) <= target:
+        g_lo = g(lo)
+        if g_lo <= target:
             break
         lo /= 2.0
     else:
@@ -281,7 +304,8 @@ def bracket_increasing(
     if math.isfinite(radius):
         hi = (lo + radius) / 2.0
         for _ in range(2000):
-            if g(hi) >= target:
+            g_hi = g(hi)
+            if g_hi >= target:
                 break
             hi = (hi + radius) / 2.0
         else:
@@ -289,9 +313,10 @@ def bracket_increasing(
     else:
         hi = max(2.0 * lo, 2.0 * t0)
         for _ in range(2000):
-            if g(hi) >= target:
+            g_hi = g(hi)
+            if g_hi >= target:
                 break
             hi *= 2.0
         else:
             raise BracketInvalid("target not bracketed")
-    return RootBracket(lo, hi)
+    return RootBracket(lo, hi, g_lo, g_hi)

@@ -4,6 +4,7 @@ Bands marked "frozen" were computed from the exact oracles (pentagonal
 recurrence, product expansions, Bell triangle) before being written down.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -244,6 +245,120 @@ class TestStrongGaussianIntegral:
         val = A.strong_gaussian_integral(fam, 100.0)
         window = 2 * math.pi * math.sqrt(fam.variance(100.0))
         assert val > 0.5 * window * 0.001
+
+
+def _reevaluating_simpson(f, a, b, tol, base=4096):
+    """Composite Simpson that evaluates the whole grid again at each level."""
+
+    def simpson(n):
+        h = (b - a) / n
+        acc = f(a) + f(b)
+        acc += 4.0 * math.fsum(f(a + h * i) for i in range(1, n, 2))
+        acc += 2.0 * math.fsum(f(a + h * i) for i in range(2, n, 2))
+        return acc * h / 3.0
+
+    n = base
+    prev = simpson(n)
+    for _ in range(6):
+        n *= 2
+        cur = simpson(n)
+        if abs(cur - prev) < tol:
+            return cur
+        prev = cur
+    return prev
+
+
+def _counting(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _kinked(x):
+    return abs(math.sin(7.0 * x)) + abs(x - 0.3) ** 0.5 + (1.0 if x > 1.1 else 0.0)
+
+
+class TestReusingSimpson:
+    def test_two_levels_bitwise_with_fewer_calls(self):
+        f, calls = _counting(_kinked)
+        got = A._adaptive_simpson(f, -2.0, 3.0, tol=1.0)
+        old, old_calls = _counting(_kinked)
+        assert got == _reevaluating_simpson(old, -2.0, 3.0, tol=1.0)
+        assert len(old_calls) == 4097 + 8193
+        assert len(calls) == 8193
+        assert len(set(calls)) == 8193
+
+    def test_every_level_bitwise(self):
+        # tol 0 is never met: all seven levels run and the last one is returned
+        f, calls = _counting(_kinked)
+        got = A._adaptive_simpson(f, -2.0, 3.0, tol=0.0, base=64)
+        assert got == _reevaluating_simpson(_kinked, -2.0, 3.0, tol=0.0, base=64)
+        assert len(calls) == 64 * 2**6 + 1
+
+    def test_odd_base_refused(self):
+        with pytest.raises(ValueError):
+            A._adaptive_simpson(_kinked, 0.0, 1.0, tol=1e-8, base=4095)
+
+    def test_strong_gaussian_integral_calls(self):
+        fam = make_family(parse_family("P"), trunc=8)
+        lvc, calls = _counting(fam.log_value_complex)
+        val = A.strong_gaussian_integral(dataclasses.replace(fam, log_value_complex=lvc), 0.5)
+        assert val == A.strong_gaussian_integral(fam, 0.5)
+        assert len(calls) == 8193
+
+
+class TestSaddleEvaluations:
+    @pytest.mark.parametrize("text,n", [("P", 1000), ("P", 7), ("Q", 300), ("exp", 50),
+                                        ("bell", 1000), ("geom", 20), ("Wab:1,2", 1000)])
+    def test_mean_evaluated_once_per_t(self, text, n):
+        fam = make_family(parse_family(text), trunc=8)
+        mean, calls = _counting(fam.mean)
+        sp = A.saddle_solve(dataclasses.replace(fam, mean=mean), n)
+        assert len(calls) == len(set(calls))
+        assert sp.mean == fam.mean(sp.t)
+        assert sp == A.saddle_solve(fam, n)
+
+
+# float.hex values of the evaluators' results before their loops were fused;
+# families at trunc 64. A rewrite that moves a single bit fails here.
+PINNED = {
+    "sgint P 0.5": "0x1.0174b45f5c491p+2",
+    "hayman P 10000": "0x1.eab8dc849f0a6p+7",
+    "hayman P 10000 t": "0x1.f97ce6298dacap-1",
+    "hayman Wab:1,2 1000": "0x1.74c66ba1b8610p+8",
+    "hayman Wab:1,2 1000 t": "0x1.8176ffaa67607p-1",
+    "fulcrum Q ln 0.95": ["0x1.38907851f02ffp+8", "0x1.7ce7b1bd4b395p+13",
+                          "0x1.5c183efcfbb8fp+19", "0x1.a825be8d9fe91p+25"],
+    "cuts Q 0.6 0.5 256": ["0x1.92a27fb1560ecp+0", "0x1.990b3db0d8977p+0"],
+}
+
+
+class TestPinnedValues:
+    @pytest.fixture(scope="class")
+    def fam64(self):
+        return lambda text: make_family(parse_family(text), trunc=64)
+
+    def test_strong_gaussian_integral(self, fam64):
+        assert A.strong_gaussian_integral(fam64("P"), 0.5).hex() == PINNED["sgint P 0.5"]
+
+    @pytest.mark.parametrize("text,n", [("P", 10_000), ("Wab:1,2", 1000)])
+    def test_hayman(self, fam64, text, n):
+        est = A.hayman_estimate(fam64(text), n)
+        assert est.value.sign == 1
+        assert est.value.log_abs.hex() == PINNED[f"hayman {text} {n}"]
+        assert est.meta["t"].hex() == PINNED[f"hayman {text} {n} t"]
+
+    def test_fulcrum_derivatives(self, fam64):
+        got = F.fulcrum_derivs(fam64("Q"), math.log(0.95), 4)
+        assert [x.hex() for x in got] == PINNED["fulcrum Q ln 0.95"]
+
+    def test_cut_diagnostics(self, fam64):
+        got = A.cut_diagnostics(fam64("Q"), 0.6, 0.5, 256)
+        assert [x.hex() for x in got] == PINNED["cuts Q 0.6 0.5 256"]
 
 
 class TestGaussianityRatio:

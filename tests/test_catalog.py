@@ -1,6 +1,8 @@
 """Catalog families: exact oracles, closed identities, approximate laws."""
 
+import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -399,3 +401,208 @@ class TestHaymanCriteria:
         g = S.CoeffSeries.from_list([0, 1, Fraction(1, 2), 50])
         verdict = C.hayman_criterion_entire(g, 1.0, 1.0, 1.0, 1.1)
         assert not verdict.ok and verdict.first_violation == 3
+
+
+# -- the closure-based partition sums, kept as an independent oracle ----------------
+
+
+def _closure_sum_terms(term, majorant, start=1, step=1):
+    total = 0.0
+    j = start
+    while True:
+        v = term(j)
+        total += v
+        if total > 0 and v < 1e-16 * total and majorant(j + step) < 1e-14 * total:
+            return total
+        j += step
+        if j > 10_000_000:
+            raise TruncationTooLarge("series summation did not reach its tail criterion")
+
+
+def _closure_parts_sums(parts):
+    """ln f, m, sigma^2, complex ln f and F^(q) of prod (1 - t^p_j)^(-c_j),
+    with ``parts(j) = (p_j, c_j)``: one closure per term and per majorant."""
+
+    def log_value(u):
+        def term(j):
+            p, c = parts(j)
+            return -c * math.log1p(-u**p)
+
+        def major(j):
+            p, c = parts(j)
+            return c * u**p / (1.0 - u)
+
+        return _closure_sum_terms(term, major)
+
+    def mean(u):
+        def term(j):
+            p, c = parts(j)
+            x = u**p
+            return c * p * x / (1.0 - x)
+
+        def major(j):
+            p, c = parts(j)
+            return c * p * u**p / (1.0 - u)
+
+        return _closure_sum_terms(term, major)
+
+    def variance(u):
+        def term(j):
+            p, c = parts(j)
+            x = u**p
+            return c * p * p * x / (1.0 - x) ** 2
+
+        def major(j):
+            p, c = parts(j)
+            return c * p * p * u**p / (1.0 - u) ** 2
+
+        return _closure_sum_terms(term, major)
+
+    def log_value_complex(z):
+        total = complex(0.0)
+        j = 1
+        az = abs(z)
+        while True:
+            p, c = parts(j)
+            w = z**p
+            total += -c * cmath.log(1 - w)
+            if az**p * c < 1e-17 * max(1.0, abs(total)) and az**p < 0.5:
+                return total
+            j += 1
+
+    def fulcrum_high(s, q):
+        u = math.exp(s)
+
+        def term(j):
+            p, c = parts(j)
+            x = u**p
+            inner = 0.0
+            k = 1
+            xk = x
+            while True:
+                v = k ** (q - 1) * xk
+                inner += v
+                if v < 1e-17 * max(inner, 1e-300) and xk < 0.5:
+                    break
+                k += 1
+                xk *= x
+            return c * float(p) ** q * inner
+
+        def major(j):
+            p, c = parts(j)
+            return c * float(p) ** q * u**p / (1.0 - u) ** q
+
+        return _closure_sum_terms(term, major)
+
+    return log_value, mean, variance, log_value_complex, fulcrum_high
+
+
+PARTS = {
+    "P": lambda j: (j, 1),
+    "Q": lambda j: (2 * j - 1, 1),
+    "Pab:2,1": lambda j: (2 * (j - 1) + 1, 1),
+    "Pab:3,2": lambda j: (3 * (j - 1) + 2, 1),
+    "Wab:1,0": lambda j: (j, 1),
+    "Wab:1,1": lambda j: (j, j),
+    "Wab:1,2": lambda j: (j, j**2),
+}
+RADII = (0.1, 0.5, 0.9, 0.99, 0.999)
+
+
+class _Powers(float):
+    """A float that records the exponent of every power taken of it."""
+
+    def __new__(cls, value, seen):
+        obj = super().__new__(cls, value)
+        obj.seen = seen
+        return obj
+
+    def __pow__(self, p):
+        self.seen.append(p)
+        return float(self) ** p
+
+
+class _RecordingMath:
+    """The math module, with exp returning a _Powers."""
+
+    real = math
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def exp(self, x):
+        return _Powers(self.real.exp(x), self.seen)
+
+
+class TestPartitionSums:
+    """The fused per-statistic loops against the closure-based sums, bit for bit."""
+
+    @pytest.mark.parametrize("text", sorted(PARTS))
+    def test_real_statistics_bitwise(self, text):
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        log_value, mean, variance, _, _ = _closure_parts_sums(PARTS[text])
+        for u in RADII:
+            assert fam.log_value(u) == log_value(u), u
+            assert fam.mean(u) == mean(u), u
+            assert fam.variance(u) == variance(u), u
+
+    @pytest.mark.parametrize("text", sorted(PARTS))
+    def test_fulcrum_derivatives_bitwise(self, text):
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        fulcrum_high = _closure_parts_sums(PARTS[text])[4]
+        # at u = 0.999 the double sum takes ~1.7 s a family: the unit and the
+        # square weights stand for the rest there
+        for u in RADII if text in ("P", "Wab:1,2") else RADII[:-1]:
+            s = math.log(u)
+            assert fam.fulcrum34(s) == (fulcrum_high(s, 3), fulcrum_high(s, 4)), u
+
+    @pytest.mark.parametrize("text", sorted(PARTS))
+    def test_complex_log_bitwise(self, text):
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        log_value_complex = _closure_parts_sums(PARTS[text])[3]
+        for r in (0.3, 0.5, 0.9):
+            for angle in (0.0, 0.4, math.pi / 2, 2.5, math.pi, -1.1):
+                z = cmath.rect(r, angle)
+                assert fam.log_value_complex(z) == log_value_complex(z), (r, angle)
+
+    @pytest.mark.parametrize("text", sorted(PARTS))
+    def test_same_powers_in_the_same_order(self, text):
+        # Every u**p a sum takes, majorants included, in order: a majorant
+        # read at another part, or a term too many, shows here even where
+        # it leaves the total's bits alone.
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        oracle = _closure_parts_sums(PARTS[text])
+        for u in RADII:
+            for new, old in zip((fam.log_value, fam.mean, fam.variance), oracle[:3]):
+                seen_new, seen_old = [], []
+                assert new(_Powers(u, seen_new)) == old(_Powers(u, seen_old))
+                assert seen_new == seen_old
+
+    @pytest.mark.parametrize("text", sorted(PARTS))
+    def test_fulcrum_same_powers_in_the_same_order(self, text, monkeypatch):
+        # fulcrum_high takes s and forms u = e^s itself: both sides get a
+        # math module whose exp records the powers taken of u
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        fulcrum_high = _closure_parts_sums(PARTS[text])[4]
+        for u in RADII[:-1]:
+            s = math.log(u)
+            seen_new, seen_old = [], []
+            monkeypatch.setattr(C, "math", _RecordingMath(seen_new))
+            new = fam.fulcrum34(s)
+            monkeypatch.setattr(sys.modules[__name__], "math", _RecordingMath(seen_old))
+            old = (fulcrum_high(s, 3), fulcrum_high(s, 4))
+            monkeypatch.undo()
+            assert new == old
+            assert seen_new == seen_old
+
+    def test_shapes_name_the_products(self):
+        # (first part, step, weight exponent): the parts of Pab:2,1 are the
+        # odd numbers, the same product as Q, so every statistic agrees.
+        q = C._parts_sums(1, 2, 0)
+        pab = C.make_family(C.parse_family("Pab:2,1"), trunc=8)
+        for u in (0.3, 0.8):
+            assert q[1](u) == pab.mean(u)
+            assert q[0](u) == pab.log_value(u)

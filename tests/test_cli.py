@@ -193,6 +193,9 @@ CONTRACT_INPUTS = [
     "family --family bell --t 800",
     "family --family bell --t 705",  # t e^t overflows to inf without an exception
     "family --family poly:1e400,1 --t 1",
+    "family --family poly:1,2,1 --t 1e200",  # c * t**n overflows
+    "family --family canprod:1e-400 --t 1",  # the coefficient 1/1e-400 does not fit a float
+    "family --family canprod:1e-200,1e-200 --t 1",  # nor does the product's 1e400
     "diag --family exp --t 0",
     "family --family exp --t nan",
     "family --family exp --t -1",

@@ -168,6 +168,19 @@ class TestSolveMonotone:
         with pytest.raises(BracketInvalid):
             N.solve_monotone(lambda t: t, 10.0, N.RootBracket(1.0, 2.0))
 
+    def test_values_carried_from_bracket_to_root(self):
+        fam = make_family(parse_family("P"), trunc=8)
+        br = N.bracket_increasing(fam.mean, 100.0, fam.radius)
+        assert (br.g_lo, br.g_hi) == (fam.mean(br.lo), fam.mean(br.hi))
+        t, value = N.solve_monotone_point(fam.mean, 100.0, br)
+        assert value == fam.mean(t)
+        assert t == N.solve_monotone(fam.mean, 100.0, N.RootBracket(br.lo, br.hi))
+
+    def test_root_at_a_bracket_end(self):
+        # g(lo) hits the target: the root is lo and its value the bracket's
+        br = N.RootBracket(2.0, 5.0, g_lo=3.0, g_hi=6.0)
+        assert N.solve_monotone_point(lambda t: t + 1.0, 3.0, br) == (2.0, 3.0)
+
 
 class TestFiniteDiff:
     def test_square(self):
