@@ -8,13 +8,15 @@ laws and the axis asymptotics of f(e^{-s}) as s drops to 0.
 Infinite sums (partition means, fulcrum derivatives) are truncated with an
 explicit geometric tail criterion: stop once the current term is below
 1e-16 of the partial sum and the majorant of the remaining tail is below
-1e-14 of it.
+1e-14 of it. The complex ln f of a partition product is a Lambert series cut
+at the least order whose certified tail bound is at most 1e-17.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -163,6 +165,72 @@ def _validate(spec: FamilySpec) -> None:
 # -- partition-product sums ------------------------------------------------------
 
 _MAX_TERMS = 10_000_000
+_LAMBERT_TAIL = 1e-17
+
+
+def _divisor_sums(p0: int, d: int, b: int, lo: int, hi: int) -> list[int]:
+    """s_k = sum of c_j p_j over the parts p_j dividing k, for lo <= k <= hi,
+    by a sieve over the parts p_j = p0 + d (j - 1) with weights c_j = j^b."""
+    sums = [0] * (hi - lo + 1)
+    j, p = 1, p0
+    while p <= hi:
+        w = j**b * p
+        first = -(-lo // p) * p - lo  # offset of the first multiple of p >= lo
+        sums[first::p] = [s + w for s in sums[first::p]]
+        j += 1
+        p += d
+    return sums
+
+
+def _coeff_log_bound(b: int) -> Callable[[int], float]:
+    """k -> ln of an upper bound on a_k = s_k / k for weight exponent b.
+
+    Every shape has p_j >= j, so c_j = j^b <= p_j^b. With b = 0,
+    a_k <= sum_{e | k} 1/e <= H_k <= 1 + ln k; with b >= 1,
+    s_k <= sigma_{b+1}(k) <= zeta(b+1) k^{b+1}, so a_k <= zeta(b+1) k^b.
+    Both bounds grow with k by a ratio that falls with k.
+    """
+    if b == 0:
+        return lambda k: math.log1p(math.log(k))
+    log_zeta = math.log(zeta_real(b + 1.0))
+    return lambda k: log_zeta + b * math.log(k)
+
+
+def _lambert_log_tail(r: float, order: int, log_bound: Callable[[int], float]) -> float:
+    """ln of a bound on the tail sum_{k > order} a_k r^k of ln f(r).
+
+    With g the bound of ``_coeff_log_bound`` and K = order + 1, the ratio
+    g(k+1)/g(k) is at most rho = g(K+1)/g(K) for k >= K, so the tail is at
+    most g(K) r^K / (1 - r rho); inf when r rho >= 1.
+    """
+    k = order + 1
+    g = log_bound(k)
+    q = r * math.exp(log_bound(k + 1) - g)
+    if q >= 1.0:
+        return math.inf
+    return g + k * math.log(r) - math.log1p(-q)
+
+
+def _lambert_order(r: float, log_bound: Callable[[int], float]) -> int:
+    """The least order K >= 1 whose certified tail bound at |z| = r, 0 < r < 1,
+    is at most _LAMBERT_TAIL: Newton steps up from -ln(_LAMBERT_TAIL)/-ln r
+    (ln of the bound falls by about -ln r per term), then single steps down
+    while the bound one order lower still holds."""
+    lr = -math.log(r)
+    target = math.log(_LAMBERT_TAIL)
+    order = max(1, math.ceil(-target / lr))
+    tail = _lambert_log_tail(r, order, log_bound)
+    while tail > target:
+        if tail == math.inf:
+            order *= 2
+        else:
+            order = max(order + 1, math.ceil(order + (tail - target) / lr))
+        if order > _MAX_TERMS:
+            raise TruncationTooLarge(f"complex log product needs over {_MAX_TERMS} terms")
+        tail = _lambert_log_tail(r, order, log_bound)
+    while order > 1 and _lambert_log_tail(r, order - 1, log_bound) <= target:
+        order -= 1
+    return order
 
 
 def _parts_sums(p0: int, d: int, b: int):
@@ -171,11 +239,21 @@ def _parts_sums(p0: int, d: int, b: int):
     The parts are p_j = p0 + d (j - 1) and the weights c_j = j^b: P is
     (1, 1, 0), Q (odd parts) is (1, 2, 0), Pab:a,b is (b, a, 0) and Wab:a,b
     is (a, a, b). Returns ln f, m, sigma^2, complex ln f and the fulcrum
-    derivative of order q >= 3. Each is one loop over the parts that
-    evaluates u^p once per term; the majorant of the tail is read at the
-    next part. Float expressions keep their order and grouping, and only
-    side-effect-free comparisons are reordered or have max() written out,
-    so every result is bit-identical to summing term by term.
+    derivative of order q >= 3.
+
+    ln f, m, sigma^2 and the fulcrum derivatives are each one loop over the
+    parts that evaluates u^p once per term; the majorant of the tail is read
+    at the next part. Float expressions keep their order and grouping, and
+    only side-effect-free comparisons are reordered or have max() written
+    out, so every result is bit-identical to summing term by term.
+
+    Complex ln f is the Lambert series ln f(z) = sum_{k>=1} (s_k/k) z^k with
+    s_k = sum_{j : p_j | k} c_j p_j, the same principal-branch value as
+    sum_j -c_j Log(1 - z^{p_j}) for |z| < 1. It is one Horner pass over a
+    table of s_k/k kept by the evaluator: the integers s_k come from a
+    divisor sieve, each is divided by k once, and the table grows on demand.
+    The order is the least one whose certified tail bound at |z|
+    (``_lambert_log_tail``) is at most 1e-17.
     """
 
     def log_value(u: float) -> float:
@@ -222,23 +300,23 @@ def _parts_sums(p0: int, d: int, b: int):
             if j > _MAX_TERMS:
                 raise TruncationTooLarge("series summation did not reach its tail criterion")
 
+    log_bound = _coeff_log_bound(b)
+    table = array("d")  # s_k / k at index k - 1, grown on demand
+
     def log_value_complex(z: complex) -> complex:
-        # sum_j -c_j Log(1 - z^{p_j}); |z| < 1 so the tail is geometric.
-        total = complex(0.0)
-        az = abs(z)
-        j, p = 1, p0
-        while True:
-            c = j**b
-            total += -c * cmath.log(1 - z**p)
-            ap = az**p
-            if ap < 0.5:
-                a = abs(total)
-                if ap * c < 1e-17 * (a if a > 1.0 else 1.0):  # max(1.0, a)
-                    return total
-            j += 1
-            p += d
-            if j > _MAX_TERMS:
-                raise TruncationTooLarge("complex log product did not converge")
+        r = abs(z)
+        if not r < 1.0:
+            raise TruncationTooLarge(f"complex log product needs |z| < 1, got {r}")
+        order = _lambert_order(r, log_bound) if r else 1
+        if order > len(table):
+            lo = len(table) + 1
+            hi = min(max(order, 2 * len(table)), _MAX_TERMS)
+            sums = _divisor_sums(p0, d, b, lo, hi)
+            table.extend([s / k for k, s in zip(range(lo, hi + 1), sums)])
+        acc = 0j
+        for a in table[order - 1::-1]:
+            acc = acc * z + a
+        return acc * z
 
     def fulcrum_high(s: float, q: int) -> float:
         # F(s) = sum_j -c_j ln(1 - e^{p_j s}); F^(q)(s) = sum over the

@@ -3,7 +3,9 @@
 Verbs: coeff, family, largepow, lagrange, diag, selftest. Every numeric
 result is reported as a natural-log column plus, when representable, the
 decimal value. Exit codes: 0 success, 2 usage error, 3 domain error (the
-error name from the owning module is echoed verbatim).
+error name from the owning module is echoed verbatim). A family spec that
+does not parse (``--family nope``) is ``InvalidSpec`` and exits 3, like any
+other named error.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import asym as A
 from . import catalog as C
@@ -44,6 +47,8 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.trunc < 1:
+            raise InvalidSpec(f"truncation {self.trunc} must be >= 1")
         if self.trunc > C.MAX_TRUNC:
             raise InvalidSpec(f"truncation {self.trunc} exceeds {C.MAX_TRUNC}")
         if min(self.root_tol, self.quad_tol) <= 0:
@@ -123,6 +128,17 @@ def _closed_estimate(spec: C.FamilySpec, method: str, n: int) -> A.Estimate:
     raise InvalidSpec(f"unknown coeff method {method!r}")
 
 
+def _exact_text(value: Fraction) -> str:
+    """The exact rational as digits, within the interpreter's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DomainError(
+            f"the exact value has more digits than the int-to-str limit "
+            f"({sys.get_int_max_str_digits()})"
+        ) from None
+
+
 def cmd_coeff(args, cfg: Config, stream) -> int:
     spec = C.parse_family(args.family)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
@@ -135,11 +151,8 @@ def cmd_coeff(args, cfg: Config, stream) -> int:
         a_n = coeffs.coeff(n)
         exact_log = LogNumber.from_fraction(a_n)
         ln_cell, val_cell = _log_cells(exact_log)
-        exact_str = (
-            str(a_n) if a_n.denominator == 1 else f"{a_n.numerator}/{a_n.denominator}"
-        )
         rows.append(
-            {"method": "exact", "n": n, "ln": ln_cell, "value": val_cell or exact_str,
+            {"method": "exact", "n": n, "ln": ln_cell, "value": val_cell or _exact_text(a_n),
              "ratio": ""}
         )
     for method in methods:

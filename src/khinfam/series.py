@@ -115,11 +115,6 @@ def class_tag(f: CoeffSeries) -> SeriesClassTag:
     return SeriesClassTag(in_k=shift == 0, in_ks=True, shift=shift)
 
 
-def add(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
-    n = min(a.order, b.order)
-    return CoeffSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1)))
-
-
 def scale(a: CoeffSeries, c: Rat) -> CoeffSeries:
     c = _frac(c)
     return CoeffSeries(tuple(c * x for x in a.coeffs))

@@ -21,6 +21,12 @@ def run(argv):
 
 
 class TestCoeffVerb:
+    def test_exact_digits_within_the_limit_still_printed(self):
+        # ln(1/200!) < -700, so the value cell is the exact rational
+        code, out = run(["coeff", "--family", "exp", "--n", "200", "--method", "exact"])
+        assert code == 0
+        assert out.splitlines()[1].split()[3] == f"1/{math.factorial(200)}"
+
     def test_partition_pipeline(self):
         code, out = run(["coeff", "--family", "P", "--n", "100",
                          "--method", "exact,hayman,hr"])
@@ -186,8 +192,17 @@ class TestEnvConfig:
                          "--t", "1.0", "--stats", "mean"])
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_truncation_below_one_refused(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("KF_TRUNC", value)
+        code = cli.main(["coeff", "--family", "P", "--n", "5", "--method", "exact"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == "" and "InvalidSpec" in err
 
-# Inputs that once crashed with a traceback or printed nan/inf/-1 with exit 0.
+
+# Inputs that once crashed with a traceback, printed nan/inf/-1 with exit 0,
+# exited 2 on a valid request, or were run with a truncation below 1.
 CONTRACT_INPUTS = [
     "family --family geom --t 1",
     "family --family bell --t 800",
@@ -200,6 +215,10 @@ CONTRACT_INPUTS = [
     "family --family exp --t nan",
     "family --family exp --t -1",
     "family --family exp --t inf",
+    "coeff --family exp --n 3000 --method exact",  # 1/3000! has 9131 digits
+    "coeff --family bell --n 2000 --method exact",
+    "--trunc -3 coeff --family P --n 5 --method exact",
+    "--trunc 0 family --family P --t 0.5 --stats maxterm,gap",
 ]
 
 
@@ -211,3 +230,11 @@ def test_out_of_domain_input_exits_with_a_named_error(line, capsys):
     assert re.match(r"(error: [A-Za-z]+: |usage error: )", err)
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("line", ["coeff --family exp --n 3000 --method exact",
+                                  "coeff --family bell --n 2000 --method exact"])
+def test_exact_value_past_the_digit_limit_is_a_domain_error(line, capsys):
+    # the request is valid: the interpreter's int-to-str limit is not a usage error
+    assert cli.main(shlex.split(line)) == 3
+    assert capsys.readouterr().err.startswith("error: DomainError: ")
