@@ -237,23 +237,39 @@ def local_clt_sup(fam: Family, t: float, window: tuple[int, int] | None = None) 
 def strong_gaussian_integral(fam: Family, t: float, tol: float = 1e-8) -> float:
     """Integral over |theta| <= pi sigma of |E e^{i theta X-check} - e^{-theta^2/2}|.
 
-    Composite Simpson on a 4096-interval base grid with interval halving
-    until two successive refinements agree to ``tol``; each refinement
-    evaluates the integrand only at its new points (see ``_adaptive_simpson``).
+    The integrand is even in theta: f has real coefficients, so
+    f(conj z) = conj f(z), and conjugation leaves the modulus alone. The
+    integral is twice the composite Simpson rule on [0, pi sigma], on 2048,
+    4096, ... intervals (the step of a 4096-interval rule on the whole
+    range) until two successive half-range values agree to ``tol / 2``;
+    the halving and the doubling are exact in floating point. Each
+    refinement evaluates the integrand only at its new points (see
+    ``_adaptive_simpson``), and ln f through the family's circle evaluator
+    at t (``family.circle_evaluator``).
     """
     if fam.log_value_complex is None:
         raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
+    sigma, phi = _normalized_charfn(fam, t)
+
+    def integrand(theta: float) -> float:
+        return abs(phi(theta) - math.exp(-theta * theta / 2.0))
+
+    return 2.0 * _adaptive_simpson(integrand, 0.0, math.pi * sigma, tol / 2, base=2048)
+
+
+def _normalized_charfn(fam: Family, t: float):
+    """sigma_f(t) and theta -> E e^{i theta X-check}, the characteristic
+    function of (X_t - m) / sigma, with ln f from the circle evaluator at t."""
     sigma = math.sqrt(fam.variance(t))
     m = fam.mean(t)
     log_f = fam.log_value(t)
-    half = math.pi * sigma
+    log_f_circle = fm.circle_evaluator(fam, t)
 
-    def integrand(theta: float) -> float:
+    def phi(theta: float) -> complex:
         z = t * cmath.exp(1j * theta / sigma)
-        val = cmath.exp(fam.log_value_complex(z) - log_f - 1j * theta * m / sigma)
-        return abs(val - math.exp(-theta * theta / 2.0))
+        return cmath.exp(log_f_circle(z) - log_f - 1j * theta * m / sigma)
 
-    return _adaptive_simpson(integrand, -half, half, tol, base=4096)
+    return sigma, phi
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, base: int = 4096) -> float:
@@ -298,21 +314,17 @@ def cut_diagnostics(fam: Family, t: float, h: float, grid: int = 2048) -> tuple[
 
     major: sup_{|theta| <= h sigma} |E e^{i theta X-check} e^{theta^2/2} - 1|
     minor: sigma * sup_{h sigma <= |theta| <= pi sigma} |E e^{i theta X-check}|
-    both over symmetric grids; the minor arc is empty when h >= pi. A
-    DomainError reports a grid value that overflows a float, which happens
-    when sigma is large and the major arc reaches far.
+    both sups are even in theta, so each is taken over grid + 1 points of
+    theta >= 0; the minor arc is empty when h >= pi. ln f is evaluated
+    through the family's circle evaluator at t. A DomainError reports a
+    grid value that overflows a float, which happens when sigma is large
+    and the major arc reaches far.
     """
     if fam.log_value_complex is None:
         raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
     if not 0 < h <= math.pi:
         raise ValueError("cut angle must lie in (0, pi]")
-    sigma = math.sqrt(fam.variance(t))
-    m = fam.mean(t)
-    log_f = fam.log_value(t)
-
-    def phi(theta: float) -> complex:
-        z = t * cmath.exp(1j * theta / sigma)
-        return cmath.exp(fam.log_value_complex(z) - log_f - 1j * theta * m / sigma)
+    sigma, phi = _normalized_charfn(fam, t)
 
     major = 0.0
     minor = 0.0

@@ -239,21 +239,37 @@ def _parts_sums(p0: int, d: int, b: int):
     The parts are p_j = p0 + d (j - 1) and the weights c_j = j^b: P is
     (1, 1, 0), Q (odd parts) is (1, 2, 0), Pab:a,b is (b, a, 0) and Wab:a,b
     is (a, a, b). Returns ln f, m, sigma^2, complex ln f and the fulcrum
-    derivative of order q >= 3.
+    derivative of order q >= 3, then the circle evaluator: t -> (z -> ln f(z))
+    for |z| = t.
 
     ln f, m, sigma^2 and the fulcrum derivatives are each one loop over the
     parts that evaluates u^p once per term; the majorant of the tail is read
     at the next part. Float expressions keep their order and grouping, and
     only side-effect-free comparisons are reordered or have max() written
-    out, so every result is bit-identical to summing term by term.
+    out, so every result is bit-identical to summing term by term. A loop
+    also stops at a term that is exactly 0.0: u^p has underflowed, so every
+    later term is 0 too. That test comes after the tail criterion, so an
+    input that meets the criterion stops where it always did; it ends the
+    loops at t below about 5e-308, where 1e-16 times the sum underflows to
+    0 and the criterion can never be met.
 
     Complex ln f is the Lambert series ln f(z) = sum_{k>=1} (s_k/k) z^k with
     s_k = sum_{j : p_j | k} c_j p_j, the same principal-branch value as
     sum_j -c_j Log(1 - z^{p_j}) for |z| < 1. It is one Horner pass over a
     table of s_k/k kept by the evaluator: the integers s_k come from a
     divisor sieve, each is divided by k once, and the table grows on demand.
-    The order is the least one whose certified tail bound at |z|
+    The order K is the least one whose certified tail bound at |z|
     (``_lambert_log_tail``) is at most 1e-17.
+
+    The circle evaluator at t takes K and the slice of the table once, from
+    t, and then makes the same Horner pass at each z; ``log_value_complex``
+    is the circle evaluator at |z|. A computed z = t e^{i phi} has |z|
+    within a rounding error or two of t, so the two agree bit for bit
+    wherever both radii give the same K. At |z| <= t (1 + 2 eps),
+    eps = 2^-52, the tail past K is at most ``_lambert_log_tail`` at
+    r = t (1 + 2 eps): the bound at t times (1 + 2 eps)^(K+1), over a
+    geometric denominator 1 - r rho that is 2 eps r rho smaller. For every
+    order up to _MAX_TERMS that is below 1.00000001e-17.
     """
 
     def log_value(u: float) -> float:
@@ -265,7 +281,8 @@ def _parts_sums(p0: int, d: int, b: int):
             j += 1
             p += d
             if (total > 0 and v < _REL_TERM * total
-                    and j**b * u**p / (1.0 - u) < _REL_TAIL * total):
+                    and j**b * u**p / (1.0 - u) < _REL_TAIL * total
+                    or v == 0.0):
                 return total
             if j > _MAX_TERMS:
                 raise TruncationTooLarge("series summation did not reach its tail criterion")
@@ -280,7 +297,8 @@ def _parts_sums(p0: int, d: int, b: int):
             j += 1
             p += d
             if (total > 0 and v < _REL_TERM * total
-                    and j**b * p * u**p / (1.0 - u) < _REL_TAIL * total):
+                    and j**b * p * u**p / (1.0 - u) < _REL_TAIL * total
+                    or v == 0.0):
                 return total
             if j > _MAX_TERMS:
                 raise TruncationTooLarge("series summation did not reach its tail criterion")
@@ -295,7 +313,8 @@ def _parts_sums(p0: int, d: int, b: int):
             j += 1
             p += d
             if (total > 0 and v < _REL_TERM * total
-                    and j**b * p * p * u**p / (1.0 - u) ** 2 < _REL_TAIL * total):
+                    and j**b * p * p * u**p / (1.0 - u) ** 2 < _REL_TAIL * total
+                    or v == 0.0):
                 return total
             if j > _MAX_TERMS:
                 raise TruncationTooLarge("series summation did not reach its tail criterion")
@@ -303,20 +322,27 @@ def _parts_sums(p0: int, d: int, b: int):
     log_bound = _coeff_log_bound(b)
     table = array("d")  # s_k / k at index k - 1, grown on demand
 
-    def log_value_complex(z: complex) -> complex:
-        r = abs(z)
-        if not r < 1.0:
-            raise TruncationTooLarge(f"complex log product needs |z| < 1, got {r}")
-        order = _lambert_order(r, log_bound) if r else 1
+    def log_value_circle(t: float) -> Callable[[complex], complex]:
+        if not t < 1.0:
+            raise TruncationTooLarge(f"complex log product needs |z| < 1, got {t}")
+        order = _lambert_order(t, log_bound) if t else 1
         if order > len(table):
             lo = len(table) + 1
             hi = min(max(order, 2 * len(table)), _MAX_TERMS)
             sums = _divisor_sums(p0, d, b, lo, hi)
             table.extend([s / k for k, s in zip(range(lo, hi + 1), sums)])
-        acc = 0j
-        for a in table[order - 1::-1]:
-            acc = acc * z + a
-        return acc * z
+        coeffs = table[order - 1::-1]
+
+        def on_circle(z: complex) -> complex:
+            acc = 0j
+            for a in coeffs:
+                acc = acc * z + a
+            return acc * z
+
+        return on_circle
+
+    def log_value_complex(z: complex) -> complex:
+        return log_value_circle(abs(z))(z)
 
     def fulcrum_high(s: float, q: int) -> float:
         # F(s) = sum_j -c_j ln(1 - e^{p_j s}); F^(q)(s) = sum over the
@@ -347,12 +373,13 @@ def _parts_sums(p0: int, d: int, b: int):
             j += 1
             p += d
             if (total > 0 and v < _REL_TERM * total
-                    and j**b * float(p) ** q * u**p / (1.0 - u) ** q < _REL_TAIL * total):
+                    and j**b * float(p) ** q * u**p / (1.0 - u) ** q < _REL_TAIL * total
+                    or v == 0.0):
                 return total
             if j > _MAX_TERMS:
                 raise TruncationTooLarge("series summation did not reach its tail criterion")
 
-    return log_value, mean, variance, log_value_complex, fulcrum_high
+    return log_value, mean, variance, log_value_complex, fulcrum_high, log_value_circle
 
 
 # -- exact coefficient oracles ---------------------------------------------------
@@ -631,12 +658,12 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
     else:  # Wab
         shape, q_gcd = (spec.a, spec.a, spec.b), spec.a
 
-    log_value, mean, variance, log_complex, fulcrum_q = _parts_sums(*shape)
+    log_value, mean, variance, log_complex, fulcrum_q, log_circle = _parts_sums(*shape)
 
     return Family(
         name=key, radius=1.0, mean_sup=math.inf,
         log_value=log_value, mean=mean, variance=variance,
-        log_value_complex=log_complex,
+        log_value_complex=log_complex, log_value_circle=log_circle,
         oracle=oracle, q_gcd=q_gcd, usg=usg,
         fulcrum34=lambda s: (fulcrum_q(s, 3), fulcrum_q(s, 4)),
         spec_key=key,

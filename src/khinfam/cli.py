@@ -5,7 +5,8 @@ result is reported as a natural-log column plus, when representable, the
 decimal value. Exit codes: 0 success, 2 usage error, 3 domain error (the
 error name from the owning module is echoed verbatim). A family spec that
 does not parse (``--family nope``) is ``InvalidSpec`` and exits 3, like any
-other named error.
+other named error. A float overflow or division by zero that escapes a verb
+is reported as ``DomainError`` and exits 3 too.
 """
 
 from __future__ import annotations
@@ -540,6 +541,11 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args, cfg, sys.stdout)
     except KhinfamError as exc:
         print(f"error: {exc.name}: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # a float overflow or a division by zero inside a statistic: the
+        # request left the range its float evaluators cover
+        print(f"error: DomainError: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -71,6 +71,15 @@ class Family:
     variance. ``log_value_complex`` is any branch of log f(z); only
     exp(log f(z) - log f(t)) is ever consumed, which is branch-free.
 
+    ``log_value_circle``, when given, takes a radius t and returns an
+    evaluator of ln f on the circle |z| = t that must agree with
+    ``log_value_complex`` there. It does the work that depends only on the
+    radius once, for callers that evaluate many angles at one t (see
+    ``circle_evaluator``). ``dataclasses.replace(fam, log_value_complex=g)``
+    keeps it, so those callers go on evaluating the family's own ln f;
+    replace ``log_value_circle`` too, or set it to None, to route them
+    through g.
+
     ``coeffs`` is the exact coefficient oracle, or None. It is given either
     ready, as ``coeffs=``, or as ``oracle``, a function of no arguments that
     builds it; ``make_family`` passes one that builds on the first read of
@@ -85,6 +94,7 @@ class Family:
     mean: Callable[[float], float]
     variance: Callable[[float], float]
     log_value_complex: Callable[[complex], complex] | None = None
+    log_value_circle: Callable[[float], Callable[[complex], complex]] | None = None
     q_gcd: int = 1
     usg: bool = False
     fulcrum34: Callable[[float], tuple[float, float]] | None = None
@@ -104,6 +114,7 @@ class Family:
         mean: Callable[[float], float],
         variance: Callable[[float], float],
         log_value_complex: Callable[[complex], complex] | None = None,
+        log_value_circle: Callable[[float], Callable[[complex], complex]] | None = None,
         coeffs: se.CoeffSeries | None = _ORACLE,  # type: ignore[assignment]
         q_gcd: int = 1,
         usg: bool = False,
@@ -117,7 +128,8 @@ class Family:
             oracle = None if coeffs is None else (lambda: coeffs)
         self.__dict__.update(  # frozen: bypass __setattr__
             name=name, radius=radius, mean_sup=mean_sup, log_value=log_value, mean=mean,
-            variance=variance, log_value_complex=log_value_complex, q_gcd=q_gcd, usg=usg,
+            variance=variance, log_value_complex=log_value_complex,
+            log_value_circle=log_value_circle, q_gcd=q_gcd, usg=usg,
             fulcrum34=fulcrum34, boundary_variance=boundary_variance, spec_key=spec_key,
             meta={} if meta is None else meta, oracle=oracle,
         )
@@ -313,6 +325,14 @@ def _direct_weighted_sum(fam: Family, t: float, weight: Callable[[float], float]
 # -- characteristic and moment generating functions ----------------------------
 
 
+def circle_evaluator(fam: Family, t: float) -> Callable[[complex], complex]:
+    """ln f on the circle |z| = t: the family's ``log_value_circle`` at t,
+    or else ``log_value_complex`` itself."""
+    if fam.log_value_circle is not None:
+        return fam.log_value_circle(t)
+    return fam.log_value_complex
+
+
 def charfn(fam: Family, t: float, theta: float) -> complex:
     """E[e^{i theta X_t}] = f(t e^{i theta}) / f(t)."""
     fam.check_radius(t)
@@ -418,16 +438,21 @@ def gap_stats(fam: Family) -> GapStats:
 
 
 def zero_free_halfwidth(fam: Family, t: float, verify_grid: int = 256) -> float:
-    """Angular half-width pi / (2 sigma_f(t)) of the guaranteed zero-free sector."""
+    """Angular half-width pi / (2 sigma_f(t)) of the guaranteed zero-free sector.
+
+    With complex evaluation, f(z) / f(t) is checked for an exact zero at
+    ``verify_grid`` angles on each side of the axis, through the circle
+    evaluator at t and with ln f(t) computed once.
+    """
     fam.check_radius(t)
     hw = math.pi / (2.0 * math.sqrt(fam.variance(t)))
     if fam.log_value_complex is not None and verify_grid > 0:
+        log_f = fam.log_value(t)
+        log_f_circle = circle_evaluator(fam, t)
         for i in range(verify_grid):
             theta = (i + 0.5) / verify_grid * min(hw, math.pi)
             for th in (theta, -theta):
-                val = cmath.exp(
-                    fam.log_value_complex(t * cmath.exp(1j * th)) - fam.log_value(t)
-                )
+                val = cmath.exp(log_f_circle(t * cmath.exp(1j * th)) - log_f)
                 if val == 0:
                     raise AssertionError("zero found inside the guaranteed sector")
     return hw

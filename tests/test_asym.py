@@ -4,6 +4,7 @@ Bands marked "frozen" were computed from the exact oracles (pentagonal
 recurrence, product expansions, Bell triangle) before being written down.
 """
 
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from khinfam import asym as A
+from khinfam import catalog as C
 from khinfam import family as F
 from khinfam.catalog import bell_numbers, exact_coeffs, make_family, parse_family
 from khinfam.errors import (
@@ -278,6 +280,24 @@ def _counting(f):
     return g, calls
 
 
+def _counting_circle(fam):
+    """A log_value_circle for fam that records each radius asked for and
+    each point evaluated on a circle."""
+    radii, calls = [], []
+
+    def circle(t):
+        radii.append(t)
+        on_circle = fam.log_value_circle(t)
+
+        def counted(z):
+            calls.append(z)
+            return on_circle(z)
+
+        return counted
+
+    return circle, radii, calls
+
+
 def _kinked(x):
     return abs(math.sin(7.0 * x)) + abs(x - 0.3) ** 0.5 + (1.0 if x > 1.1 else 0.0)
 
@@ -304,11 +324,127 @@ class TestReusingSimpson:
             A._adaptive_simpson(_kinked, 0.0, 1.0, tol=1e-8, base=4095)
 
     def test_strong_gaussian_integral_calls(self):
+        # half the range at the full range's step: 2048 intervals, 4097
+        # ordinates, all through the one evaluator of the circle at t
         fam = make_family(parse_family("P"), trunc=8)
-        lvc, calls = _counting(fam.log_value_complex)
-        val = A.strong_gaussian_integral(dataclasses.replace(fam, log_value_complex=lvc), 0.5)
+        circle, radii, calls = _counting_circle(fam)
+        val = A.strong_gaussian_integral(dataclasses.replace(fam, log_value_circle=circle), 0.5)
         assert val == A.strong_gaussian_integral(fam, 0.5)
-        assert len(calls) == 8193
+        assert radii == [0.5]
+        assert len(calls) == 4097
+        assert len(set(calls)) == 4097
+        # the circle evaluator is kept by replace, so complex ln f is not called
+        lvc, direct = _counting(fam.log_value_complex)
+        A.strong_gaussian_integral(dataclasses.replace(fam, log_value_complex=lvc), 0.5)
+        assert direct == []
+
+
+def _full_range_sgint(fam, t, tol=1e-8):
+    """The integral by the full-range rule: Simpson on [-pi sigma, pi sigma]
+    from a 4096-interval base, with ln f from log_value_complex at every
+    point. The oracle of the half-range rule, which relies on evenness."""
+    sigma = math.sqrt(fam.variance(t))
+    m = fam.mean(t)
+    log_f = fam.log_value(t)
+    half = math.pi * sigma
+
+    def integrand(theta):
+        z = t * cmath.exp(1j * theta / sigma)
+        val = cmath.exp(fam.log_value_complex(z) - log_f - 1j * theta * m / sigma)
+        return abs(val - math.exp(-theta * theta / 2.0))
+
+    return A._adaptive_simpson(integrand, -half, half, tol, base=4096)
+
+
+def _sgint_rule(monkeypatch, fam, t):
+    """What strong_gaussian_integral hands to the Simpson rule."""
+    seen = {}
+
+    def capture(f, a, b, tol, base):
+        seen.update(f=f, a=a, b=b, tol=tol, base=base)
+        return 0.0
+
+    with monkeypatch.context() as mp:
+        mp.setattr(A, "_adaptive_simpson", capture)
+        A.strong_gaussian_integral(fam, t)
+    return seen
+
+
+# (spec, t): every shape of complex ln f in the catalog
+SGINT_CASES = [
+    ("P", 0.5), ("Q", 0.6), ("Pab:2,1", 0.5), ("Wab:1,2", 0.5), ("exp", 3.0), ("exp", 1000.0),
+    ("bell", 3.0), ("geom", 0.7), ("setsoflists", 0.7), ("binom:4", 2.0), ("negbinom:3", 0.5),
+    ("expof:poly:0,1,1", 1.5), ("poly:1,2,1", 1.5), ("canprod:1,2", 2.0),
+]
+# the sgint queries of the saddle benchmark pool, whose families are built at trunc 64
+POOL_SGINT = [("exp", 3.0), ("bell", 3.0), ("geom", 0.7), ("setsoflists", 0.7),
+              ("P", 0.5), ("Pab:2,1", 0.5)]
+
+
+class TestHalfRangeIntegral:
+    @pytest.mark.parametrize("text,t", SGINT_CASES)
+    def test_integrand_bitwise_even_on_the_grid(self, monkeypatch, text, t):
+        fam = make_family(parse_family(text), trunc=8)
+        rule = _sgint_rule(monkeypatch, fam, t)
+        assert (rule["a"], rule["base"]) == (0.0, 2048)
+        h = rule["b"] / 2048
+        for i in range(0, 2049, 7):
+            assert rule["f"](-h * i) == rule["f"](h * i), i
+
+    @pytest.mark.parametrize("text,t", POOL_SGINT)
+    def test_bitwise_the_full_range_on_the_pool(self, text, t):
+        fam = make_family(parse_family(text), trunc=64)
+        assert A.strong_gaussian_integral(fam, t) == _full_range_sgint(fam, t)
+
+    @pytest.mark.parametrize("text,t", SGINT_CASES)
+    def test_agrees_with_the_full_range(self, text, t):
+        # the rules round differently; the most measured here is exp at
+        # t = 1000, 6e-14 (318 ulps)
+        fam = make_family(parse_family(text), trunc=8)
+        new, old = A.strong_gaussian_integral(fam, t), _full_range_sgint(fam, t)
+        assert abs(new - old) <= 1e-13 * old
+
+
+# the partition-product sgint and cuts queries of the saddle benchmark pool
+POOL_CIRCLES = [
+    ("sgint", "P", (0.5,)), ("sgint", "Pab:2,1", (0.5,)),
+    ("cuts", "P", (0.5, 0.5, 256)), ("cuts", "Q", (0.6, 0.5, 256)),
+]
+
+
+def _diagnostic(op):
+    return A.strong_gaussian_integral if op == "sgint" else A.cut_diagnostics
+
+
+class TestCircleEvaluator:
+    @pytest.mark.parametrize("op,text,args", POOL_CIRCLES)
+    def test_bitwise_complex_ln_f_at_every_grid_point(self, op, text, args):
+        fam = make_family(parse_family(text), trunc=64)
+        circle, radii, calls = _counting_circle(fam)
+        got = _diagnostic(op)(dataclasses.replace(fam, log_value_circle=circle), *args)
+        assert got == _diagnostic(op)(fam, *args)
+        assert radii == [args[0]]
+        on_circle = fam.log_value_circle(args[0])
+        for z in calls:
+            assert on_circle(z) == fam.log_value_complex(z), z
+
+    @pytest.mark.parametrize("op,text,args", POOL_CIRCLES)
+    def test_one_lambert_order_per_call(self, monkeypatch, op, text, args):
+        fam = make_family(parse_family(text), trunc=64)
+        order, radii = C._lambert_order, []
+
+        def counted(r, log_bound):
+            radii.append(r)
+            return order(r, log_bound)
+
+        monkeypatch.setattr(C, "_lambert_order", counted)
+        _diagnostic(op)(fam, *args)
+        assert radii == [args[0]]
+
+    def test_closed_forms_fall_back_to_complex_ln_f(self):
+        fam = make_family(parse_family("geom"), trunc=8)
+        assert fam.log_value_circle is None
+        assert F.circle_evaluator(fam, 0.7) is fam.log_value_complex
 
 
 class TestSaddleEvaluations:

@@ -590,6 +590,22 @@ class TestPartitionSums:
             assert new == old
             assert seen_new == seen_old
 
+    @pytest.mark.parametrize("text", sorted(PARTS))
+    def test_underflowed_terms_end_the_sums(self, text):
+        # Below t ~ 5e-308, 1e-16 times the sum underflows to 0 and the tail
+        # criterion cannot be met; the first term that is exactly 0 ends the
+        # loop, so only the first part contributes.
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        p0 = SHAPES[text][0]
+        for u in (1e-310, 1e-200, 5e-324):
+            first = u**p0
+            assert fam.log_value(u) == -math.log1p(-first)
+            assert fam.mean(u) == p0 * first / (1.0 - first)
+            assert fam.variance(u) == p0 * p0 * first / (1.0 - first) ** 2
+            f3, f4 = fam.fulcrum34(math.log(u))
+            assert f3 == float(p0) ** 3 * math.exp(math.log(u)) ** p0
+            assert f4 == float(p0) ** 4 * math.exp(math.log(u)) ** p0
+
     def test_shapes_name_the_products(self):
         # (first part, step, weight exponent): the parts of Pab:2,1 are the
         # odd numbers, the same product as Q, so every statistic agrees.
@@ -747,9 +763,35 @@ class TestLambertSeries:
             # one product per coefficient, and the last one for the factor z
             assert len(seen) == C._lambert_order(r, bound) + 1, r
 
+    @pytest.mark.parametrize("b", [0, 1, 2, 5])
+    def test_order_at_t_certifies_the_rounded_circle(self, b):
+        # the circle evaluator takes the order at t; at |z| <= t (1 + 2 eps)
+        # its tail bound is still below 1.00000001e-17
+        bound = C._coeff_log_bound(b)
+        for r in (1e-3, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999):
+            order = C._lambert_order(r, bound)
+            rounded = C._lambert_log_tail(r * (1 + 2 * ULP), order, bound)
+            assert rounded <= math.log(1.00000001e-17), r
+
+    def test_computed_circle_points_stay_within_two_eps(self):
+        for t in (0.3, 0.5, 0.6, 0.9, 0.99):
+            for i in range(4097):
+                assert abs(t * cmath.exp(1j * math.pi * i / 4096)) <= t * (1 + 2 * ULP), (t, i)
+
+    @pytest.mark.parametrize("text", sorted(SHAPES))
+    def test_circle_evaluator_is_complex_ln_f_on_the_circle(self, text):
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        for r in COMPLEX_RADII:
+            on_circle = fam.log_value_circle(r)
+            for angle in ANGLES:
+                z = r * cmath.exp(1j * angle)
+                assert on_circle(z) == fam.log_value_complex(z), (r, angle)
+
     def test_order_guard(self):
         fam = C.make_family(C.parse_family("P"), trunc=8)
         assert fam.log_value_complex(0j) == 0
         for z in (1.0, cmath.rect(1.5, 0.2), complex(math.nan, 0.0), cmath.rect(1 - 1e-7, 0.3)):
             with pytest.raises(TruncationTooLarge):
                 fam.log_value_complex(z)
+            with pytest.raises(TruncationTooLarge):
+                fam.log_value_circle(abs(z))

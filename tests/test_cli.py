@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import time
 
 import pytest
 
@@ -220,6 +221,16 @@ CONTRACT_INPUTS = [
     "--trunc -3 coeff --family P --n 5 --method exact",
     "--trunc 0 family --family P --t 0.5 --stats maxterm,gap",
 ]
+# Float overflow or division by zero inside a statistic, at valid radii.
+FLOAT_RANGE_INPUTS = [
+    "diag --family exp --t 1e300 --stats gratio",  # d[1] ** 1.5 overflows
+    "diag --family P --t 1e-300 --stats gratio",  # the variance is 0
+    "family --family binom:4 --t 1e200 --stats var",
+    "family --family exp --t 1e10 --stats mgf:0.1",
+    "family --family bell --t 1e10 --stats charfn:0.5",
+    "diag --family expof:poly:0,1,1 --t 1e200 --stats cltsup",  # int() of an infinite mean
+]
+CONTRACT_INPUTS += FLOAT_RANGE_INPUTS
 
 
 @pytest.mark.parametrize("line", CONTRACT_INPUTS)
@@ -238,3 +249,20 @@ def test_exact_value_past_the_digit_limit_is_a_domain_error(line, capsys):
     # the request is valid: the interpreter's int-to-str limit is not a usage error
     assert cli.main(shlex.split(line)) == 3
     assert capsys.readouterr().err.startswith("error: DomainError: ")
+
+
+@pytest.mark.parametrize("line", FLOAT_RANGE_INPUTS)
+def test_float_range_error_is_a_domain_error(line, capsys):
+    assert cli.main(shlex.split(line)) == 3
+    assert capsys.readouterr().err.startswith("error: DomainError: ")
+
+
+def test_partition_sums_end_below_the_float_range_of_their_criterion(capsys):
+    # 1e-16 times the sum underflows to 0 here, so the tail criterion cannot
+    # end the loop; the first term that is exactly 0 does
+    start = time.perf_counter()
+    code = cli.main(["--out", "csv", "family", "--family", "P", "--t", "1e-310", "--stats", "mean"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "1e-310"
+    assert elapsed < 1.0

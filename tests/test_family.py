@@ -329,6 +329,18 @@ class TestDiagnostics:
         assert abs(F.zero_free_halfwidth(fams["bern"], 1.0) - math.pi) < 1e-12
         F.zero_free_halfwidth(fams["P"], 0.9)  # grid check must not trip
 
+    @pytest.mark.parametrize("name,t", [("P", 0.9), ("exp", 4.0), ("geom", 0.5)])
+    def test_zero_free_halfwidth_reads_ln_f_once(self, fams, name, t):
+        calls = []
+
+        def log_value(u):
+            calls.append(u)
+            return fams[name].log_value(u)
+
+        recording = dataclasses.replace(fams[name], log_value=log_value)
+        assert F.zero_free_halfwidth(recording, t) == F.zero_free_halfwidth(fams[name], t)
+        assert calls == [t]
+
     def test_max_term_exponential(self, fams):
         idx, val = F.max_term(fams["exp"], 10.0)
         assert idx in (9, 10)
