@@ -59,7 +59,7 @@ class Estimate:
         return exact.ratio(self.value)
 
 
-def saddle_solve(fam: Family, n: float, tol: float | None = None) -> SaddlePoint:
+def saddle_solve(fam: Family, n: float) -> SaddlePoint:
     """The unique radius t_n with m_f(t_n) = n."""
     if n <= 0:
         raise ValueError("saddle target must be positive")
@@ -68,7 +68,7 @@ def saddle_solve(fam: Family, n: float, tol: float | None = None) -> SaddlePoint
     # The bracket carries the means at its ends and the solver returns the
     # mean at the root, so no t is evaluated twice.
     bracket = bracket_increasing(fam.mean, n, fam.radius)
-    t, mean = solve_monotone_point(fam.mean, n, bracket, tol_value=tol)
+    t, mean = solve_monotone_point(fam.mean, n, bracket)
     return SaddlePoint(
         n=int(n) if float(n).is_integer() else n,
         t=t,
@@ -234,14 +234,14 @@ def local_clt_sup(fam: Family, t: float, window: tuple[int, int] | None = None) 
     return best
 
 
-def strong_gaussian_integral(fam: Family, t: float, tol: float = 1e-8) -> float:
+def strong_gaussian_integral(fam: Family, t: float) -> float:
     """Integral over |theta| <= pi sigma of |E e^{i theta X-check} - e^{-theta^2/2}|.
 
     The integrand is even in theta: f has real coefficients, so
     f(conj z) = conj f(z), and conjugation leaves the modulus alone. The
     integral is twice the composite Simpson rule on [0, pi sigma], on 2048,
     4096, ... intervals (the step of a 4096-interval rule on the whole
-    range) until two successive half-range values agree to ``tol / 2``;
+    range) until two successive half-range values agree to 5e-9;
     the halving and the doubling are exact in floating point. Each
     refinement evaluates the integrand only at its new points (see
     ``_adaptive_simpson``), and ln f through the family's circle evaluator
@@ -254,7 +254,7 @@ def strong_gaussian_integral(fam: Family, t: float, tol: float = 1e-8) -> float:
     def integrand(theta: float) -> float:
         return abs(phi(theta) - math.exp(-theta * theta / 2.0))
 
-    return 2.0 * _adaptive_simpson(integrand, 0.0, math.pi * sigma, tol / 2, base=2048)
+    return 2.0 * _adaptive_simpson(integrand, 0.0, math.pi * sigma, 5e-9, base=2048)
 
 
 def _normalized_charfn(fam: Family, t: float):

@@ -15,6 +15,7 @@ at the least order whose certified tail bound is at most 1e-17.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from array import array
 from dataclasses import dataclass
@@ -547,51 +548,48 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
     """Bind closed-form evaluators and the exact oracle into a Family.
 
     The oracle, ``exact_coeffs(spec, trunc)``, is built on the first read of
-    ``coeffs`` and kept by the family.
+    ``coeffs`` and kept by the family. Every variant is named by its spec
+    key.
     """
     _validate(spec)
     _check_order(trunc)
-    oracle = cache(lambda: exact_coeffs(spec, trunc))
     v = spec.variant
-    usg = v in ("exp", "bell", "P", "Q") or (v == "Wab" and spec.a == 1)
     key = spec.key()
+    common = dict(
+        name=key, spec_key=key, oracle=cache(lambda: exact_coeffs(spec, trunc)),
+        usg=v in ("exp", "bell", "P", "Q") or (v == "Wab" and spec.a == 1),
+    )
 
     if v == "exp":
         return Family(
-            name="exp", radius=math.inf, mean_sup=math.inf,
+            **common, radius=math.inf, mean_sup=math.inf,
             log_value=lambda t: t,
             mean=lambda t: t,
             variance=lambda t: t,
             log_value_complex=lambda z: z,
-            oracle=oracle, usg=True,
             fulcrum34=lambda s: (math.exp(s), math.exp(s)),
-            spec_key=key,
         )
 
     if v in ("bernoulli", "binom"):
         n = 1 if v == "bernoulli" else spec.n
         return Family(
-            name=key, radius=math.inf, mean_sup=float(n),
+            **common, radius=math.inf, mean_sup=float(n),
             log_value=lambda t: n * math.log1p(t),
             mean=lambda t: n * t / (1.0 + t),
             variance=lambda t: n * t / (1.0 + t) ** 2,
             log_value_complex=lambda z: n * cmath.log(1 + z),
-            oracle=oracle,
             fulcrum34=lambda s: _binom_f34(n, math.exp(s)),
-            spec_key=key,
         )
 
     if v in ("geom", "negbinom"):
         n = 1 if v == "geom" else spec.n
         return Family(
-            name=key, radius=1.0, mean_sup=math.inf,
+            **common, radius=1.0, mean_sup=math.inf,
             log_value=lambda t: -n * math.log1p(-t),
             mean=lambda t: n * t / (1.0 - t),
             variance=lambda t: n * t / (1.0 - t) ** 2,
             log_value_complex=lambda z: -n * cmath.log(1 - z),
-            oracle=oracle,
             fulcrum34=lambda s: _geom_f34(n, math.exp(s)),
-            spec_key=key,
         )
 
     if v in ("poly", "canprod"):
@@ -601,13 +599,8 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             poly = se.CoeffSeries.from_list(spec.coeffs)
         from .family import family_from_coeffs
 
-        base = family_from_coeffs(poly, name=key, radius=math.inf)
-        return Family(
-            name=key, radius=math.inf, mean_sup=float(poly.order),
-            log_value=base.log_value, mean=base.mean, variance=base.variance,
-            log_value_complex=base.log_value_complex,
-            oracle=oracle, q_gcd=base.q_gcd, fulcrum34=base.fulcrum34,
-            spec_key=key,
+        return dataclasses.replace(
+            family_from_coeffs(poly, name=key), **common,
             meta={"truncated_product": v == "canprod"},
         )
 
@@ -618,18 +611,16 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             return (t + 3 * t * t + t**3) * et, (t + 7 * t * t + 6 * t**3 + t**4) * et
 
         return Family(
-            name="bell", radius=math.inf, mean_sup=math.inf,
+            **common, radius=math.inf, mean_sup=math.inf,
             log_value=lambda t: _float_exp(math.expm1, t),
             mean=lambda t: t * _float_exp(math.exp, t),
             variance=lambda t: t * (1.0 + t) * _float_exp(math.exp, t),
             log_value_complex=lambda z: cmath.exp(z) - 1,
-            oracle=oracle, usg=True, fulcrum34=f34,
-            spec_key=key,
+            fulcrum34=f34,
         )
 
     if v == "expof":
-        g = se.CoeffSeries.from_list(spec.inner.coeffs)
-        return _exp_poly_family(key, g, oracle)
+        return _exp_poly_family(se.CoeffSeries.from_list(spec.inner.coeffs), common)
 
     if v == "setsoflists":
         def f34(s: float) -> tuple[float, float]:
@@ -639,13 +630,12 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             return f3, f4
 
         return Family(
-            name="setsoflists", radius=1.0, mean_sup=math.inf,
+            **common, radius=1.0, mean_sup=math.inf,
             log_value=lambda t: t / (1.0 - t),
             mean=lambda t: t / (1.0 - t) ** 2,
             variance=lambda t: t * (1.0 + t) / (1.0 - t) ** 3,
             log_value_complex=lambda z: z / (1 - z),
-            oracle=oracle, fulcrum34=f34,
-            spec_key=key,
+            fulcrum34=f34,
         )
 
     # partition products: P, Q, Pab, Wab as (first part, step, weight exponent)
@@ -661,12 +651,11 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
     log_value, mean, variance, log_complex, fulcrum_q, log_circle = _parts_sums(*shape)
 
     return Family(
-        name=key, radius=1.0, mean_sup=math.inf,
+        **common, radius=1.0, mean_sup=math.inf,
         log_value=log_value, mean=mean, variance=variance,
         log_value_complex=log_complex, log_value_circle=log_circle,
-        oracle=oracle, q_gcd=q_gcd, usg=usg,
+        q_gcd=q_gcd,
         fulcrum34=lambda s: (fulcrum_q(s, 3), fulcrum_q(s, 4)),
-        spec_key=key,
     )
 
 
@@ -690,8 +679,7 @@ def _geom_f34(n: int, t: float) -> tuple[float, float]:
     return f3, f4
 
 
-def _exp_poly_family(key: str, g: se.CoeffSeries,
-                     oracle: Callable[[], se.CoeffSeries]) -> Family:
+def _exp_poly_family(g: se.CoeffSeries, common: dict) -> Family:
     gf = [float(c) for c in g.coeffs]
 
     def g_at(t: float) -> float:
@@ -718,15 +706,13 @@ def _exp_poly_family(key: str, g: se.CoeffSeries,
         return f3, f4
 
     return Family(
-        name=key, radius=math.inf, mean_sup=math.inf,
+        **common, radius=math.inf, mean_sup=math.inf,
         log_value=g_at,
         mean=lambda t: t * g_deriv(t, 1),
         variance=lambda t: t * g_deriv(t, 1) + t * t * g_deriv(t, 2),
         log_value_complex=g_complex,
-        oracle=oracle,
         q_gcd=se.support_gcd(g),
         fulcrum34=f34,
-        spec_key=key,
     )
 
 

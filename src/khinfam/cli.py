@@ -1,9 +1,11 @@
 """Command-line front end: family specs in, tables/CSV/JSON-lines out.
 
-Verbs: coeff, family, largepow, lagrange, diag, selftest. Every numeric
-result is reported as a natural-log column plus, when representable, the
-decimal value. Exit codes: 0 success, 2 usage error, 3 domain error (the
-error name from the owning module is echoed verbatim). A family spec that
+Verbs: coeff, family, largepow, lagrange, diag, selftest; global flags
+--trunc (env KF_TRUNC), --out and --seed. ``largepow`` hands its regime to
+``large_powers.estimate``. Every numeric result is reported as a natural-log
+column plus, when representable, the decimal value. Exit codes: 0 success,
+2 usage error, 3 domain error (the error name from the owning module is
+echoed verbatim). A family spec that
 does not parse (``--family nope``) is ``InvalidSpec`` and exits 3, like any
 other named error. A float overflow or division by zero that escapes a verb
 is reported as ``DomainError`` and exits 3 too.
@@ -24,7 +26,7 @@ from . import catalog as C
 from . import family as F
 from . import lagrange as L
 from . import large_powers as LP
-from .errors import DomainError, InvalidSpec, KhinfamError
+from .errors import DomainError, InvalidSpec, KhinfamError, WindowTooNarrow
 from .numerics import LogNumber
 from .selftest import run_selftest
 from .series import DEFAULT_ORDER
@@ -40,10 +42,6 @@ COLUMN_ORDER_NOTE = (
 @dataclass
 class Config:
     trunc: int = DEFAULT_ORDER
-    root_tol: float = 1e-9
-    quad_tol: float = 1e-8
-    small_k_max: float = LP.SMALL_K_MAX_RATIO
-    large_k_min: float = LP.LARGE_K_MIN_RATIO
     out: str = "table"
     seed: int = 0
 
@@ -52,8 +50,6 @@ class Config:
             raise InvalidSpec(f"truncation {self.trunc} must be >= 1")
         if self.trunc > C.MAX_TRUNC:
             raise InvalidSpec(f"truncation {self.trunc} exceeds {C.MAX_TRUNC}")
-        if min(self.root_tol, self.quad_tol) <= 0:
-            raise InvalidSpec("tolerances must be positive")
 
 
 # -- formatting -----------------------------------------------------------------
@@ -254,10 +250,10 @@ def cmd_family(args, cfg: Config, stream) -> int:
 # -- largepow verb ----------------------------------------------------------------
 
 
-def _parse_regime(text: str) -> LP.Regime | str:
+def _parse_regime(text: str, q: LP.PowerCoeffQuery) -> LP.Regime:
     head, _, rest = text.partition(":")
     if head == "auto":
-        return "auto"
+        return LP.auto_regime(q)
     if head == "comparable":
         a, b = (float(v) for v in rest.split(","))
         return LP.Regime("comparable", a=a, b=b)
@@ -269,7 +265,7 @@ def _parse_regime(text: str) -> LP.Regime | str:
     if head == "smallk":
         return LP.Regime("small_k")
     if head in ("smallkref", "small_k_refined"):
-        return LP.Regime("small_k_refined", j=int(rest) if rest else 2)
+        return LP.Regime("small_k_refined", j=int(rest) if rest else None)
     if head == "fixedk":
         return LP.Regime("fixed_k")
     if head == "largek":
@@ -285,29 +281,8 @@ def cmd_largepow(args, cfg: Config, stream) -> int:
     if args.h:
         pre = C.make_family(C.parse_family(args.h), trunc=trunc)
     q = LP.PowerCoeffQuery(psi, args.n, args.k, prefactor=pre)
-    regime = _parse_regime(args.regime)
-    if regime == "auto" and pre is not None:
-        regime = LP.auto_regime(q)
-        result = LP.estimate_with_prefactor(q, regime)
-    elif regime == "auto":
-        regime, result = LP.estimate_auto(q)
-    elif pre is not None:
-        result = LP.estimate_with_prefactor(q, regime)
-    elif regime.kind == "comparable":
-        result = LP.estimate_comparable(q, regime.a, regime.b)
-    elif regime.kind == "limit_l":
-        result = LP.estimate_limit_l(q, regime.l, regime.omega)
-    elif regime.kind == "boundary":
-        result = LP.estimate_boundary(q, regime.omega or 0.0)
-    elif regime.kind == "small_k":
-        result = LP.estimate_small_k(q, cfg.small_k_max)
-    elif regime.kind == "small_k_refined":
-        result = LP.estimate_small_k_refined(q, regime.j or 2)
-    elif regime.kind == "fixed_k":
-        result = LP.fixed_k_polynomial(psi.coeffs, args.k)
-    else:
-        result = LP.estimate_large_k(q, cfg.large_k_min)
-
+    regime = _parse_regime(args.regime, q)
+    result = LP.estimate(q, regime)
     if isinstance(result, LP.FixedKPolynomial):
         val = result.value_at(args.n)
         est_log = LogNumber.from_fraction(val)
@@ -412,8 +387,10 @@ def cmd_diag(args, cfg: Config, stream) -> int:
     if any(s.startswith("cltsup") for s in stats):
         top = max(radii)
         need = int(fam.mean(top) + 12.0 * math.sqrt(fam.variance(top))) + 2
+        if need > C.MAX_TRUNC:  # refuse before building an oracle that large
+            raise WindowTooNarrow(f"cltsup at t={top} needs truncation {need}, past {C.MAX_TRUNC}")
         if need > cfg.trunc:
-            fam = C.make_family(spec, trunc=min(C.MAX_TRUNC, need))
+            fam = C.make_family(spec, trunc=need)
     rows = []
     for t in radii:
         row: dict = {"t": _fmt(t)}
@@ -422,7 +399,7 @@ def cmd_diag(args, cfg: Config, stream) -> int:
             if name == "cltsup":
                 row[name] = _fmt(A.local_clt_sup(fam, t))
             elif name == "sgint":
-                row[name] = _fmt(A.strong_gaussian_integral(fam, t, cfg.quad_tol))
+                row[name] = _fmt(A.strong_gaussian_integral(fam, t))
             elif name == "gratio":
                 row[name] = _fmt(A.gaussianity_ratio(fam, t))
             elif name == "cuts":
@@ -473,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trunc", type=int,
                         default=int(os.environ.get("KF_TRUNC", str(DEFAULT_ORDER))),
                         help="coefficient truncation order (env KF_TRUNC)")
-    parser.add_argument("--tol", type=float, default=1e-9, help="root-finder tolerance")
     parser.add_argument("--out", choices=("table", "csv", "jsonl"), default="table")
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -529,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(trunc=args.trunc, root_tol=args.tol, out=args.out, seed=args.seed)
+        cfg = Config(trunc=args.trunc, out=args.out, seed=args.seed)
         handler = {
             "coeff": cmd_coeff,
             "family": cmd_family,

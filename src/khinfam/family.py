@@ -57,9 +57,6 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
-_ORACLE = object()  # Family(coeffs=...) default: take the coefficients from ``oracle``
-
-
 @dataclass(frozen=True)
 class Family:
     """An evaluable generating function together with its family data.
@@ -80,11 +77,13 @@ class Family:
     replace ``log_value_circle`` too, or set it to None, to route them
     through g.
 
-    ``coeffs`` is the exact coefficient oracle, or None. It is given either
-    ready, as ``coeffs=``, or as ``oracle``, a function of no arguments that
-    builds it; ``make_family`` passes one that builds on the first read of
-    ``coeffs`` and keeps the result. ``dataclasses.replace`` hands the
-    oracle on without calling it, and ``replace(fam, coeffs=None)`` drops it.
+    ``oracle`` is the one route to the exact coefficients: a function of no
+    arguments that returns the truncated series, or None when the family
+    has no coefficient access. ``coeffs`` calls it. ``make_family`` passes
+    one that builds on its first call and keeps the result;
+    ``family_from_coeffs`` one that returns its series.
+    ``dataclasses.replace`` hands the oracle on without calling it, and
+    ``replace(fam, oracle=None)`` drops it.
     """
 
     name: str
@@ -102,37 +101,6 @@ class Family:
     spec_key: str | None = None
     meta: dict = field(default_factory=dict, compare=False)
     oracle: Callable[[], se.CoeffSeries] | None = field(default=None, compare=False, repr=False)
-
-    # Written out so that ``coeffs`` is an argument but not a field:
-    # dataclasses.replace reads every field, and reading coeffs builds it.
-    def __init__(
-        self,
-        name: str,
-        radius: float,
-        mean_sup: float,
-        log_value: Callable[[float], float],
-        mean: Callable[[float], float],
-        variance: Callable[[float], float],
-        log_value_complex: Callable[[complex], complex] | None = None,
-        log_value_circle: Callable[[float], Callable[[complex], complex]] | None = None,
-        coeffs: se.CoeffSeries | None = _ORACLE,  # type: ignore[assignment]
-        q_gcd: int = 1,
-        usg: bool = False,
-        fulcrum34: Callable[[float], tuple[float, float]] | None = None,
-        boundary_variance: float | None = None,
-        spec_key: str | None = None,
-        meta: dict | None = None,
-        oracle: Callable[[], se.CoeffSeries] | None = None,
-    ) -> None:
-        if coeffs is not _ORACLE:
-            oracle = None if coeffs is None else (lambda: coeffs)
-        self.__dict__.update(  # frozen: bypass __setattr__
-            name=name, radius=radius, mean_sup=mean_sup, log_value=log_value, mean=mean,
-            variance=variance, log_value_complex=log_value_complex,
-            log_value_circle=log_value_circle, q_gcd=q_gcd, usg=usg,
-            fulcrum34=fulcrum34, boundary_variance=boundary_variance, spec_key=spec_key,
-            meta={} if meta is None else meta, oracle=oracle,
-        )
 
     @property
     def coeffs(self) -> se.CoeffSeries | None:
@@ -583,7 +551,7 @@ def family_from_coeffs(
         mean=overflow_named(mean_fn, "mean"),
         variance=overflow_named(variance_fn, "variance"),
         log_value_complex=log_complex_dense,
-        coeffs=coeffs,
+        oracle=lambda: coeffs,
         q_gcd=q_gcd if q_gcd is not None else se.support_gcd(coeffs),
         fulcrum34=overflow_named(fulcrum34_fn, "fulcrum derivatives"),
     )

@@ -145,12 +145,12 @@ def estimate_boundary(q: PowerCoeffQuery, omega: float = 0.0) -> Estimate:
     return _estimate("boundary", q, psi.radius, var, extra_log=extra, gcd_factor=psi.q_gcd)
 
 
-def estimate_small_k(q: PowerCoeffQuery, max_ratio: float = SMALL_K_MAX_RATIO) -> Estimate:
+def estimate_small_k(q: PowerCoeffQuery) -> Estimate:
     """Regime k -> infinity with k = o(n); needs psi'(0) > 0."""
     psi, n, k = q.psi, q.n, q.k
     _require_b1(psi)
-    if k < 1 or k / n > max_ratio:
-        raise RegimeMismatch(f"k/n = {k / n} not small (threshold {max_ratio})")
+    if k < 1 or k / n > SMALL_K_MAX_RATIO:
+        raise RegimeMismatch(f"k/n = {k / n} not small (threshold {SMALL_K_MAX_RATIO})")
     sp = saddle_solve(psi, k / n)
     return _estimate("small_k", q, sp.t, sp.variance, sqrt_term=math.sqrt(k))
 
@@ -261,13 +261,13 @@ def fixed_k_polynomial(psi: se.CoeffSeries, k: int) -> FixedKPolynomial:
     return FixedKPolynomial(k, b[0], tuple(c))
 
 
-def estimate_large_k(q: PowerCoeffQuery, min_ratio: float = LARGE_K_MIN_RATIO) -> Estimate:
+def estimate_large_k(q: PowerCoeffQuery) -> Estimate:
     """Regime k/n -> infinity; needs a uniformly-strongly-Gaussian psi."""
     psi, n, k = q.psi, q.n, q.k
     if not psi.usg:
         raise NotUSG(f"{psi.name} is not flagged uniformly strongly Gaussian")
-    if k / n < min_ratio:
-        raise RegimeMismatch(f"k/n = {k / n} below the large-k threshold {min_ratio}")
+    if k / n < LARGE_K_MIN_RATIO:
+        raise RegimeMismatch(f"k/n = {k / n} below the large-k threshold {LARGE_K_MIN_RATIO}")
     sp = saddle_solve(psi, k / n)
     return _estimate("large_k", q, sp.t, sp.variance)
 
@@ -317,18 +317,35 @@ def auto_regime(q: PowerCoeffQuery) -> Regime:
     )
 
 
-def estimate_auto(q: PowerCoeffQuery) -> tuple[Regime, Estimate | FixedKPolynomial]:
-    regime = auto_regime(q)
-    if regime.kind == "fixed_k":
+def estimate(q: PowerCoeffQuery, regime: Regime) -> Estimate | FixedKPolynomial:
+    """The estimate of ``regime`` for q; a query with a prefactor goes
+    through ``estimate_with_prefactor``. ``small_k_refined`` takes J = 2
+    correction terms unless ``regime.j`` says otherwise."""
+    if q.prefactor is not None:
+        return estimate_with_prefactor(q, regime)
+    kind = regime.kind
+    if kind == "comparable":
+        return estimate_comparable(q, regime.a, regime.b)
+    if kind == "limit_l":
+        return estimate_limit_l(q, regime.l, regime.omega)
+    if kind == "boundary":
+        return estimate_boundary(q, regime.omega or 0.0)
+    if kind == "small_k":
+        return estimate_small_k(q)
+    if kind == "small_k_refined":
+        return estimate_small_k_refined(q, 2 if regime.j is None else regime.j)
+    if kind == "fixed_k":
         if q.psi.coeffs is None:
             raise NoApplicableRegime("fixed-k route needs coefficients")
-        poly = fixed_k_polynomial(q.psi.coeffs, q.k)
-        return regime, poly
-    if regime.kind == "small_k":
-        return regime, estimate_small_k(q)
-    if regime.kind == "large_k":
-        return regime, estimate_large_k(q)
-    return regime, estimate_comparable(q, regime.a, regime.b)
+        return fixed_k_polynomial(q.psi.coeffs, q.k)
+    if kind == "large_k":
+        return estimate_large_k(q)
+    raise RegimeMismatch(f"unknown regime {kind!r}")
+
+
+def estimate_auto(q: PowerCoeffQuery) -> tuple[Regime, Estimate | FixedKPolynomial]:
+    regime = auto_regime(q)
+    return regime, estimate(q, regime)
 
 
 def _has_b1(psi: Family) -> bool:

@@ -91,6 +91,13 @@ class TestLargepowVerb:
         assert row["regime"] == "fixed_k"
         assert float(row["ratio"]) == 1.0
 
+    def test_refined_small_k_takes_j_as_given(self, capsys):
+        # J = 0 asks for no correction term, which is a usage error, not J = 2
+        argv = ["largepow", "--psi", "poly:1,2", "--n", "100", "--k", "3", "--regime"]
+        assert cli.main(argv + ["smallkref:0"]) == 2
+        assert capsys.readouterr().out == ""
+        assert run(argv + ["smallkref"]) == run(argv + ["smallkref:2"])
+
 
 class TestLagrangeVerb:
     def test_borel_tanner_pmf(self):
@@ -114,6 +121,18 @@ class TestDiagVerb:
         rows = [json.loads(l) for l in out.splitlines()]
         assert float(rows[0]["cltsup"]) > float(rows[1]["cltsup"])
         assert float(rows[0]["sgint"]) > float(rows[1]["sgint"])
+
+
+    def test_cltsup_past_the_largest_truncation_refused_unbuilt(self, monkeypatch, capsys):
+        # mean + 12 sigma at t = 1e10 is 1e10: no oracle of that order may be built
+        def spy(spec, n_max):
+            raise AssertionError(f"exact_coeffs({spec.key()}, {n_max}) called")
+
+        monkeypatch.setattr(cli.C, "exact_coeffs", spy)
+        code = cli.main(["diag", "--family", "exp", "--t", "1e10", "--stats", "cltsup"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: WindowTooNarrow: ")
 
 
 class TestFormats:
@@ -162,6 +181,12 @@ class TestExitCodes:
                          "--k", "99", "--regime", "comparable:0.2,1.8"])
         assert code == 3
         assert "QGcdViolation" in capsys.readouterr().err
+
+    def test_tol_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--tol", "1e-9", "family", "--family", "exp", "--t", "1"])
+        assert exc.value.code == 2
+        assert "--tol" not in cli.build_parser().format_usage()
 
     def test_success_is_zero(self):
         code, _ = run(["family", "--family", "exp", "--t", "1", "--stats", "mean"])

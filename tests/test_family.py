@@ -56,7 +56,7 @@ class TestMass:
         fam = make_family(parse_family("exp"), trunc=8)
         import dataclasses
 
-        bare = dataclasses.replace(fam, coeffs=None)
+        bare = dataclasses.replace(fam, oracle=None)
         with pytest.raises(NoCoefficientAccess):
             F.mass(bare, 1.0, 0)
 
@@ -127,7 +127,7 @@ class TestMoments:
 
         from khinfam.errors import DerivativeOrderUnavailable
 
-        bare = dataclasses.replace(fams["exp"], coeffs=None)
+        bare = dataclasses.replace(fams["exp"], oracle=None)
         with pytest.raises(DerivativeOrderUnavailable):
             F.moment(bare, 1.0, 5)
 
@@ -441,6 +441,7 @@ class TestLazyOracle:
     def test_built_on_first_read_and_kept(self, builds, text):
         spec = parse_family(text)
         fam = make_family(spec, trunc=16)
+        assert fam.name == fam.spec_key == spec.key()
         assert builds == []
         first = fam.coeffs
         assert builds == [(spec.key(), 16)]
@@ -463,7 +464,7 @@ class TestLazyOracle:
 
     def test_replace_with_none_drops_the_oracle(self, builds):
         fam = make_family(parse_family("exp"), trunc=16)
-        bare = dataclasses.replace(fam, coeffs=None)
+        bare = dataclasses.replace(fam, oracle=None)
         assert bare.coeffs is None
         assert dataclasses.replace(bare, mean=lambda t: t).coeffs is None
         assert builds == []
@@ -471,13 +472,141 @@ class TestLazyOracle:
     def test_replace_with_a_series(self):
         fam = make_family(parse_family("exp"), trunc=16)
         series = S.CoeffSeries.from_list([1, 2, 3])
-        assert dataclasses.replace(fam, coeffs=series).coeffs is series
+        assert dataclasses.replace(fam, oracle=lambda: series).coeffs is series
 
     def test_truncation_checked_up_front(self):
         with pytest.raises(TruncationTooLarge):
             make_family(parse_family("exp"), trunc=catalog.MAX_TRUNC + 1)
         with pytest.raises(ValueError):
             make_family(parse_family("P"), trunc=-1)
+
+
+# float.hex of (ln f, mean, variance, F''', F'''', Re ln f, Im ln f): the
+# first three at t, the fulcrum derivatives at s = ln t and ln f at z = t e^i.
+# A change to how make_family assembles a family must not move a bit of them.
+CONSTRUCTION_PINS = {
+    ("exp", 0.73): (
+        "0x1.75c28f5c28f5cp-1", "0x1.75c28f5c28f5cp-1", "0x1.75c28f5c28f5cp-1",
+        "0x1.75c28f5c28f5cp-1", "0x1.75c28f5c28f5cp-1",
+        "0x1.93e303fe47514p-2", "0x1.3a821916034f5p-1"),
+    ("exp", 4.1): (
+        "0x1.0666666666666p+2", "0x1.0666666666666p+2", "0x1.0666666666666p+2",
+        "0x1.0666666666666p+2", "0x1.0666666666666p+2",
+        "0x1.1b8cf767ff382p+1", "0x1.b99a9df6946dap+1"),
+    ("bernoulli", 0.73): (
+        "0x1.18a35e8792b89p-1", "0x1.b017ad2208e0fp-2", "0x1.f38765025a2bfp-3",
+        "0x1.37d8392380cd1p-5", "-0x1.cf06df0f95743p-4",
+        "0x1.af443d0bfbc62p-2", "0x1.a8e73e304d14ep-2"),
+    ("bernoulli", 4.1): (
+        "0x1.a115e873757d3p+0", "0x1.9b9b9b9b9b9bap-1", "0x1.42d465f7891abp-3",
+        "-0x1.8875a922e2e93p-4", "0x1.180256ab97b1ap-7",
+        "0x1.8d0b849e7dd56p+0", "0x1.a426f500622bcp-1"),
+    ("binom:4", 0.73): (
+        "0x1.18a35e8792b89p+1", "0x1.b017ad2208e0fp+0", "0x1.f38765025a2bfp-1",
+        "0x1.37d8392380cd1p-3", "-0x1.cf06df0f95743p-2",
+        "0x1.af443d0bfbc62p+0", "0x1.a8e73e304d14ep+0"),
+    ("binom:4", 4.1): (
+        "0x1.a115e873757d3p+2", "0x1.9b9b9b9b9b9bap+1", "0x1.42d465f7891abp-1",
+        "-0x1.8875a922e2e93p-2", "0x1.180256ab97b1ap-5",
+        "0x1.8d0b849e7dd56p+2", "0x1.a426f500622bcp+1"),
+    ("geom", 0.41): (
+        "0x1.0e25e0f715ce6p-1", "0x1.63cbeea4e1a07p-1", "0x1.2d85c5e6d93e3p+0",
+        "0x1.684b3cbf3bfe5p+1", "0x1.300b9bb2eb710p+3",
+        "0x1.493a606fee2c8p-3", "0x1.ab2d89d6578a0p-2"),
+    ("geom", 0.77): (
+        "0x1.783caf331ec76p+0", "0x1.ac8590b21642dp+1", "0x1.d1c8d4ee18327p+3",
+        "0x1.c0107eea9a0f2p+6", "0x1.4171c4d23d938p+10",
+        "0x1.17e64e955ec30p-3", "0x1.acaf698368e9fp-1"),
+    ("negbinom:3", 0.41): (
+        "0x1.9538d172a0b59p+0", "0x1.0ad8f2fba9386p+1", "0x1.c448a8da45dd5p+1",
+        "0x1.0e386d8f6cfecp+3", "0x1.c811698c61299p+4",
+        "0x1.edd790a7e542cp-2", "0x1.40622760c1a78p+0"),
+    ("negbinom:3", 0.77): (
+        "0x1.1a2d836657158p+2", "0x1.41642c8590b22p+3", "0x1.5d569fb29225dp+5",
+        "0x1.500c5f2ff38b6p+8", "0x1.e22aa73b5c5d3p+11",
+        "0x1.a3d975e00e248p-2", "0x1.41838f228eaf7p+1"),
+    ("poly:1,1/2,3", 0.73): (
+        "0x1.1620d52df18bcp+0", "0x1.33b6fe2d6af66p+0", "0x1.ac0cbd326ef42p-1",
+        "-0x1.40682acc59edbp-2", "-0x1.2c6df87cc224cp+0",
+        "0x1.3809c07e9424dp-1", "0x1.4705a6266b3bbp+0"),
+    ("poly:1,1/2,3", 4.1): (
+        "0x1.fd59f4d84816cp+1", "0x1.ec9d021b30716p+0", "0x1.b7e021f423b80p-4",
+        "-0x1.4e01490d589f5p-3", "0x1.ff8cba7fa57d9p-3",
+        "0x1.f7bf771c464e7p+1", "0x1.f2d1e2600c5a1p+0"),
+    ("bell", 0.73): (
+        "0x1.13387b92862f9p+0", "0x1.83ca832af66f7p+0", "0x1.4f70740529a58p+1",
+        "0x1.68ed45416d28ap+2", "0x1.d605e238f563fp+3",
+        "0x1.b2d746ecf5f18p-3", "0x1.b5c95f1f1347dp-1"),
+    ("bell", 4.1): (
+        "0x1.dab8e8b42f3b6p+5", "0x1.eeca54ebe39cdp+7", "0x1.3b6dc956611a5p+10",
+        "0x1.d19119fc5b5e7p+12", "0x1.818d4684ca468p+15",
+        "-0x1.3765ad0d0d8e1p+3", "-0x1.64122f3b1750ap+1"),
+    ("P", 0.41): (
+        "0x1.a9b659cc0daccp-1", "0x1.8cd430964b0c9p+0", "0x1.00cf794c6f45ep+2",
+        "0x1.c69fff9c3c147p+3", "0x1.05477a19125a8p+6",
+        "0x1.da5a25529cc80p-8", "0x1.12d388fcadf58p-1"),
+    ("P", 0.77): (
+        "0x1.2c583d761c7a1p+2", "0x1.635615f81f456p+4", "0x1.61e2f442ea1dcp+7",
+        "0x1.015fe5e930523p+11", "0x1.efb70caaca93bp+14",
+        "-0x1.058ae13e0824ep-1", "0x1.d9079947f2a14p-1"),
+    ("Q", 0.41): (
+        "0x1.39e0670ebb6b4p-1", "0x1.fc642cbf2223cp-1", "0x1.29108e63b6ddcp+1",
+        "0x1.f3c609f3df127p+2", "0x1.184496fbf2913p+5",
+        "0x1.95fc47b022a47p-4", "0x1.aa7c7ef0922d0p-2"),
+    ("Q", 0.77): (
+        "0x1.67d33848d7b79p+1", "0x1.7ff1e0cab7624p+3", "0x1.70867da5478d5p+6",
+        "0x1.086030c45b5d6p+10", "0x1.f9c2969ec1174p+13",
+        "-0x1.22add7e842e84p-3", "0x1.735793f3612dep-1"),
+    ("Pab:2,1", 0.41): (
+        "0x1.39e0670ebb6b4p-1", "0x1.fc642cbf2223cp-1", "0x1.29108e63b6ddcp+1",
+        "0x1.f3c609f3df127p+2", "0x1.184496fbf2913p+5",
+        "0x1.95fc47b022a47p-4", "0x1.aa7c7ef0922d0p-2"),
+    ("Pab:2,1", 0.77): (
+        "0x1.67d33848d7b79p+1", "0x1.7ff1e0cab7624p+3", "0x1.70867da5478d5p+6",
+        "0x1.086030c45b5d6p+10", "0x1.f9c2969ec1174p+13",
+        "-0x1.22add7e842e84p-3", "0x1.735793f3612dep-1"),
+    ("Wab:1,1", 0.41): (
+        "0x1.563c962f15dfdp+0", "0x1.a648b2b8d8d70p+1", "0x1.69d6b6b51891ap+3",
+        "0x1.97bd0d8324657p+5", "0x1.1e58e469c9c69p+8",
+        "-0x1.bd64325a77f24p-3", "0x1.30fff72b22108p-1"),
+    ("Wab:1,1", 0.77): (
+        "0x1.151c5c517d3c8p+4", "0x1.0caad89547b20p+7", "0x1.82163c5a80e4dp+10",
+        "0x1.7171e52fdc30cp+14", "0x1.b9cba2d043bd8p+18",
+        "-0x1.24aebb96f2ab8p+0", "0x1.c3e9c608ed26cp-2"),
+    ("expof:poly:0,0,1", 0.73): (
+        "0x1.10d844d013a92p-1", "0x1.10d844d013a92p+0", "0x1.10d844d013a92p+1",
+        "0x1.10d844d013a92p+2", "0x1.10d844d013a92p+3",
+        "-0x1.c62c8b5da5186p-3", "0x1.f031b3c1d0b8dp-2"),
+    ("expof:poly:0,0,1", 4.1): (
+        "0x1.0cf5c28f5c28fp+4", "0x1.0cf5c28f5c28fp+5", "0x1.0cf5c28f5c28fp+6",
+        "0x1.0cf5c28f5c28fp+7", "0x1.0cf5c28f5c28fp+8",
+        "-0x1.bfb518fe82659p+2", "0x1.e92117f58cceap+3"),
+    ("canprod:1,2,4", 0.73): (
+        "0x1.06e35b28552efp+0", "0x1.aff94416231e7p-1", "0x1.2401508ff42a9p-1",
+        "0x1.c16350c62d5cfp-3", "-0x1.e7cb48413d8a0p-4",
+        "0x1.7935f14e4b82fp-1", "0x1.9c2368186bd6ap-1"),
+    ("canprod:1,2,4", 4.1): (
+        "0x1.b99805874347ap+1", "0x1.fb73224eeaf94p+0", "0x1.41848e3df745cp-1",
+        "-0x1.65ec10b8bf9e3p-3", "-0x1.7fc51881a904cp-3",
+        "0x1.905f1af2db48cp+1", "0x1.01b24e03d2a99p+1"),
+    ("setsoflists", 0.41): (
+        "0x1.63cbeea4e1a07p-1", "0x1.2d85c5e6d93e3p+0", "0x1.684b3cbf3bfe5p+1",
+        "0x1.300b9bb2eb710p+3", "0x1.54ca40d39abc5p+5",
+        "0x1.2dce2019e265ap-4", "0x1.e7408b05aa5eap-2"),
+    ("setsoflists", 0.77): (
+        "0x1.ac8590b21642dp+1", "0x1.d1c8d4ee18327p+3", "0x1.c0107eea9a0f2p+6",
+        "0x1.4171c4d23d938p+10", "0x1.33771d888b111p+14",
+        "-0x1.dc1680ac5cd53p-3", "0x1.b405f4bcb85abp-1"),
+}
+
+
+@pytest.mark.parametrize("text,t", list(CONSTRUCTION_PINS))
+def test_evaluators_pinned_bit_for_bit(text, t):
+    fam = make_family(parse_family(text), trunc=16)
+    c = fam.log_value_complex(cmath.rect(t, 1.0))
+    got = (fam.log_value(t), fam.mean(t), fam.variance(t),
+           *fam.fulcrum34(math.log(t)), c.real, c.imag)
+    assert tuple(x.hex() for x in got) == CONSTRUCTION_PINS[text, t]
 
 
 class TestRadiusCheck:

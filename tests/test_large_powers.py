@@ -328,6 +328,43 @@ class TestAutoRegime:
         r = exact_log(binom, 1000, 500).ratio(est.value)
         assert abs(r - 1.0) < 0.005
 
+    def test_auto_keeps_the_prefactor(self, expf):
+        h = make_family(parse_family("binom:4"), trunc=64)
+        q = LP.PowerCoeffQuery(expf, 100, 150, prefactor=h)
+        regime, est = LP.estimate_auto(q)
+        assert est == LP.estimate_with_prefactor(q, LP.auto_regime(q))
+        assert est.method == "comparable+prefactor"
+        # exact: ln 89.406; the bare comparable estimate is 85.756
+        assert abs(est.value.log_abs - LP.exact_power_coeff_log(q).log_abs) < 0.05
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("regime,direct", [
+        (LP.Regime("comparable", a=0.01, b=0.95),
+         lambda q: LP.estimate_comparable(q, 0.01, 0.95)),
+        (LP.Regime("limit_l", l=0.5, omega=0.25), lambda q: LP.estimate_limit_l(q, 0.5, 0.25)),
+        (LP.Regime("small_k_refined"), lambda q: LP.estimate_small_k_refined(q, 2)),
+        (LP.Regime("small_k_refined", j=3), lambda q: LP.estimate_small_k_refined(q, 3)),
+        (LP.Regime("fixed_k"), lambda q: LP.fixed_k_polynomial(q.psi.coeffs, q.k)),
+    ])
+    def test_each_regime_runs_its_estimator(self, binom, regime, direct):
+        q = LP.PowerCoeffQuery(binom, 1000, 20)
+        assert LP.estimate(q, regime) == direct(q)
+
+    def test_small_and_large_k(self, expf):
+        q = LP.PowerCoeffQuery(expf, 10_000, 100)
+        assert LP.estimate(q, LP.Regime("small_k")) == LP.estimate_small_k(q)
+        q = LP.PowerCoeffQuery(expf, 5, 500)
+        assert LP.estimate(q, LP.Regime("large_k")) == LP.estimate_large_k(q)
+
+    def test_refined_small_k_takes_j_as_given(self, binom):
+        with pytest.raises(ValueError):
+            LP.estimate(LP.PowerCoeffQuery(binom, 100, 3), LP.Regime("small_k_refined", j=0))
+
+    def test_unknown_regime_refused(self, binom):
+        with pytest.raises(RegimeMismatch):
+            LP.estimate(LP.PowerCoeffQuery(binom, 100, 3), LP.Regime("nope"))
+
 
 class TestErrorConvergence:
     def test_binomial_error_shrinks_like_inverse_n(self, binom):
