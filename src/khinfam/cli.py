@@ -288,7 +288,8 @@ def cmd_largepow(args, cfg: Config, stream) -> int:
         est_log = LogNumber.from_fraction(val)
     else:
         est_log = result.value
-    row = {"regime": regime.kind, "n": args.n, "k": args.k}
+    kind = regime.kind if pre is None else f"{regime.kind}+prefactor"
+    row = {"regime": kind, "n": args.n, "k": args.k}
     row["ln"], row["value"] = _log_cells(est_log)
     try:
         exact = LP.exact_power_coeff_log(q)

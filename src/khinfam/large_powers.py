@@ -1,8 +1,11 @@
 """Asymptotics of the k-th coefficient of psi(z)^n across all k/n regimes.
 
-Every estimator returns a log-space value; the exact oracle truncates psi at
-order k (higher coefficients cannot reach index k of a power), raises it by
-binary exponentiation and reads the coefficient, all in exact rationals.
+Every estimator returns a log-space value. The exact oracle truncates psi at
+order k (higher coefficients cannot reach index k of a power) and raises it
+by binary exponentiation whose last multiply or squaring computes only
+coefficient k, one O(k) dot product (``series.power_coeff``); with a
+prefactor h the full power is formed and the last step is the dot product
+with h. All of it is in exact rationals.
 """
 
 from __future__ import annotations
@@ -68,13 +71,13 @@ def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
     cost = (k + 1) ** 2 * (2 * max(1, n.bit_length()))
     if cost > CONVOLUTION_BUDGET:
         raise BudgetExceeded(f"estimated {cost} coefficient-multiplies exceeds the budget")
-    base = psi.coeffs.truncate(k)
-    power = se.pow(base, n) if n > 1 else base
-    if q.prefactor is not None:
-        if q.prefactor.coeffs is None:
-            raise NoCoefficientAccess("prefactor carries no coefficients")
-        power = se.mul(power, q.prefactor.coeffs.truncate(k))
-    return power.coeff(k)
+    if q.prefactor is None:
+        return se.power_coeff(psi.coeffs, n, k)
+    h = q.prefactor.coeffs
+    if h is None:
+        raise NoCoefficientAccess("prefactor carries no coefficients")
+    power = se.pow(psi.coeffs.truncate(k), n)
+    return se.coeff_of_product(power, h.truncate(k), k)
 
 
 def exact_power_coeff_log(q: PowerCoeffQuery) -> LogNumber:
@@ -299,21 +302,27 @@ def estimate_with_prefactor(q: PowerCoeffQuery, regime: Regime) -> Estimate:
 
 
 def auto_regime(q: PowerCoeffQuery) -> Regime:
-    """Deterministic regime classification with the default policy thresholds."""
+    """Deterministic regime classification with the default policy thresholds.
+
+    With a prefactor only the regimes ``estimate_with_prefactor`` covers,
+    small_k and comparable, are candidates.
+    """
     psi, n, k = q.psi, q.n, q.k
-    if k <= FIXED_K_MAX and n >= 10 * k:
+    bare = q.prefactor is None
+    if bare and k <= FIXED_K_MAX and n >= 10 * k:
         return Regime("fixed_k")
     ratio = k / n
     if ratio <= SMALL_K_MAX_RATIO and _has_b1(psi):
         return Regime("small_k")
-    if psi.usg and ratio >= LARGE_K_MIN_RATIO:
+    if bare and psi.usg and ratio >= LARGE_K_MIN_RATIO:
         return Regime("large_k")
     cap = min(psi.mean_sup, 20.0)
     a, b = 0.05 * cap, 0.95 * cap
     if a <= ratio <= b and k % psi.q_gcd == 0:
         return Regime("comparable", a=a, b=b)
+    with_h = "" if bare else f" with prefactor {q.prefactor.name} (small_k or comparable only)"
     raise NoApplicableRegime(
-        f"no regime covers k/n = {ratio} for {psi.name} (mean limit {psi.mean_sup})"
+        f"no regime covers k/n = {ratio} for {psi.name}{with_h} (mean limit {psi.mean_sup})"
     )
 
 

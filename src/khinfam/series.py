@@ -4,6 +4,12 @@ A :class:`CoeffSeries` holds the coefficients a_0..a_N of a power series as
 exact ``Fraction`` values. All operations truncate to the common order and
 are exact at every retained index, which makes this module the ground-truth
 oracle for the asymptotic estimators in the rest of the package.
+
+Each kernel's docstring gives its cost in coefficient products; nnz(a) is
+the number of nonzero coefficients of a within the order used. The loops
+visit nonzero coefficients only, so sparse operands are cheap, and a single
+coefficient of a power or a product is computed without the rest of the
+series (``power_coeff``, ``coeff_of_product``).
 """
 
 from __future__ import annotations
@@ -115,29 +121,84 @@ def class_tag(f: CoeffSeries) -> SeriesClassTag:
     return SeriesClassTag(in_k=shift == 0, in_ks=True, shift=shift)
 
 
+def _nonzero_terms(a: CoeffSeries, lo: int, hi: int) -> list[tuple[int, Fraction]]:
+    """The (index, coefficient) pairs of a with lo <= index <= hi and a
+    nonzero coefficient, by increasing index."""
+    return [(i, c) for i, c in enumerate(a.coeffs[lo : hi + 1], lo) if c != 0]
+
+
 def scale(a: CoeffSeries, c: Rat) -> CoeffSeries:
     c = _frac(c)
     return CoeffSeries(tuple(c * x for x in a.coeffs))
 
 
 def mul(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
-    """Convolution product, truncated at the smaller operand order."""
+    """Convolution product, truncated at the smaller operand order n.
+
+    Loops over the nonzero a_i and, for each, the nonzero b_j with
+    i + j <= n: nnz(a)*nnz(b) products at most, (n+1)(n+2)/2 when both are
+    dense.
+    """
     n = min(a.order, b.order)
-    ac, bc = a.coeffs, b.coeffs
+    ac = a.coeffs
+    bnz = _nonzero_terms(b, 0, n)
     out = [Fraction(0)] * (n + 1)
     for i in range(n + 1):
         ai = ac[i]
         if ai == 0:
             continue
-        for j in range(n + 1 - i):
-            bj = bc[j]
-            if bj != 0:
-                out[i + j] += ai * bj
+        top = n - i
+        for j, bj in bnz:
+            if j > top:
+                break
+            out[i + j] += ai * bj
     return CoeffSeries(tuple(out))
 
 
+def square(a: CoeffSeries) -> CoeffSeries:
+    """a*a with each cross product a_i*a_j, i < j, taken once and doubled.
+
+    About half the products of ``mul(a, a)``: about n^2/4 for a dense a of
+    order n against n^2/2, plus one doubling per index.
+    """
+    n = a.order
+    nz = _nonzero_terms(a, 0, n)
+    out = [Fraction(0)] * (n + 1)
+    for p, (i, ai) in enumerate(nz):
+        if 2 * i > n:
+            break
+        top = n - i
+        for j, aj in nz[p + 1:]:
+            if j > top:
+                break
+            out[i + j] += ai * aj
+    out = [c + c for c in out]
+    for i, ai in nz:
+        if 2 * i > n:
+            break
+        out[2 * i] += ai * ai
+    return CoeffSeries(tuple(out))
+
+
+def coeff_of_product(a: CoeffSeries, b: CoeffSeries, k: int) -> Fraction:
+    """Coefficient k of a*b alone: one dot product, k+1 products at most."""
+    order = min(a.order, b.order)
+    if k < 0 or k > order:
+        raise IndexBeyondTruncation(f"index {k} beyond truncation order {order}")
+    bc = b.coeffs
+    acc = Fraction(0)
+    for i, ai in _nonzero_terms(a, 0, k):
+        bj = bc[k - i]
+        if bj != 0:
+            acc += ai * bj
+    return acc
+
+
 def pow(a: CoeffSeries, n: int) -> CoeffSeries:  # noqa: A001 - mirrors the operation name
-    """Binary exponentiation with truncation after every multiply."""
+    """Binary exponentiation with truncation after every multiply.
+
+    About log2(n) squarings and popcount(n) - 1 multiplies at the order of a.
+    """
     if n < 1:
         raise ValueError("exponent must be >= 1")
     result: CoeffSeries | None = None
@@ -147,9 +208,33 @@ def pow(a: CoeffSeries, n: int) -> CoeffSeries:  # noqa: A001 - mirrors the oper
             result = base if result is None else mul(result, base)
         n >>= 1
         if n:
-            base = mul(base, base)
+            base = square(base)
     assert result is not None
     return result
+
+
+def power_coeff(a: CoeffSeries, n: int, k: int) -> Fraction:
+    """Coefficient k of a^n, exactly.
+
+    Truncates a at k (higher coefficients cannot reach index k) and runs
+    ``pow``'s binary exponentiation, except that its last multiply or
+    squaring is ``coeff_of_product``: O(k) for the one coefficient read
+    instead of O(k^2) for a series of which only index k is kept.
+    """
+    if n < 1:
+        raise ValueError("exponent must be >= 1")
+    base = a.truncate(k)
+    result: CoeffSeries | None = None
+    while n > 1:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n == 1 and result is None:
+            return coeff_of_product(base, base, k)
+        base = square(base)
+    if result is None:
+        return _frac(base.coeffs[k])
+    return coeff_of_product(result, base, k)
 
 
 def derivative_series(f: CoeffSeries) -> CoeffSeries:
@@ -179,7 +264,7 @@ def exp_series(g: CoeffSeries) -> tuple[CoeffSeries, Fraction]:
     n = g.order
     f = [Fraction(0)] * (n + 1)
     f[0] = Fraction(1)
-    kg = [(k, k * c) for k, c in enumerate(g.coeffs) if k and c != 0]
+    kg = [(k, k * c) for k, c in _nonzero_terms(g, 1, n)]
     for m in range(1, n + 1):
         acc = Fraction(0)
         for k, kg_k in kg:
@@ -196,48 +281,65 @@ def log_series(f: CoeffSeries) -> CoeffSeries:
 
     Returns log(f / f0) with constant term 0; the scalar log(f0) is not
     representable as a rational and is left to the caller.
+
+    Uses m l_m = m f_m - sum_{j=1}^{m-1} (m-j) l_{m-j} f_j (f scaled to
+    f0 = 1), summed over the nonzero f_j only: O(n nnz(f)).
     """
     f0 = f.coeffs[0]
     if f0 == 0:
         raise ZeroConstantTerm("log_series requires a nonzero constant term")
     n = f.order
     fc = [c / f0 for c in f.coeffs]
+    fnz = [(j, fc[j]) for j, _ in _nonzero_terms(f, 1, n)]
     l = [Fraction(0)] * (n + 1)
     for m in range(1, n + 1):
         acc = m * fc[m]
-        for k in range(1, m):
-            acc -= k * l[k] * fc[m - k]
+        for j, fj in fnz:
+            if j >= m:
+                break
+            acc -= (m - j) * l[m - j] * fj
         l[m] = acc / m
     return CoeffSeries(tuple(l))
 
 
 def compose(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
-    """Composition f(g(z)) for g with g(0) = 0, by Horner evaluation."""
+    """Composition f(g(z)) for g with g(0) = 0, by Horner evaluation.
+
+    Horner starts at the highest nonzero f_k, k <= n = min(f.order, g.order),
+    and takes one ``mul`` by g per lower index: O(deg f * n nnz(g)).
+    """
     if g.coeffs[0] != 0:
         raise NonzeroInnerConstant("inner series must have zero constant term")
     n = min(f.order, g.order)
     gt = g.truncate(n)
-    acc = CoeffSeries.from_list([f.coeffs[n]], order=n)
-    for k in range(n - 1, -1, -1):
+    fnz = _nonzero_terms(f, 0, n)
+    top = fnz[-1][0] if fnz else 0
+    acc = CoeffSeries.from_list([f.coeffs[top]], order=n)
+    for k in range(top - 1, -1, -1):
         acc = mul(acc, gt)
         acc = CoeffSeries((acc.coeffs[0] + f.coeffs[k],) + acc.coeffs[1:])
     return acc
 
 
 def reciprocal(f: CoeffSeries, order: int | None = None) -> CoeffSeries:
-    """Multiplicative inverse 1/f, needing f(0) != 0."""
+    """Multiplicative inverse 1/f, needing f(0) != 0.
+
+    f_0 inv_m = -sum_{k=1}^{m} f_k inv_{m-k}, summed over the nonzero f_k
+    only: O(n nnz(f)) to order n.
+    """
     f0 = f.coeffs[0]
     if f0 == 0:
         raise ZeroConstantTerm("reciprocal requires a nonzero constant term")
     n = f.order if order is None else order
-    fc = f.pad(n).coeffs
+    fnz = _nonzero_terms(f, 1, n)
     inv = [Fraction(0)] * (n + 1)
     inv[0] = 1 / f0
     for m in range(1, n + 1):
         acc = Fraction(0)
-        for k in range(1, m + 1):
-            if fc[k] != 0:
-                acc += fc[k] * inv[m - k]
+        for k, fk in fnz:
+            if k > m:
+                break
+            acc += fk * inv[m - k]
         inv[m] = -acc / f0
     return CoeffSeries(tuple(inv))
 
@@ -245,7 +347,8 @@ def reciprocal(f: CoeffSeries, order: int | None = None) -> CoeffSeries:
 def lagrange_invert(psi: CoeffSeries, n_max: int, check: bool = False) -> CoeffSeries:
     """Solve g = z*psi(g) for the first n_max coefficients of g.
 
-    Coefficient n of g is coeff_{n-1}(psi^n)/n. With ``check`` the result is
+    Coefficient n of g is coeff_{n-1}(psi^n)/n, reading the powers psi^n one
+    ``mul`` at a time: O(n_max^2 nnz(psi)). With ``check`` the result is
     recomputed by the fixed-point iteration g <- z*psi(g) and both must agree
     exactly.
     """
@@ -271,7 +374,8 @@ def lagrange_fixed_point(psi: CoeffSeries, n_max: int) -> CoeffSeries:
     """Independent route to the Lagrange solution: iterate g <- z*psi(g).
 
     Each pass fixes one more coefficient, so the working order grows with the
-    iteration count instead of paying full-order compositions throughout.
+    iteration count instead of paying full-order compositions throughout:
+    pass m is one ``compose`` at order m.
     """
     if psi.coeffs[0] == 0:
         raise ZeroConstantTerm("Lagrange data must have psi(0) != 0")

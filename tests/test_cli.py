@@ -91,6 +91,23 @@ class TestLargepowVerb:
         assert row["regime"] == "fixed_k"
         assert float(row["ratio"]) == 1.0
 
+    def test_auto_with_prefactor_small_k(self):
+        code, out = run(["--out", "jsonl", "largepow", "--psi", "poly:1,1", "--h", "poly:1,1",
+                         "--n", "1000", "--k", "20", "--regime", "auto"])
+        assert code == 0
+        row = json.loads(out.splitlines()[0])
+        assert row["regime"] == "small_k+prefactor"
+        want = math.comb(1001, 20)
+        assert float(row["exact_ln"]) == pytest.approx(math.log(want), rel=1e-11)
+        assert float(row["exact"]) == pytest.approx(want, rel=1e-11)
+
+    def test_auto_with_prefactor_outside_its_regimes(self, capsys):
+        code = cli.main(["largepow", "--psi", "exp", "--h", "binom:4", "--n", "5",
+                         "--k", "500", "--regime", "auto"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "NoApplicableRegime" in err and "binom:4" in err
+
     def test_refined_small_k_takes_j_as_given(self, capsys):
         # J = 0 asks for no correction term, which is a usage error, not J = 2
         argv = ["largepow", "--psi", "poly:1,2", "--n", "100", "--k", "3", "--regime"]

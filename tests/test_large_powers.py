@@ -17,6 +17,7 @@ from khinfam.errors import (
     KTooLarge,
     LAboveMeanSup,
     NoApplicableRegime,
+    NoCoefficientAccess,
     NotUSG,
     PrefactorRadiusTooSmall,
     QGcdViolation,
@@ -61,6 +62,79 @@ class TestExactOracle:
     def test_prefactor(self, binom):
         q = LP.PowerCoeffQuery(binom, 10, 4, prefactor=binom)
         assert LP.exact_power_coeff(q) == math.comb(11, 4)
+
+    def test_type_is_fraction(self, binom, expf):
+        for q in (LP.PowerCoeffQuery(binom, 1, 0), LP.PowerCoeffQuery(binom, 16, 5),
+                  LP.PowerCoeffQuery(expf, 7, 9, prefactor=binom)):
+            assert type(LP.exact_power_coeff(q)) is Fraction
+
+    def test_prefactor_equals_full_product(self, expf):
+        geom = make_family(parse_family("geom"), trunc=16)
+        for psi, h in ((expf, make_family(parse_family("poly:2,0,0,3"), trunc=16)),
+                       (geom, make_family(parse_family("bell"), trunc=16))):
+            for n in (1, 2, 3, 8, 13):
+                for k in (0, 1, 5, 12):
+                    q = LP.PowerCoeffQuery(psi, n, k, prefactor=h)
+                    base = psi.coeffs.truncate(k)
+                    want = S.mul(S.pow(base, n), h.coeffs.truncate(k)).coeff(k)
+                    assert LP.exact_power_coeff(q) == want
+
+
+@pytest.fixture
+def multiplies(monkeypatch):
+    """Counts every series.mul and series.square call."""
+    calls = []
+    for name in ("mul", "square"):
+        real = getattr(S, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(S, name, spy)
+    return calls
+
+
+class TestExactRefusals:
+    # (k+1)^2 * 2 * bitlen(n) against CONVOLUTION_BUDGET = 10^9: with n = 16
+    # (bitlen 5) k = 9999 costs exactly 10^9 and k = 10000 is over.
+
+    def test_budget_threshold(self, binom, monkeypatch, multiplies):
+        with pytest.raises(BudgetExceeded):
+            LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 10_000))
+        assert multiplies == []
+        seen = []
+        monkeypatch.setattr(S, "power_coeff", lambda a, n, k: seen.append((n, k)) or Fraction(0))
+        assert LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 9_999)) == 0
+        assert seen == [(16, 9_999)]
+        with pytest.raises(BudgetExceeded):
+            LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 31, 10_000))
+        assert LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 31, 9_999)) == 0
+
+    def test_budget_before_prefactor_product(self, binom, multiplies):
+        q = LP.PowerCoeffQuery(binom, 16, 10_000, prefactor=binom)
+        with pytest.raises(BudgetExceeded):
+            LP.exact_power_coeff(q)
+        assert multiplies == []
+
+    def test_psi_access_refused_first(self, binom, multiplies):
+        bare = dataclasses.replace(binom, oracle=None)
+        q = LP.PowerCoeffQuery(bare, 10, 4, prefactor=bare)
+        with pytest.raises(NoCoefficientAccess, match=bare.name):
+            LP.exact_power_coeff(q)
+        with pytest.raises(NoCoefficientAccess, match=bare.name):
+            LP.exact_power_coeff(LP.PowerCoeffQuery(bare, 2**40, 60_000))
+        assert multiplies == []
+
+    def test_prefactor_access_refused_second(self, binom, multiplies):
+        bare = dataclasses.replace(binom, oracle=None)
+        q = LP.PowerCoeffQuery(binom, 10, 4, prefactor=bare)
+        with pytest.raises(NoCoefficientAccess, match="prefactor"):
+            LP.exact_power_coeff(q)
+        assert multiplies == []
+        # the budget is checked before the prefactor, as it always was
+        with pytest.raises(BudgetExceeded):
+            LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 10_000, prefactor=bare))
 
 
 class TestComparable:
@@ -327,6 +401,24 @@ class TestAutoRegime:
         assert regime.kind == "comparable"
         r = exact_log(binom, 1000, 500).ratio(est.value)
         assert abs(r - 1.0) < 0.005
+
+    def test_prefactor_small_k(self, binom):
+        q = LP.PowerCoeffQuery(binom, 1000, 20, prefactor=binom)
+        assert LP.auto_regime(q).kind == "small_k"
+        regime, est = LP.estimate_auto(q)
+        assert est.method == "small_k+prefactor"
+        exact = LogNumber.from_fraction(Fraction(math.comb(1001, 20)))
+        assert abs(exact.ratio(est.value) - 1.0) < 0.05
+
+    def test_prefactor_never_fixed_or_large_k(self, binom, expf):
+        h = make_family(parse_family("binom:4"), trunc=64)
+        # fixed_k and large_k without the prefactor
+        assert LP.auto_regime(LP.PowerCoeffQuery(binom, 10**6, 31)).kind == "fixed_k"
+        assert LP.auto_regime(LP.PowerCoeffQuery(expf, 5, 500)).kind == "large_k"
+        with_h = LP.PowerCoeffQuery(binom, 10**6, 31, prefactor=h)
+        assert LP.auto_regime(with_h).kind == "small_k"
+        with pytest.raises(NoApplicableRegime, match="prefactor binom:4"):
+            LP.auto_regime(LP.PowerCoeffQuery(expf, 5, 500, prefactor=h))
 
     def test_auto_keeps_the_prefactor(self, expf):
         h = make_family(parse_family("binom:4"), trunc=64)

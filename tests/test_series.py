@@ -101,6 +101,233 @@ class TestPow:
         assert S.pow(a, n) == want
 
 
+signed_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=1, max_value=16),
+)
+
+
+@st.composite
+def signed_series(draw, max_order=24, constant="any"):
+    """Signed rational coefficients with gaps; constant term as asked."""
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    coeff = st.one_of(st.just(FR(0)), signed_rationals)
+    values = draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+    if constant == "zero":
+        values[0] = FR(0)
+    elif constant == "nonzero" and values[0] == 0:
+        values[0] = draw(signed_rationals.filter(bool))
+    return S.CoeffSeries.from_list(values)
+
+
+@st.composite
+def sparse_series(draw, max_order=48, constant="any"):
+    """At most four nonzero terms spread over a long series."""
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    terms = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=order), signed_rationals, max_size=4
+    ))
+    values = [terms.get(i, FR(0)) for i in range(order + 1)]
+    if constant == "zero":
+        values[0] = FR(0)
+    elif constant == "nonzero" and values[0] == 0:
+        values[0] = FR(1)
+    return S.CoeffSeries.from_list(values)
+
+
+def any_series(max_order=24, constant="any"):
+    return st.one_of(
+        signed_series(max_order, constant), sparse_series(2 * max_order, constant)
+    )
+
+
+exponents = st.one_of(
+    st.just(1),
+    st.integers(min_value=1, max_value=6).map(lambda j: 2**j),
+    st.integers(min_value=1, max_value=6).map(lambda j: 2**j - 1),
+    st.integers(min_value=1, max_value=70),
+)
+
+
+def all_fractions(f):
+    return all(type(c) is Fraction for c in f.coeffs)
+
+
+# The dense loops the kernels had before they iterated nonzero terms only;
+# kept here as oracles.
+
+
+def dense_mul(a, b):
+    n = min(a.order, b.order)
+    ac, bc = a.coeffs, b.coeffs
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        ai = ac[i]
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            bj = bc[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return S.CoeffSeries(tuple(out))
+
+
+def dense_reciprocal(f, order=None):
+    f0 = f.coeffs[0]
+    n = f.order if order is None else order
+    fc = f.pad(n).coeffs
+    inv = [Fraction(0)] * (n + 1)
+    inv[0] = 1 / f0
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            if fc[k] != 0:
+                acc += fc[k] * inv[m - k]
+        inv[m] = -acc / f0
+    return S.CoeffSeries(tuple(inv))
+
+
+def dense_log(f):
+    f0 = f.coeffs[0]
+    n = f.order
+    fc = [c / f0 for c in f.coeffs]
+    l = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        acc = m * fc[m]
+        for k in range(1, m):
+            acc -= k * l[k] * fc[m - k]
+        l[m] = acc / m
+    return S.CoeffSeries(tuple(l))
+
+
+def dense_compose(f, g):
+    n = min(f.order, g.order)
+    gt = g.truncate(n)
+    acc = S.CoeffSeries.from_list([f.coeffs[n]], order=n)
+    for k in range(n - 1, -1, -1):
+        acc = dense_mul(acc, gt)
+        acc = S.CoeffSeries((acc.coeffs[0] + f.coeffs[k],) + acc.coeffs[1:])
+    return acc
+
+
+def dense_64(seed):
+    return S.CoeffSeries.from_list(
+        [FR((seed * n * n + 3 * n + 1) % 19 - 9, n % 4 + 1) for n in range(65)]
+    )
+
+
+class TestSquare:
+    @settings(max_examples=60, deadline=None)
+    @given(any_series())
+    def test_equals_mul_and_schoolbook(self, a):
+        sq = S.square(a)
+        assert sq == S.mul(a, a)
+        assert list(sq.coeffs) == S.schoolbook_mul(a.coeffs, a.coeffs)
+        assert all_fractions(sq)
+
+    def test_dense_order_64(self):
+        a = dense_64(7)
+        assert list(S.square(a).coeffs) == S.schoolbook_mul(a.coeffs, a.coeffs)
+
+    def test_binomial_row(self):
+        a = S.CoeffSeries.from_list([1, 1], order=4)
+        assert S.square(a).coeffs == (1, 2, 1, 0, 0)
+
+    def test_single_term(self):
+        a = S.CoeffSeries.from_list([0, 0, FR(-3, 2)], order=6)
+        assert S.square(a).coeffs == (0, 0, 0, 0, FR(9, 4), 0, 0)
+
+
+class TestCoeffOfProduct:
+    @settings(max_examples=40, deadline=None)
+    @given(any_series(), any_series(), st.integers(min_value=0, max_value=60))
+    def test_equals_full_product(self, a, b, k):
+        if k > min(a.order, b.order):
+            with pytest.raises(IndexBeyondTruncation):
+                S.coeff_of_product(a, b, k)
+            return
+        c = S.coeff_of_product(a, b, k)
+        assert c == S.mul(a, b).coeff(k)
+        assert type(c) is Fraction
+
+
+class TestPowerCoeff:
+    @settings(max_examples=80, deadline=None)
+    @given(any_series(max_order=16), exponents, st.integers(min_value=0, max_value=24))
+    def test_equals_full_power(self, a, n, k):
+        # k may exceed the order of a: the truncation pads with zeros
+        c = S.power_coeff(a, n, k)
+        assert c == S.pow(a.truncate(k), n).coeff(k)
+        assert type(c) is Fraction
+
+    @settings(max_examples=20, deadline=None)
+    @given(any_series(max_order=12, constant="zero"), exponents)
+    def test_zero_constant_term_vanishes_below_n(self, a, n):
+        # a = z*b, so a^n starts at z^n
+        for k in range(min(n, 14)):
+            assert S.power_coeff(a, n, k) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 100, 1000])
+    def test_binomial(self, n):
+        a = S.CoeffSeries.from_list([1, 1])
+        for k in (0, 1, n // 2, n, n + 1):
+            assert S.power_coeff(a, n, k) == math.comb(n, k)
+
+    def test_dense_order_64(self):
+        a = dense_64(5)
+        for n in (1, 2, 3, 5, 8, 13):
+            assert S.power_coeff(a, n, 64) == S.pow(a, n).coeff(64)
+
+    def test_rejects_exponent_zero(self):
+        with pytest.raises(ValueError):
+            S.power_coeff(S.CoeffSeries.from_list([1, 1]), 0, 3)
+
+
+class TestNonzeroLoopsMatchDenseLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(any_series(), any_series())
+    def test_mul(self, a, b):
+        got = S.mul(a, b)
+        assert got == dense_mul(a, b)
+        assert all_fractions(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_series(constant="nonzero"), st.none() | st.integers(0, 40))
+    def test_reciprocal(self, f, order):
+        got = S.reciprocal(f, order)
+        assert got == dense_reciprocal(f, order)
+        assert all_fractions(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_series(constant="nonzero"))
+    def test_log_series(self, f):
+        got = S.log_series(f)
+        assert got == dense_log(f)
+        assert all_fractions(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(any_series(max_order=12), any_series(max_order=12, constant="zero"))
+    def test_compose(self, f, g):
+        got = S.compose(f, g)
+        assert got == dense_compose(f, g)
+        assert all_fractions(got)
+
+    def test_dense_order_64(self):
+        a, b = dense_64(3), dense_64(11)
+        f = S.CoeffSeries((FR(2),) + a.coeffs[1:])
+        g = S.CoeffSeries((FR(0),) + b.coeffs[1:33])
+        assert S.mul(a, b) == dense_mul(a, b)
+        assert S.reciprocal(f) == dense_reciprocal(f)
+        assert S.log_series(f) == dense_log(f)
+        assert S.compose(f.truncate(32), g) == dense_compose(f.truncate(32), g)
+
+    def test_trailing_zeros_of_the_outer_series(self):
+        f = S.CoeffSeries.from_list([3, 0, 1], order=10)
+        g = S.CoeffSeries.from_list([0, 1, 1], order=10)
+        assert S.compose(f, g) == dense_compose(f, g)
+
+
 class TestExpLog:
     def test_exp_of_z(self):
         g = S.CoeffSeries.from_list([0, 1], order=10)
