@@ -54,10 +54,6 @@ class Estimate:
     value: LogNumber
     meta: dict = field(default_factory=dict, compare=False)
 
-    def ratio_to(self, exact: LogNumber) -> float:
-        """exact / estimate as a float."""
-        return exact.ratio(self.value)
-
 
 def saddle_solve(fam: Family, n: float) -> SaddlePoint:
     """The unique radius t_n with m_f(t_n) = n."""
@@ -78,7 +74,7 @@ def saddle_solve(fam: Family, n: float) -> SaddlePoint:
     )
 
 
-def hayman_estimate(fam: Family, n: int, allow_rescaled: bool = True) -> Estimate:
+def hayman_estimate(fam: Family, n: int) -> Estimate:
     """Saddle-point estimate of coefficient n.
 
     For families supported on multiples of q > 1 the plain formula is wrong;
@@ -87,8 +83,6 @@ def hayman_estimate(fam: Family, n: int, allow_rescaled: bool = True) -> Estimat
     meta: dict = {"n": n, "family": fam.name}
     q = fam.q_gcd
     if q > 1:
-        if not allow_rescaled:
-            raise QGcdNotOne(f"{fam.name} has coefficient support gcd {q}")
         if n % q != 0:
             raise QGcdNotOne(f"coefficient {n} of {fam.name} vanishes (support gcd {q})")
         meta["rescaled_gcd"] = q
@@ -201,11 +195,11 @@ def moser_wyman(n: int) -> Estimate:
 # -- local limit diagnostics ------------------------------------------------------
 
 
-def local_clt_sup(fam: Family, t: float, window: tuple[int, int] | None = None) -> float:
+def local_clt_sup(fam: Family, t: float) -> float:
     """sup over the window of |mass * sqrt(2 pi) sigma - Gaussian density term|.
 
     The true statement takes the sup over all integers; a truncation can
-    only certify a window, which must cover mean +- 10 sigma.
+    only certify the window mean +- 10 sigma, whose top the oracle must reach.
     """
     if fam.coeffs is None:
         raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
@@ -214,13 +208,6 @@ def local_clt_sup(fam: Family, t: float, window: tuple[int, int] | None = None) 
     sigma = math.sqrt(var)
     lo = max(0, int(m - 10.0 * sigma))
     hi = int(m + 10.0 * sigma) + 1
-    if window is not None:
-        wlo, whi = window
-        if wlo > lo or whi < hi:
-            raise WindowTooNarrow(
-                f"window [{wlo},{whi}] must cover mean +- 10 sigma = [{lo},{hi}]"
-            )
-        lo, hi = wlo, whi
     if hi > fam.coeffs.order:
         raise WindowTooNarrow(
             f"truncation {fam.coeffs.order} below required window top {hi}"

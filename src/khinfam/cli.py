@@ -74,6 +74,11 @@ def _log_cells(value: LogNumber) -> tuple[str, str]:
     return (_fmt(ln), _value_cell(ln, value.sign))
 
 
+def _estimate_row(est: A.Estimate, n: int) -> dict:
+    ln_c, v_c = _log_cells(est.value)
+    return {"op": est.method, "n": n, "ln": ln_c, "value": v_c}
+
+
 def emit_rows(rows: list[dict], columns: list[str], fmt: str, stream) -> None:
     if fmt == "csv":
         print(",".join(columns), file=stream)
@@ -292,7 +297,7 @@ def cmd_largepow(args, cfg: Config, stream) -> int:
     row = {"regime": kind, "n": args.n, "k": args.k}
     row["ln"], row["value"] = _log_cells(est_log)
     try:
-        exact = LP.exact_power_coeff_log(q)
+        exact = LogNumber.from_fraction(LP.exact_power_coeff(q))
         row["exact_ln"], row["exact"] = _log_cells(exact)
         row["ratio"] = _fmt(exact.ratio(est_log)) if est_log.sign else ""
     except KhinfamError:
@@ -312,7 +317,7 @@ def cmd_largepow(args, cfg: Config, stream) -> int:
 def cmd_lagrange(args, cfg: Config, stream) -> int:
     rows = []
     op = args.op
-    if op in ("apex", "omm", "power", "func", "general"):
+    if op in ("apex", "omm", "power", "func", "general", "sample"):
         psi = C.make_family(C.parse_family(args.psi), trunc=min(cfg.trunc, 256))
     if op == "apex":
         ap = L.apex(psi)
@@ -323,19 +328,16 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
             rows.append({"op": "omm", "n": args.n, "ln": "",
                          "value": f"subcritical decay certificate at R={est.radius}"})
         else:
-            ln_c, v_c = _log_cells(est.value)
-            rows.append({"op": est.method, "n": args.n, "ln": ln_c, "value": v_c})
+            rows.append(_estimate_row(est, args.n))
     elif op == "power":
         est = L.power_asym(psi, args.q, args.n)
-        ln_c, v_c = _log_cells(est.value)
-        rows.append({"op": est.method, "n": args.n, "ln": ln_c, "value": v_c})
+        rows.append(_estimate_row(est, args.n))
     elif op == "func":
         if not args.h:
             raise InvalidSpec("func needs --h for the outer series")
         h = C.make_family(C.parse_family(args.h), trunc=min(cfg.trunc, 256))
         est = L.func_asym(h, psi, args.n)
-        ln_c, v_c = _log_cells(est.value)
-        rows.append({"op": est.method, "n": args.n, "ln": ln_c, "value": v_c})
+        rows.append(_estimate_row(est, args.n))
     elif op == "bt":
         p = L.borel_tanner_pmf(args.t, args.j, args.n)
         rows.append({"op": "bt-pmf", "n": args.n,
@@ -343,25 +345,21 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
                      "value": _fmt(p)})
     elif op == "btasym":
         est = L.borel_tanner_asym(args.t, args.j, args.n)
-        ln_c, v_c = _log_cells(est.value)
-        rows.append({"op": est.method, "n": args.n, "ln": ln_c, "value": v_c})
+        rows.append(_estimate_row(est, args.n))
     elif op == "pp":
         p = L.poisson_poisson_pmf(args.s, args.t, args.n)
         rows.append({"op": "pp-pmf", "n": args.n,
                      "ln": _fmt(math.log(p)) if p > 0 else "", "value": _fmt(p)})
     elif op == "ppasym":
         est = L.poisson_poisson_asym(args.s, args.t, args.n)
-        ln_c, v_c = _log_cells(est.value)
-        rows.append({"op": est.method, "n": args.n, "ln": ln_c, "value": v_c})
+        rows.append(_estimate_row(est, args.n))
     elif op == "general":
         init = C.make_family(C.parse_family(args.h), trunc=min(cfg.trunc, 256)) if args.h else None
         spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, initial=init,
                                 monomial_j=None if init is not None else args.j)
         est = L.general_lagrangian_asym(spec, args.n)
-        ln_c, v_c = _log_cells(est.value)
-        rows.append({"op": est.method, "n": args.n, "ln": ln_c, "value": v_c})
+        rows.append(_estimate_row(est, args.n))
     elif op == "sample":
-        psi = C.make_family(C.parse_family(args.psi), trunc=min(cfg.trunc, 256))
         spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, monomial_j=args.j)
         res = L.gw_sample(spec, args.trials, seed=cfg.seed)
         for n, p in res.empirical_pmf().items():

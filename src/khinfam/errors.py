@@ -71,6 +71,10 @@ class NotEntire(KhinfamError):
     pass
 
 
+class ZeroInSector(KhinfamError):
+    pass
+
+
 # -- catalog -----------------------------------------------------------------
 
 class InvalidSpec(KhinfamError):

@@ -28,6 +28,7 @@ from .errors import (
     NoCoefficientAccess,
     NotEntire,
     RadiusOutOfRange,
+    ZeroInSector,
     ZeroMean,
 )
 from .numerics import (
@@ -150,20 +151,19 @@ def mass(fam: Family, t: float, n: int) -> float:
     return log_mass(fam, t, n).to_float()
 
 
-def mass_total(fam: Family, t: float, t_star: float | None = None) -> tuple[float, float]:
+def mass_total(fam: Family, t: float) -> tuple[float, float]:
     """Sum of the truncated masses plus a certified tail bound.
 
-    The tail uses the geometric majorant at a comparison radius t* > t:
-    sum_{n>N} a_n t^n <= (t/t*)^{N+1} f(t*), so the reported pair satisfies
-    total + tail >= 1 >= total.
+    The tail uses the geometric majorant at the comparison radius t* = 2t
+    (entire f) or (t + R)/2: sum_{n>N} a_n t^n <= (t/t*)^{N+1} f(t*), so the
+    reported pair satisfies total + tail >= 1 >= total.
     """
     fam.check_radius(t)
     if fam.coeffs is None:
         raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
-    if t_star is None:
-        t_star = 2.0 * t if math.isinf(fam.radius) else 0.5 * (t + fam.radius)
+    t_star = 2.0 * t if math.isinf(fam.radius) else 0.5 * (t + fam.radius)
     if not t < t_star < fam.radius:
-        raise RadiusOutOfRange("comparison radius must satisfy t < t* < R")
+        raise RadiusOutOfRange(f"no comparison radius strictly between t = {t} and R = {fam.radius}")
     log_f = fam.log_value(t)
     log_t = math.log(t)
     total = math.fsum(
@@ -339,16 +339,16 @@ def fulcrum_derivs(fam: Family, s: float, max_order: int = 4) -> tuple[float, ..
 # -- Chernoff bounds -----------------------------------------------------------
 
 
-def chernoff_sigma(fam: Family, t: float, lam_max: float, grid: int = 1024) -> float:
-    """Sigma(s, Lambda) = 2 max_{0<|u|<=Lambda} (F'(s+u) - F'(s)) / u on a grid."""
+def chernoff_sigma(fam: Family, t: float, lam_max: float) -> float:
+    """Sigma(s, Lambda) = 2 max_{0<|u|<=Lambda} (F'(s+u) - F'(s)) / u, 1024 steps a side."""
     fam.check_radius(t)
     s = math.log(t)
     if t * math.exp(lam_max) >= fam.radius:
         raise RadiusOutOfRange("t*e^Lambda must stay inside the radius")
     m0 = fam.mean(t)
     best = 0.0
-    for i in range(1, grid + 1):
-        u = lam_max * i / grid
+    for i in range(1, 1025):
+        u = lam_max * i / 1024
         for uu in (u, -u):
             val = (fam.mean(math.exp(s + uu)) - m0) / uu
             if val > best:
@@ -405,24 +405,29 @@ def gap_stats(fam: Family) -> GapStats:
     return GapStats(max(gaps), tail_gap, se.support_gcd(fam.coeffs), len(nz) < 8)
 
 
-def zero_free_halfwidth(fam: Family, t: float, verify_grid: int = 256) -> float:
+def zero_free_halfwidth(fam: Family, t: float) -> float:
     """Angular half-width pi / (2 sigma_f(t)) of the guaranteed zero-free sector.
 
-    With complex evaluation, f(z) / f(t) is checked for an exact zero at
-    ``verify_grid`` angles on each side of the axis, through the circle
-    evaluator at t and with ln f(t) computed once.
+    With complex evaluation, f(z) / f(t) is checked for a zero at 256 angles
+    on each side of the axis, through the circle evaluator at t and with
+    ln f(t) computed once. A zero, whether ln f fails there (``cmath.log(0)``
+    raises) or returns a -inf real part, raises ``ZeroInSector``.
     """
     fam.check_radius(t)
     hw = math.pi / (2.0 * math.sqrt(fam.variance(t)))
-    if fam.log_value_complex is not None and verify_grid > 0:
+    if fam.log_value_complex is not None:
         log_f = fam.log_value(t)
         log_f_circle = circle_evaluator(fam, t)
-        for i in range(verify_grid):
-            theta = (i + 0.5) / verify_grid * min(hw, math.pi)
+        for i in range(256):
+            theta = (i + 0.5) / 256 * min(hw, math.pi)
             for th in (theta, -theta):
-                val = cmath.exp(log_f_circle(t * cmath.exp(1j * th)) - log_f)
-                if val == 0:
-                    raise AssertionError("zero found inside the guaranteed sector")
+                z = t * cmath.exp(1j * th)
+                try:
+                    w = log_f_circle(z) - log_f
+                except (ValueError, ZeroDivisionError):
+                    w = -math.inf
+                if cmath.exp(w) == 0:  # as it is for every w with a -inf real part
+                    raise ZeroInSector(f"{fam.name} vanishes at {z}, inside the sector")
     return hw
 
 
@@ -484,7 +489,6 @@ def family_from_coeffs(
     coeffs: se.CoeffSeries,
     name: str = "custom",
     radius: float = math.inf,
-    q_gcd: int | None = None,
 ) -> Family:
     """Family backed purely by a truncated coefficient list.
 
@@ -552,6 +556,6 @@ def family_from_coeffs(
         variance=overflow_named(variance_fn, "variance"),
         log_value_complex=log_complex_dense,
         oracle=lambda: coeffs,
-        q_gcd=q_gcd if q_gcd is not None else se.support_gcd(coeffs),
+        q_gcd=se.support_gcd(coeffs),
         fulcrum34=overflow_named(fulcrum34_fn, "fulcrum derivatives"),
     )

@@ -79,12 +79,12 @@ def apex(psi: Family) -> Apex:
 
 
 def extended_coeff(h: se.CoeffSeries, psi: se.CoeffSeries, n: int) -> Fraction:
-    """coeff_n(H(g)) = coeff_{n-1}(H'(z) psi(z)^n) / n, exactly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    hp = se.differentiate(h).pad(n - 1).truncate(n - 1)
-    power = se.pow(psi.truncate(n - 1).pad(n - 1), n) if n > 1 else psi.truncate(0).pad(0)
-    return se.mul(hp, power).coeff(n - 1) / n
+    """coeff_n(H(g)) = coeff_{n-1}(H'(z) psi(z)^n) / n, exactly.
+
+    With tilted data whose transcendental prefactors are factored out (e^{t z}
+    for e^{t(z-1)}), this is the exact rational part of P(Z = n); the caller
+    reinstates the dropped factor."""
+    return se.power_coeff(psi, n, n - 1, se.differentiate(h)) / n
 
 
 # -- Otter-Meir-Moon and relatives --------------------------------------------------
@@ -342,20 +342,6 @@ def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
     )
 
 
-def lagrangian_exact_pmf_rational(
-    psi_rational: se.CoeffSeries,
-    f_init: se.CoeffSeries,
-    n: int,
-) -> Fraction:
-    """Exact rational part of P(Z = n) for tilted data.
-
-    Caller supplies the tilted series with transcendental prefactors already
-    factored out (e.g. e^{t z} instead of e^{t(z-1)}); the dropped factor
-    must be reinstated outside. Computes coeff_{n-1}(f' psi^n) / n.
-    """
-    return extended_coeff(f_init, psi_rational, n)
-
-
 # -- Monte Carlo --------------------------------------------------------------------
 
 
@@ -370,7 +356,7 @@ class SampleResult:
         return {n: c / self.trials for n, c in sorted(self.counts.items())}
 
 
-def _tilted_pmf_table(fam: Family, t: float, tail: float = 1e-12) -> list[float]:
+def _tilted_pmf_table(fam: Family, t: float) -> list[float]:
     """Cumulative inverse-sampling table of the tilted law at radius t."""
     fam.check_radius(t)
     if fam.coeffs is None:
@@ -383,7 +369,7 @@ def _tilted_pmf_table(fam: Family, t: float, tail: float = 1e-12) -> list[float]
         p = math.exp(log_of_fraction(c) + m * log_t - log_f) if c > 0 else 0.0
         probs.append(p)
         acc += p
-        if 1.0 - acc < tail:
+        if 1.0 - acc < 1e-12:
             break
     cum = []
     run = 0.0

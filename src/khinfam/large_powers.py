@@ -1,11 +1,9 @@
 """Asymptotics of the k-th coefficient of psi(z)^n across all k/n regimes.
 
-Every estimator returns a log-space value. The exact oracle truncates psi at
-order k (higher coefficients cannot reach index k of a power) and raises it
-by binary exponentiation whose last multiply or squaring computes only
-coefficient k, one O(k) dot product (``series.power_coeff``); with a
-prefactor h the full power is formed and the last step is the dot product
-with h. All of it is in exact rationals.
+Every estimator returns a log-space value. The exact oracle is
+``series.power_coeff``, coefficient k of h*psi^n (psi^n without a prefactor
+h) in exact rationals: psi and h are truncated at k, and the last step of
+binary exponentiation is the one O(k) dot product that is read.
 """
 
 from __future__ import annotations
@@ -71,17 +69,10 @@ def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
     cost = (k + 1) ** 2 * (2 * max(1, n.bit_length()))
     if cost > CONVOLUTION_BUDGET:
         raise BudgetExceeded(f"estimated {cost} coefficient-multiplies exceeds the budget")
-    if q.prefactor is None:
-        return se.power_coeff(psi.coeffs, n, k)
-    h = q.prefactor.coeffs
-    if h is None:
+    h = None if q.prefactor is None else q.prefactor.coeffs
+    if q.prefactor is not None and h is None:
         raise NoCoefficientAccess("prefactor carries no coefficients")
-    power = se.pow(psi.coeffs.truncate(k), n)
-    return se.coeff_of_product(power, h.truncate(k), k)
-
-
-def exact_power_coeff_log(q: PowerCoeffQuery) -> LogNumber:
-    return LogNumber.from_fraction(exact_power_coeff(q))
+    return se.power_coeff(psi.coeffs, n, k, h)
 
 
 def _estimate(

@@ -220,34 +220,19 @@ def second_diff_richardson(g: Callable[[float], float], t: float, h: float) -> f
     return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
 
 
-def solve_monotone(
-    g: Callable[[float], float],
-    target: float,
-    bracket: RootBracket,
-    tol_value: float | None = None,
-    tol_t: float | None = None,
-    max_iter: int = 200,
-) -> float:
-    """Root of g(t) = target for increasing g, never leaving the bracket.
+def solve_monotone_point(
+    g: Callable[[float], float], target: float, bracket: RootBracket
+) -> tuple[float, float]:
+    """Root t of g(t) = target for increasing g, never leaving the bracket,
+    and g(t) as evaluated there.
 
     Hybrid bisection/secant: a secant step is accepted only when it lands
-    strictly inside the current bracket, otherwise the step bisects.
+    strictly inside the current bracket, otherwise the step bisects. Stops
+    at |g(t) - target| <= 1e-9 max(1, |target|) with the bracket at most
+    1e-13 t wide; gives up after 200 steps.
     """
-    return solve_monotone_point(g, target, bracket, tol_value, tol_t, max_iter)[0]
-
-
-def solve_monotone_point(
-    g: Callable[[float], float],
-    target: float,
-    bracket: RootBracket,
-    tol_value: float | None = None,
-    tol_t: float | None = None,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """The root t of ``solve_monotone`` together with g(t), as evaluated there."""
     lo, hi = bracket.lo, bracket.hi
-    if tol_value is None:
-        tol_value = 1e-9 * max(1.0, abs(target))
+    tol_value = 1e-9 * max(1.0, abs(target))
     v_lo = g(lo) if bracket.g_lo is None else bracket.g_lo
     v_hi = g(hi) if bracket.g_hi is None else bracket.g_hi
     g_lo = v_lo - target
@@ -259,7 +244,7 @@ def solve_monotone_point(
     if g_hi == 0:
         return hi, v_hi
     t = 0.5 * (lo + hi)
-    for it in range(max_iter):
+    for it in range(200):
         # A pure secant/false-position scheme can stall with one frozen
         # endpoint, so every other step bisects to guarantee width decay.
         if it % 2 == 0 and g_hi != g_lo:
@@ -273,27 +258,22 @@ def solve_monotone_point(
             lo, g_lo = t, g_t
         else:
             hi, g_hi = t, g_t
-        width_goal = tol_t if tol_t is not None else 1e-13 * max(t, 1e-300)
-        if abs(g_t) <= tol_value and (hi - lo) <= width_goal:
+        if abs(g_t) <= tol_value and (hi - lo) <= 1e-13 * max(t, 1e-300):
             return t, v
     v = g(t)
     if abs(v - target) <= tol_value:
         return t, v
-    raise NoConvergence(f"no root to tolerance after {max_iter} iterations")
+    raise NoConvergence("no root to tolerance after 200 iterations")
 
 
-def bracket_increasing(
-    g: Callable[[float], float],
-    target: float,
-    radius: float,
-    t0: float = 1.0,
-) -> RootBracket:
+def bracket_increasing(g: Callable[[float], float], target: float, radius: float) -> RootBracket:
     """Find [lo, hi] with g(lo) <= target <= g(hi) for increasing g on (0, radius).
 
-    For entire families the upper end doubles; for finite radius it bisects
-    toward the radius. The lower end halves toward zero.
+    The lower end starts at min(1, radius/2) and halves toward zero. For
+    entire families the upper end starts at 2 and doubles; for finite radius
+    it bisects toward the radius.
     """
-    lo = min(t0, radius / 2.0 if math.isfinite(radius) else t0)
+    lo = min(1.0, radius / 2.0)
     for _ in range(2000):
         g_lo = g(lo)
         if g_lo <= target:
@@ -311,7 +291,7 @@ def bracket_increasing(
         else:
             raise BracketInvalid("target not bracketed below the radius")
     else:
-        hi = max(2.0 * lo, 2.0 * t0)
+        hi = 2.0
         for _ in range(2000):
             g_hi = g(hi)
             if g_hi >= target:

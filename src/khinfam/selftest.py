@@ -20,6 +20,7 @@ from . import family as F
 from . import lagrange as L
 from . import large_powers as LP
 from . import series as S
+from .errors import ZeroInSector
 from .numerics import LogNumber, finite_diff
 
 
@@ -325,7 +326,7 @@ def criterion_11() -> CriterionResult:
         for name, (fam, ts) in fams.items():
             for t in ts[:2]:
                 F.zero_free_halfwidth(fam, t)
-    except AssertionError:
+    except ZeroInSector:
         zf_ok = False
     checks.append((zf_ok, "zero-free sector verified on the grid"))
 

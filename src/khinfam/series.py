@@ -8,8 +8,8 @@ oracle for the asymptotic estimators in the rest of the package.
 Each kernel's docstring gives its cost in coefficient products; nnz(a) is
 the number of nonzero coefficients of a within the order used. The loops
 visit nonzero coefficients only, so sparse operands are cheap, and a single
-coefficient of a power or a product is computed without the rest of the
-series (``power_coeff``, ``coeff_of_product``).
+coefficient of a power h*a^n or a product is computed without the rest of
+the series (``power_coeff``, ``coeff_of_product``).
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ class CoeffSeries:
 
     def nonzero_indices(self) -> list[int]:
         return [n for n, c in enumerate(self.coeffs) if c != 0]
-
-    def eval_at(self, t: Fraction) -> Fraction:
-        """Exact Horner evaluation of the truncated polynomial."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffSeries):
@@ -194,6 +187,24 @@ def coeff_of_product(a: CoeffSeries, b: CoeffSeries, k: int) -> Fraction:
     return acc
 
 
+def _power_split(a: CoeffSeries, n: int, h: CoeffSeries | None) -> tuple:
+    """Binary exponentiation of h*a^n (a^n when h is None), with h as the
+    starting factor, stopped before its last multiply or squaring.
+
+    Returns (x, y) with x*y = h*a^n: y is x when that step is a squaring,
+    and None when x is the whole result (n = 1 without h). Needs n >= 1.
+    """
+    result, base = h, a
+    while n > 1:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n == 1 and result is None:
+            return base, base
+        base = square(base)
+    return (base, None) if result is None else (result, base)
+
+
 def pow(a: CoeffSeries, n: int) -> CoeffSeries:  # noqa: A001 - mirrors the operation name
     """Binary exponentiation with truncation after every multiply.
 
@@ -201,40 +212,25 @@ def pow(a: CoeffSeries, n: int) -> CoeffSeries:  # noqa: A001 - mirrors the oper
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
-    result: CoeffSeries | None = None
-    base = a
-    while n > 0:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if n:
-            base = square(base)
-    assert result is not None
-    return result
+    x, y = _power_split(a, n, None)
+    if y is None:
+        return x
+    return square(x) if x is y else mul(x, y)
 
 
-def power_coeff(a: CoeffSeries, n: int, k: int) -> Fraction:
-    """Coefficient k of a^n, exactly.
+def power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = None) -> Fraction:
+    """Coefficient k of h*a^n (of a^n when h is None), exactly.
 
-    Truncates a at k (higher coefficients cannot reach index k) and runs
-    ``pow``'s binary exponentiation, except that its last multiply or
-    squaring is ``coeff_of_product``: O(k) for the one coefficient read
-    instead of O(k^2) for a series of which only index k is kept.
+    a and h are truncated at k (higher coefficients cannot reach index k),
+    and the last multiply or squaring of ``pow``'s binary exponentiation is
+    ``coeff_of_product``: O(k) for the one coefficient read, not O(k^2).
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
-    base = a.truncate(k)
-    result: CoeffSeries | None = None
-    while n > 1:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if n == 1 and result is None:
-            return coeff_of_product(base, base, k)
-        base = square(base)
-    if result is None:
-        return _frac(base.coeffs[k])
-    return coeff_of_product(result, base, k)
+    x, y = _power_split(a.truncate(k), n, None if h is None else h.truncate(k))
+    if y is None:
+        return _frac(x.coeffs[k])
+    return coeff_of_product(x, y, k)
 
 
 def derivative_series(f: CoeffSeries) -> CoeffSeries:
@@ -344,13 +340,12 @@ def reciprocal(f: CoeffSeries, order: int | None = None) -> CoeffSeries:
     return CoeffSeries(tuple(inv))
 
 
-def lagrange_invert(psi: CoeffSeries, n_max: int, check: bool = False) -> CoeffSeries:
+def lagrange_invert(psi: CoeffSeries, n_max: int) -> CoeffSeries:
     """Solve g = z*psi(g) for the first n_max coefficients of g.
 
     Coefficient n of g is coeff_{n-1}(psi^n)/n, reading the powers psi^n one
-    ``mul`` at a time: O(n_max^2 nnz(psi)). With ``check`` the result is
-    recomputed by the fixed-point iteration g <- z*psi(g) and both must agree
-    exactly.
+    ``mul`` at a time: O(n_max^2 nnz(psi)). ``lagrange_fixed_point`` is the
+    independent route that checks it.
     """
     if psi.coeffs[0] == 0:
         raise ZeroConstantTerm("Lagrange data must have psi(0) != 0")
@@ -362,12 +357,7 @@ def lagrange_invert(psi: CoeffSeries, n_max: int, check: bool = False) -> CoeffS
     for n in range(1, n_max + 1):
         power = mul(power, base)
         out[n] = power.coeff(n - 1) / n
-    g = CoeffSeries(tuple(out))
-    if check:
-        fixed = lagrange_fixed_point(psi, n_max)
-        if fixed != g:
-            raise AssertionError("inversion formula and fixed-point iteration disagree")
-    return g
+    return CoeffSeries(tuple(out))
 
 
 def lagrange_fixed_point(psi: CoeffSeries, n_max: int) -> CoeffSeries:

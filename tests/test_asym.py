@@ -108,8 +108,6 @@ class TestHaymanEstimate:
         fam = make_family(parse_family("expof:poly:0,0,1"), trunc=64)
         with pytest.raises(QGcdNotOne):
             A.hayman_estimate(fam, 9)
-        with pytest.raises(QGcdNotOne):
-            A.hayman_estimate(fam, 10, allow_rescaled=False)
 
     def test_even_support_rescaled_matches_companion(self, fams):
         # coefficients of e^{z^2} at index 2k are those of e^z at k, and the

@@ -1,5 +1,7 @@
 """Command-line surface: verbs, formats, exit codes, determinism."""
 
+import cmath
+import dataclasses
 import io
 import json
 import math
@@ -73,6 +75,24 @@ class TestFamilyVerb:
         rows = {json.loads(l)["stat"]: json.loads(l) for l in out.splitlines()}
         want = math.exp(-2) * 8 / 6
         assert abs(float(rows["mass:3"]["value"]) - want) < 1e-9
+
+    @pytest.mark.parametrize("log_at_zero", [
+        lambda z: cmath.log(0j),  # raises ValueError
+        lambda z: complex(-math.inf, 0.0),
+    ], ids=["log-raises", "minus-inf"])
+    def test_zero_in_the_sector_is_a_named_error(self, log_at_zero, monkeypatch, capsys):
+        # exp with complex ln f replaced by a zero off the real axis
+        make_family = cli.C.make_family
+
+        def planted(spec, trunc):
+            fam = make_family(spec, trunc=trunc)
+            return dataclasses.replace(fam, log_value_complex=log_at_zero, log_value_circle=None)
+
+        monkeypatch.setattr(cli.C, "make_family", planted)
+        code = cli.main(["family", "--family", "exp", "--t", "1", "--stats", "zerofree"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: ZeroInSector: exp vanishes at ")
 
 
 class TestLargepowVerb:

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from khinfam.errors import (
     NotEntire,
     RadiusOutOfRange,
     TruncationTooLarge,
+    ZeroInSector,
     ZeroMean,
 )
 
@@ -68,6 +70,12 @@ class TestMass:
     def test_radius_check(self, fams):
         with pytest.raises(RadiusOutOfRange):
             F.mass(fams["geom"], 1.5, 0)
+
+    def test_no_comparison_radius_between_t_and_r(self, fams):
+        # t* = 2t overflows to inf; (t + 1) / 2 rounds to R = 1
+        for name, t in (("exp", 1e308), ("geom", math.nextafter(1.0, 0.0))):
+            with pytest.raises(RadiusOutOfRange, match=re.escape(f"t = {t} and R = ")):
+                F.mass_total(fams[name], t)
 
 
 class TestMeanVariance:
@@ -614,3 +622,49 @@ class TestRadiusCheck:
     def test_rejects_non_finite_and_non_positive(self, t):
         with pytest.raises(RadiusOutOfRange):
             make_family(parse_family("exp"), trunc=8).check_radius(t)
+
+
+def _planted(fam, t, log_at_zero):
+    """fam with ln f replaced by ln(f(z) (z - z0)), z0 the first point that
+    ``zero_free_halfwidth`` checks at t, and ``log_at_zero`` giving ln f at z0.
+    The circle evaluator is dropped, so the check reads ``log_value_complex``."""
+    hw = math.pi / (2.0 * math.sqrt(fam.variance(t)))
+    z0 = t * cmath.exp(1j * (0.5 / 256 * min(hw, math.pi)))
+
+    def log_value_complex(z):
+        if z == z0:
+            return log_at_zero(fam.log_value_complex(z), z - z0)
+        return fam.log_value_complex(z) + cmath.log(z - z0)
+
+    return dataclasses.replace(fam, log_value_complex=log_value_complex, log_value_circle=None)
+
+
+class TestZeroInSector:
+    @pytest.mark.parametrize("log_at_zero", [
+        lambda w, d: w + cmath.log(d),  # cmath.log(0) raises ValueError
+        lambda w, d: w - cmath.log(1 / d),  # 1 / 0j raises ZeroDivisionError
+        lambda w, d: complex(-math.inf, 0.0),  # ln 0 reported as -inf
+        lambda w, d: complex(-math.inf, math.nan),
+        lambda w, d: w - 1e4,  # |f(z0) / f(t)| below the float range
+    ], ids=["log-raises", "division-by-zero", "minus-inf", "minus-inf-nan", "underflow"])
+    @pytest.mark.parametrize("name,t", [("exp", 1.0), ("P", 0.5)])
+    def test_planted_zero_raises(self, fams, name, t, log_at_zero):
+        fam = _planted(fams[name], t, log_at_zero)
+        with pytest.raises(ZeroInSector, match="vanishes at"):
+            F.zero_free_halfwidth(fam, t)
+
+    def test_planted_zero_outside_the_sector_passes(self, fams):
+        # the same f with its zero moved to the negative axis, far outside
+        fam = dataclasses.replace(
+            fams["exp"], log_value_circle=None,
+            log_value_complex=lambda z: z + cmath.log(z + 1.0),
+        )
+        F.zero_free_halfwidth(fam, 1.0)
+
+    def test_criterion_11_families_raise_nothing(self):
+        radii = {"exp": (0.5, 2.0), "geom": (0.2, 0.5), "bell": (0.5, 1.5),
+                 "P": (0.3, 0.5), "Q": (0.3, 0.5)}
+        for name, ts in radii.items():
+            fam = make_family(parse_family(name), trunc=256)
+            for t in ts:
+                assert F.zero_free_halfwidth(fam, t) == math.pi / (2.0 * math.sqrt(fam.variance(t)))

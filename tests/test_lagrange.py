@@ -281,7 +281,7 @@ class TestGeneralLagrangian:
             [t**i / math.factorial(i) for i in range(n + 4)]
         )
         f_init = S.CoeffSeries.from_list([Fraction(1, 2), Fraction(1, 2)], order=n + 4)
-        exact_rat = L.lagrangian_exact_pmf_rational(psi_rat, f_init, n)
+        exact_rat = L.extended_coeff(f_init, psi_rat, n)
         ln_exact = LogNumber.from_fraction(exact_rat).log_abs - float(t) * n
         bz = make_family(parse_family("poly:1,1"), trunc=8)
         spec = L.LagrangianSpec(psi=expf, t=0.9, s=1.0, initial=bz)

@@ -38,7 +38,7 @@ def expf():
 
 
 def exact_log(fam, n, k):
-    return LP.exact_power_coeff_log(LP.PowerCoeffQuery(fam, n, k))
+    return LogNumber.from_fraction(LP.exact_power_coeff(LP.PowerCoeffQuery(fam, n, k)))
 
 
 class TestExactOracle:
@@ -104,7 +104,7 @@ class TestExactRefusals:
             LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 10_000))
         assert multiplies == []
         seen = []
-        monkeypatch.setattr(S, "power_coeff", lambda a, n, k: seen.append((n, k)) or Fraction(0))
+        monkeypatch.setattr(S, "power_coeff", lambda a, n, k, h=None: seen.append((n, k)) or Fraction(0))
         assert LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 9_999)) == 0
         assert seen == [(16, 9_999)]
         with pytest.raises(BudgetExceeded):
@@ -375,7 +375,7 @@ class TestPrefactor:
         est = LP.estimate_with_prefactor(q, LP.Regime("small_k"))
         bare = LP.estimate_small_k(LP.PowerCoeffQuery(expf, n, k))
         assert abs(est.value.log_abs - bare.value.log_abs - math.log(2.0)) < 1e-12
-        exact = LP.exact_power_coeff_log(q)
+        exact = LogNumber.from_fraction(LP.exact_power_coeff(q))
         assert abs(est.value.ratio(exact) - 1.0) < 0.01
 
     def test_radius_guard(self, expf):
@@ -427,7 +427,7 @@ class TestAutoRegime:
         assert est == LP.estimate_with_prefactor(q, LP.auto_regime(q))
         assert est.method == "comparable+prefactor"
         # exact: ln 89.406; the bare comparable estimate is 85.756
-        assert abs(est.value.log_abs - LP.exact_power_coeff_log(q).log_abs) < 0.05
+        assert abs(est.value.log_abs - LogNumber.from_fraction(LP.exact_power_coeff(q)).log_abs) < 0.05
 
 
 class TestDispatch:

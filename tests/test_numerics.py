@@ -133,13 +133,13 @@ class TestLogGamma:
 class TestSolveMonotone:
     def test_identity_map(self):
         br = N.RootBracket(1.0, 5.0)
-        assert abs(N.solve_monotone(lambda t: t, 3.0, br) - 3.0) < 1e-9
+        assert abs(N.solve_monotone_point(lambda t: t, 3.0, br)[0] - 3.0) < 1e-9
 
     def test_exponential_mean_hits_target_exactly(self):
         fam = make_family(parse_family("exp"), trunc=8)
         for n in (1, 7, 500):
             br = N.bracket_increasing(fam.mean, n, fam.radius)
-            t = N.solve_monotone(fam.mean, float(n), br)
+            t = N.solve_monotone_point(fam.mean, float(n), br)[0]
             assert abs(t - n) <= 1e-8 * n
 
     def test_residual_bound_over_catalog_means(self):
@@ -148,25 +148,25 @@ class TestSolveMonotone:
             fam = make_family(parse_family(text), trunc=8)
             for n in range(1, 1001):
                 br = N.bracket_increasing(fam.mean, n, fam.radius)
-                t = N.solve_monotone(fam.mean, float(n), br)
+                t = N.solve_monotone_point(fam.mean, float(n), br)[0]
                 assert abs(fam.mean(t) - n) <= 1e-9 * max(1.0, n)
         for text in ("bell", "P", "Q", "Wab:1,1"):
             fam = make_family(parse_family(text), trunc=8)
             for n in (1, 10, 100, 1000):
                 br = N.bracket_increasing(fam.mean, n, fam.radius)
-                t = N.solve_monotone(fam.mean, float(n), br)
+                t = N.solve_monotone_point(fam.mean, float(n), br)[0]
                 assert abs(fam.mean(t) - n) <= 1e-9 * max(1.0, n)
 
     def test_partition_mean_against_closed_approximation(self):
         fam = make_family(parse_family("P"), trunc=8)
         br = N.bracket_increasing(fam.mean, 100.0, fam.radius)
-        t = N.solve_monotone(fam.mean, 100.0, br)
+        t = N.solve_monotone_point(fam.mean, 100.0, br)[0]
         approx = math.exp(-math.pi / math.sqrt(600))
         assert abs(t / approx - 1.0) < 0.03
 
     def test_invalid_bracket(self):
         with pytest.raises(BracketInvalid):
-            N.solve_monotone(lambda t: t, 10.0, N.RootBracket(1.0, 2.0))
+            N.solve_monotone_point(lambda t: t, 10.0, N.RootBracket(1.0, 2.0))[0]
 
     def test_values_carried_from_bracket_to_root(self):
         fam = make_family(parse_family("P"), trunc=8)
@@ -174,7 +174,7 @@ class TestSolveMonotone:
         assert (br.g_lo, br.g_hi) == (fam.mean(br.lo), fam.mean(br.hi))
         t, value = N.solve_monotone_point(fam.mean, 100.0, br)
         assert value == fam.mean(t)
-        assert t == N.solve_monotone(fam.mean, 100.0, N.RootBracket(br.lo, br.hi))
+        assert t == N.solve_monotone_point(fam.mean, 100.0, N.RootBracket(br.lo, br.hi))[0]
 
     def test_root_at_a_bracket_end(self):
         # g(lo) hits the target: the root is lo and its value the bracket's

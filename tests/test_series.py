@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from khinfam import lagrange as L
 from khinfam import series as S
 from khinfam.catalog import exact_coeffs, parse_family, pentagonal_partitions
 from khinfam.errors import IndexBeyondTruncation, NonzeroInnerConstant, ZeroConstantTerm
@@ -283,6 +284,64 @@ class TestPowerCoeff:
         with pytest.raises(ValueError):
             S.power_coeff(S.CoeffSeries.from_list([1, 1]), 0, 3)
 
+    @settings(max_examples=120, deadline=None)
+    @given(any_series(max_order=16), exponents, st.integers(min_value=0, max_value=24),
+           st.none() | any_series(max_order=16) | any_series(max_order=16, constant="zero"))
+    def test_prefactor_equals_schoolbook_product(self, a, n, k, h):
+        # coefficient k of h * a^n; k may exceed the order of a, of h or both
+        c = S.power_coeff(a, n, k, h)
+        power = S.pow(a.truncate(k), n)
+        if h is None:
+            assert c == power.coeff(k)
+        else:
+            assert c == S.schoolbook_mul(power.coeffs, h.truncate(k).coeffs)[k]
+        assert type(c) is Fraction
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 16])
+    def test_prefactor_binomial(self, n):
+        # (1 + z)^2 (1 + z)^n = (1 + z)^(n + 2), and z (1 + z)^n shifts by one
+        a = S.CoeffSeries.from_list([1, 1])
+        for k in range(n + 4):
+            assert S.power_coeff(a, n, k, S.pow(a.pad(2), 2)) == math.comb(n + 2, k)
+            assert S.power_coeff(a, n, k, S.CoeffSeries.from_list([0, 1])) == (
+                math.comb(n, k - 1) if k else 0)
+
+
+def parent_extended_coeff(h, psi, n):
+    """``lagrange.extended_coeff`` as it was before it read one coefficient
+    through ``power_coeff``: a full power, then a full product with H'."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    hp = S.differentiate(h).pad(n - 1).truncate(n - 1)
+    power = S.pow(psi.truncate(n - 1).pad(n - 1), n) if n > 1 else psi.truncate(0).pad(0)
+    return S.mul(hp, power).coeff(n - 1) / n
+
+
+class TestExtendedCoeffOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(any_series(max_order=12), any_series(max_order=12, constant="nonzero"),
+           st.integers(min_value=1, max_value=20))
+    def test_equals_parent_route(self, h, psi, n):
+        c = L.extended_coeff(h, psi, n)
+        assert c == parent_extended_coeff(h, psi, n)
+        assert type(c) is Fraction
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_constant_h_and_first_index(self, n):
+        psi = exp_coeffs(8)
+        const = S.CoeffSeries.from_list([FR(7, 3)])  # order 0: H' = 0
+        assert L.extended_coeff(const, psi, n) == 0 == parent_extended_coeff(const, psi, n)
+        h = S.CoeffSeries.from_list([FR(1, 2), FR(-3, 4), 5])
+        assert L.extended_coeff(h, psi, n) == parent_extended_coeff(h, psi, n)
+        if n == 1:  # coeff_0(H' psi) = h_1 psi_0
+            assert L.extended_coeff(h, psi, 1) == FR(-3, 4)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_index_below_one(self, n):
+        psi = exp_coeffs(8)
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            L.extended_coeff(psi, psi, n)
+
 
 class TestNonzeroLoopsMatchDenseLoops:
     @settings(max_examples=60, deadline=None)
@@ -432,18 +491,21 @@ class TestDerivative:
 
 class TestLagrangeInversion:
     def test_cayley_trees(self):
-        g = S.lagrange_invert(exp_coeffs(8), 8, check=True)
+        g = S.lagrange_invert(exp_coeffs(8), 8)
+        assert g == S.lagrange_fixed_point(exp_coeffs(8), 8)
         assert g.coeff(5) == FR(125, 24)
         for n in range(1, 9):
             assert g.coeff(n) == FR(n ** (n - 1), math.factorial(n))
 
     def test_affine_data(self):
-        g = S.lagrange_invert(S.CoeffSeries.from_list([1, 1], order=8), 8, check=True)
+        g = S.lagrange_invert(S.CoeffSeries.from_list([1, 1], order=8), 8)
+        assert g == S.lagrange_fixed_point(S.CoeffSeries.from_list([1, 1], order=8), 8)
         for n in range(1, 9):
             assert g.coeff(n) == 1
 
     def test_shifted_catalan(self):
-        g = S.lagrange_invert(geometric_series(8), 8, check=True)
+        g = S.lagrange_invert(geometric_series(8), 8)
+        assert g == S.lagrange_fixed_point(geometric_series(8), 8)
         assert g.coeff(3) == 2
 
     def test_functional_equation_holds_exactly(self):
