@@ -239,20 +239,23 @@ def _parts_sums(p0: int, d: int, b: int):
 
     The parts are p_j = p0 + d (j - 1) and the weights c_j = j^b: P is
     (1, 1, 0), Q (odd parts) is (1, 2, 0), Pab:a,b is (b, a, 0) and Wab:a,b
-    is (a, a, b). Returns ln f, m, sigma^2, complex ln f and the fulcrum
-    derivative of order q >= 3, then the circle evaluator: t -> (z -> ln f(z))
-    for |z| = t.
+    is (a, a, b). Returns ln f, m, sigma^2, complex ln f and the pair
+    (F''', F'''') of fulcrum derivatives at s = ln t, then the circle
+    evaluator: t -> (z -> ln f(z)) for |z| = t.
 
-    ln f, m, sigma^2 and the fulcrum derivatives are each one loop over the
-    parts that evaluates u^p once per term; the majorant of the tail is read
-    at the next part. Float expressions keep their order and grouping, and
-    only side-effect-free comparisons are reordered or have max() written
-    out, so every result is bit-identical to summing term by term. A loop
-    also stops at a term that is exactly 0.0: u^p has underflowed, so every
-    later term is 0 too. That test comes after the tail criterion, so an
-    input that meets the criterion stops where it always did; it ends the
-    loops at t below about 5e-308, where 1e-16 times the sum underflows to
-    0 and the criterion can never be met.
+    ln f, m and sigma^2 are each one loop over the parts that evaluates u^p
+    once per term; the majorant of the tail is read at the next part. Float
+    expressions keep their order and grouping, and only side-effect-free
+    comparisons are reordered, so every result is bit-identical to summing
+    term by term. F''' and F'''' share one loop: with x = u^p, the inner
+    sums over k of k^(q-1) x^k are x (1 + x) / (1 - x)^3 and
+    x (1 + 4x + x^2) / (1 - x)^4 (Eulerian polynomials), so a part costs one
+    power and no inner series. It stops once both sums meet the tail
+    criterion. A loop also stops at a term that is exactly 0.0: u^p has
+    underflowed, so every later term is 0 too. That test comes after the
+    tail criterion, so an input that meets the criterion stops where it
+    always did; it ends the loops at t below about 5e-308, where 1e-16 times
+    the sum underflows to 0 and the criterion can never be met.
 
     Complex ln f is the Lambert series ln f(z) = sum_{k>=1} (s_k/k) z^k with
     s_k = sum_{j : p_j | k} c_j p_j, the same principal-branch value as
@@ -345,42 +348,30 @@ def _parts_sums(p0: int, d: int, b: int):
     def log_value_complex(z: complex) -> complex:
         return log_value_circle(abs(z))(z)
 
-    def fulcrum_high(s: float, q: int) -> float:
-        # F(s) = sum_j -c_j ln(1 - e^{p_j s}); F^(q)(s) = sum over the
-        # expansion sum_{j,k} c_j p_j^q k^{q-1} e^{k p_j s}; summed as a
-        # double series in (j, k).
+    def fulcrum34(s: float) -> tuple[float, float]:
+        # F(s) = sum_j -c_j ln(1 - x_j), x_j = e^{p_j s}, so F^(q)(s) =
+        # sum_j c_j p_j^q sum_k k^{q-1} x_j^k, an inner sum in closed form
         u = math.exp(s)
-        e = q - 1
-        total = 0.0
+        f3 = f4 = 0.0
         j, p = 1, p0
         while True:
             x = u**p
-            inner = 0.0
-            k = 1
-            xk = x
-            while True:
-                v = k**e * xk
-                inner += v
-                # max(inner, 1e-300) written out: the call would cost more
-                # than the rest of the iteration
-                if xk < 0.5 and v < 1e-17 * (1e-300 if 1e-300 > inner else inner):
-                    break
-                k += 1
-                xk *= x
-                if k > _MAX_TERMS:
-                    raise TruncationTooLarge("fulcrum inner sum did not converge")
-            v = j**b * float(p) ** q * inner
-            total += v
+            w = j**b * float(p) ** 3 * x / (1.0 - x) ** 3
+            v3 = w * (1.0 + x)
+            v4 = w * p * (1.0 + x * (4.0 + x)) / (1.0 - x)
+            f3 += v3
+            f4 += v4
             j += 1
             p += d
-            if (total > 0 and v < _REL_TERM * total
-                    and j**b * float(p) ** q * u**p / (1.0 - u) ** q < _REL_TAIL * total
-                    or v == 0.0):
-                return total
+            if (f3 > 0 and v3 < _REL_TERM * f3 and v4 < _REL_TERM * f4
+                    and j**b * float(p) ** 3 * u**p / (1.0 - u) ** 3 < _REL_TAIL * f3
+                    and j**b * float(p) ** 4 * u**p / (1.0 - u) ** 4 < _REL_TAIL * f4
+                    or v3 == 0.0):
+                return f3, f4
             if j > _MAX_TERMS:
                 raise TruncationTooLarge("series summation did not reach its tail criterion")
 
-    return log_value, mean, variance, log_value_complex, fulcrum_high, log_value_circle
+    return log_value, mean, variance, log_value_complex, fulcrum34, log_value_circle
 
 
 # -- exact coefficient oracles ---------------------------------------------------
@@ -648,14 +639,14 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
     else:  # Wab
         shape, q_gcd = (spec.a, spec.a, spec.b), spec.a
 
-    log_value, mean, variance, log_complex, fulcrum_q, log_circle = _parts_sums(*shape)
+    log_value, mean, variance, log_complex, fulcrum34, log_circle = _parts_sums(*shape)
 
     return Family(
         **common, radius=1.0, mean_sup=math.inf,
         log_value=log_value, mean=mean, variance=variance,
         log_value_complex=log_complex, log_value_circle=log_circle,
         q_gcd=q_gcd,
-        fulcrum34=lambda s: (fulcrum_q(s, 3), fulcrum_q(s, 4)),
+        fulcrum34=fulcrum34,
     )
 
 

@@ -7,10 +7,11 @@ operations on it: mass, moments, characteristic function, fulcrum
 derivatives, Chernoff bounds and the structural diagnostics.
 
 Evaluation is organized around logs: a family must know ln f(t) (and
-optionally ln f(z) for complex z); means and variances are the first two
-derivatives of the fulcrum s -> ln f(e^s), i.e. the first two cumulants of
-X_t, and higher derivatives of f are reconstructed from cumulants when a
-closed form is not provided.
+optionally ln f(z) for complex z); the mean, the variance and the third and
+fourth fulcrum derivatives are the derivatives of order 1 to 4 of the
+fulcrum s -> ln f(e^s), i.e. the first four cumulants of X_t, each
+supplied by the family itself, none by numerical differentiation. Moments
+up to order 4 come from these cumulants.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from .errors import (
     ZeroInSector,
     ZeroMean,
 )
-from .numerics import (
-    LogNumber,
-    finite_diff_richardson,
-    log_of_fraction,
-    second_diff_richardson,
-)
+from .numerics import LogNumber, log_of_fraction
 
 # Maximum-term comparison constant from the Chebyshev argument:
 # f(t) <= (1/H) * mu(f, t) * (1 + sigma_f(t)) with H = 1/(4*sqrt(2)).
@@ -63,10 +59,9 @@ class Family:
     """An evaluable generating function together with its family data.
 
     ``log_value`` is ln f(t) on (0, radius); ``mean`` and ``variance`` are
-    m_f and sigma_f^2. ``fulcrum34``, when given, returns the third and
-    fourth fulcrum derivatives at s = ln t (the third and fourth cumulants
-    of X_t); otherwise they are obtained by finite differences of the
-    variance. ``log_value_complex`` is any branch of log f(z); only
+    m_f and sigma_f^2. ``fulcrum34`` returns the third and fourth fulcrum
+    derivatives at s = ln t (the third and fourth cumulants of X_t).
+    ``log_value_complex`` is any branch of log f(z); only
     exp(log f(z) - log f(t)) is ever consumed, which is branch-free.
 
     ``log_value_circle``, when given, takes a radius t and returns an
@@ -93,11 +88,11 @@ class Family:
     log_value: Callable[[float], float]
     mean: Callable[[float], float]
     variance: Callable[[float], float]
+    fulcrum34: Callable[[float], tuple[float, float]]
     log_value_complex: Callable[[complex], complex] | None = None
     log_value_circle: Callable[[float], Callable[[complex], complex]] | None = None
     q_gcd: int = 1
     usg: bool = False
-    fulcrum34: Callable[[float], tuple[float, float]] | None = None
     boundary_variance: float | None = None
     spec_key: str | None = None
     meta: dict = field(default_factory=dict, compare=False)
@@ -184,21 +179,32 @@ def _cumulants(fam: Family, t: float, order: int) -> list[float]:
     """Cumulants kappa_1..kappa_order of X_t (order <= 4)."""
     fam.check_radius(t)
     out = [fam.mean(t), fam.variance(t)]
-    if order <= 2:
-        return out[:order]
-    s = math.log(t)
-    if fam.fulcrum34 is not None:
-        f3, f4 = fam.fulcrum34(s)
-    else:
-        h = 1e-4 * max(1.0, abs(s))
-
-        def var_at(u: float) -> float:
-            return fam.variance(math.exp(u))
-
-        f3 = finite_diff_richardson(var_at, s, h)
-        f4 = second_diff_richardson(var_at, s, h)
-    out.extend([f3, f4])
+    if order > 2:
+        out.extend(fam.fulcrum34(math.log(t)))
     return out[:order]
+
+
+def _factorial_moments(kappa: list[float]) -> list[float]:
+    """Factorial moments of orders 1..len(kappa) from the cumulants kappa
+    (at most four), through the raw moments."""
+    j = len(kappa)
+    m1 = kappa[0]
+    ex = [1.0, m1]
+    if j >= 2:
+        ex.append(kappa[1] + m1 * m1)
+    if j >= 3:
+        ex.append(kappa[2] + 3.0 * kappa[1] * m1 + m1**3)
+    if j >= 4:
+        ex.append(kappa[3] + 4.0 * kappa[2] * m1 + 3.0 * kappa[1] ** 2
+                  + 6.0 * kappa[1] * m1 * m1 + m1**4)
+    out = [ex[1]]
+    if j >= 2:
+        out.append(ex[2] - ex[1])
+    if j >= 3:
+        out.append(ex[3] - 3.0 * ex[2] + 2.0 * ex[1])
+    if j >= 4:
+        out.append(ex[4] - 6.0 * ex[3] + 11.0 * ex[2] - 6.0 * ex[1])
+    return out
 
 
 def factorial_moment(fam: Family, t: float, j: int) -> float:
@@ -209,22 +215,7 @@ def factorial_moment(fam: Family, t: float, j: int) -> float:
         return 1.0
     if j > 4:
         return _direct_moment_sum(fam, t, j, factorial=True)
-    k = _cumulants(fam, t, min(j, 4))
-    m1 = k[0]
-    ex = [1.0, m1]
-    if j >= 2:
-        ex.append(k[1] + m1 * m1)
-    if j >= 3:
-        ex.append(k[2] + 3.0 * k[1] * m1 + m1**3)
-    if j >= 4:
-        ex.append(k[3] + 4.0 * k[2] * m1 + 3.0 * k[1] ** 2 + 6.0 * k[1] * m1 * m1 + m1**4)
-    if j == 1:
-        return ex[1]
-    if j == 2:
-        return ex[2] - ex[1]
-    if j == 3:
-        return ex[3] - 3.0 * ex[2] + 2.0 * ex[1]
-    return ex[4] - 6.0 * ex[3] + 11.0 * ex[2] - 6.0 * ex[1]
+    return _factorial_moments(_cumulants(fam, t, j))[-1]
 
 
 def moment(fam: Family, t: float, k: int) -> float:
@@ -236,7 +227,8 @@ def moment(fam: Family, t: float, k: int) -> float:
         return fam.mean(t)
     if k > 4:
         return _direct_moment_sum(fam, t, k, factorial=False)
-    return math.fsum(stirling2(k, j) * factorial_moment(fam, t, j) for j in range(1, k + 1))
+    fm = _factorial_moments(_cumulants(fam, t, k))
+    return math.fsum(stirling2(k, j) * fm[j - 1] for j in range(1, k + 1))
 
 
 def central_moment(fam: Family, t: float, k: int) -> float:
@@ -462,24 +454,6 @@ def estimate_order(fam: Family, t_grid: Sequence[float]) -> float:
     if not vals:
         raise ZeroMean("mean vanishes on the whole grid")
     return max(vals)
-
-
-# -- derivatives of f ----------------------------------------------------------
-
-
-def eval_real(fam: Family, t: float) -> tuple[float, float, float, float]:
-    """(f, f', f'', f''') at t, reconstructed from the cumulants.
-
-    Uses t^j f^(j)/f = j-th factorial moment; values can overflow for huge
-    ln f(t), which is fine at desk scale (the asymptotic pipeline consumes
-    logs, never these raw values).
-    """
-    fam.check_radius(t)
-    f = math.exp(fam.log_value(t))
-    fm1 = factorial_moment(fam, t, 1)
-    fm2 = factorial_moment(fam, t, 2)
-    fm3 = factorial_moment(fam, t, 3)
-    return f, f * fm1 / t, f * fm2 / t**2, f * fm3 / t**3
 
 
 # -- building families from raw coefficients -----------------------------------

@@ -187,10 +187,9 @@ def func_asym(h: Family, psi: Family, n: int) -> Estimate:
     if ap.kind != "interior":
         raise MeanSupBelowOne("function asymptotics need an interior apex")
     tau, sigma = ap.tau, math.sqrt(ap.sigma2)
-    # H'(tau) from the family's derivative reconstruction
-    from .family import eval_real
-
-    h_prime = eval_real(h, tau)[1]
+    # H'(tau) = H(tau) m_H(tau) / tau
+    h.check_radius(tau)
+    h_prime = math.exp(h.log_value(tau)) * h.mean(tau) / tau
     ln = (
         -0.5 * math.log(2.0 * math.pi)
         + math.log(h_prime)
@@ -324,10 +323,10 @@ def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
             raise ParameterDomain(
                 f"need s*tau < t*S: s={s}, tau={tau}, t={t}, S={s_radius}"
             )
-        from .family import eval_real
-
         log_s_over_f = math.log(s) - f.log_value(s)
-        log_fprime = math.log(eval_real(f, s * tau / t)[1])
+        x = s * tau / t
+        f.check_radius(x)
+        log_fprime = math.log(math.exp(f.log_value(x)) * f.mean(x) / x)
     ln = (
         -0.5 * math.log(2.0 * math.pi)
         + log_s_over_f

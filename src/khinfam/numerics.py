@@ -204,22 +204,6 @@ def finite_diff(g: Callable[[float], float], t: float, h: float) -> float:
     return (g(t + h) - g(t - h)) / (2.0 * h)
 
 
-def finite_diff_richardson(g: Callable[[float], float], t: float, h: float) -> float:
-    """Richardson-extrapolated central difference, O(h^4)."""
-    d1 = finite_diff(g, t, h)
-    d2 = finite_diff(g, t, h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def second_diff_richardson(g: Callable[[float], float], t: float, h: float) -> float:
-    """Richardson-extrapolated second central difference, O(h^4)."""
-
-    def d2(step: float) -> float:
-        return (g(t + step) - 2.0 * g(t) + g(t - step)) / (step * step)
-
-    return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-
-
 def solve_monotone_point(
     g: Callable[[float], float], target: float, bracket: RootBracket
 ) -> tuple[float, float]:

@@ -227,6 +227,8 @@ def power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = None) ->
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
+    if k < 0:
+        raise ValueError(f"coefficient index must be >= 0, got {k}")
     x, y = _power_split(a.truncate(k), n, None if h is None else h.truncate(k))
     if y is None:
         return _frac(x.coeffs[k])

@@ -126,6 +126,28 @@ class TestMoments:
                 direct = F._direct_weighted_sum(fam, t, lambda x: x**k)
                 assert abs(F.moment(fam, t, k) - direct) <= 1e-8 * max(1.0, direct)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_evaluation_of_the_cumulants(self, fams, k):
+        # moment(k) reads m, sigma^2 and (k > 2) F''', F'''' once each, and
+        # equals the Stirling sum over factorial_moment bit for bit
+        calls = []
+
+        def counted(name):
+            fn = getattr(fams["P"], name)
+
+            def wrapped(x):
+                calls.append(name)
+                return fn(x)
+
+            return wrapped
+
+        names = ("log_value", "mean", "variance", "fulcrum34")
+        fam = dataclasses.replace(fams["P"], **{n: counted(n) for n in names})
+        got = F.moment(fam, 0.6, k)
+        assert calls == ["mean", "variance"] + (["fulcrum34"] if k > 2 else [])
+        assert got == math.fsum(F.stirling2(k, j) * F.factorial_moment(fams["P"], 0.6, j)
+                                for j in range(1, k + 1))
+
     def test_high_order_falls_back_to_coefficients(self, fams):
         direct = F._direct_weighted_sum(fams["exp"], 1.0, lambda x: x**5)
         assert abs(F.moment(fams["exp"], 1.0, 5) - direct) < 1e-12
@@ -243,17 +265,6 @@ class TestFulcrum:
         d = F.fulcrum_derivs(fams["P"], s, 2)
         ratio = d[1] / (2 * (math.pi**2 / 6) / 0.01**3)
         assert abs(ratio - 0.99848) < 2e-3
-
-    def test_finite_difference_fallback_matches_closed_form(self, fams):
-        import dataclasses
-
-        fam = fams["bell"]
-        bare = dataclasses.replace(fam, fulcrum34=None)
-        s = 0.3
-        closed = F.fulcrum_derivs(fam, s, 4)
-        fd = F.fulcrum_derivs(bare, s, 4)
-        assert abs(fd[2] - closed[2]) < 1e-5 * abs(closed[2])
-        assert abs(fd[3] - closed[3]) < 1e-3 * abs(closed[3])
 
 
 class TestMgf:
@@ -386,21 +397,6 @@ class TestDiagnostics:
             F.estimate_order(fams["geom"], [10.0])
 
 
-class TestEvalReal:
-    def test_polynomial_derivatives_exact(self):
-        fam = make_family(parse_family("poly:2,3,5"), trunc=8)
-        f, d1, d2, d3 = F.eval_real(fam, 2.0)
-        assert abs(f - (2 + 6 + 20)) < 1e-9
-        assert abs(d1 - (3 + 20)) < 1e-9
-        assert abs(d2 - 10.0) < 1e-8
-        assert abs(d3 - 0.0) < 1e-6
-
-    def test_exponential_derivatives(self, fams):
-        f, d1, d2, d3 = F.eval_real(fams["exp"], 1.5)
-        for v in (f, d1, d2, d3):
-            assert abs(v - math.exp(1.5)) < 1e-6
-
-
 class TestOperationsLaws:
     def test_product_law(self):
         g = exact_coeffs(parse_family("geom"), 256)
@@ -492,6 +488,9 @@ class TestLazyOracle:
 # float.hex of (ln f, mean, variance, F''', F'''', Re ln f, Im ln f): the
 # first three at t, the fulcrum derivatives at s = ln t and ln f at z = t e^i.
 # A change to how make_family assembles a family must not move a bit of them.
+# The partition products' F''' and F'''' were re-taken when their inner sums
+# became closed forms: P 0.41 F''' -2 ulps, P 0.77 F'''' -1, Q and Pab:2,1
+# 0.41 F''' and F'''' -1 each, 0.77 F'''' +2, Wab:1,1 0.77 F''' -1.
 CONSTRUCTION_PINS = {
     ("exp", 0.73): (
         "0x1.75c28f5c28f5cp-1", "0x1.75c28f5c28f5cp-1", "0x1.75c28f5c28f5cp-1",
@@ -551,27 +550,27 @@ CONSTRUCTION_PINS = {
         "-0x1.3765ad0d0d8e1p+3", "-0x1.64122f3b1750ap+1"),
     ("P", 0.41): (
         "0x1.a9b659cc0daccp-1", "0x1.8cd430964b0c9p+0", "0x1.00cf794c6f45ep+2",
-        "0x1.c69fff9c3c147p+3", "0x1.05477a19125a8p+6",
+        "0x1.c69fff9c3c145p+3", "0x1.05477a19125a8p+6",
         "0x1.da5a25529cc80p-8", "0x1.12d388fcadf58p-1"),
     ("P", 0.77): (
         "0x1.2c583d761c7a1p+2", "0x1.635615f81f456p+4", "0x1.61e2f442ea1dcp+7",
-        "0x1.015fe5e930523p+11", "0x1.efb70caaca93bp+14",
+        "0x1.015fe5e930523p+11", "0x1.efb70caaca93ap+14",
         "-0x1.058ae13e0824ep-1", "0x1.d9079947f2a14p-1"),
     ("Q", 0.41): (
         "0x1.39e0670ebb6b4p-1", "0x1.fc642cbf2223cp-1", "0x1.29108e63b6ddcp+1",
-        "0x1.f3c609f3df127p+2", "0x1.184496fbf2913p+5",
+        "0x1.f3c609f3df126p+2", "0x1.184496fbf2912p+5",
         "0x1.95fc47b022a47p-4", "0x1.aa7c7ef0922d0p-2"),
     ("Q", 0.77): (
         "0x1.67d33848d7b79p+1", "0x1.7ff1e0cab7624p+3", "0x1.70867da5478d5p+6",
-        "0x1.086030c45b5d6p+10", "0x1.f9c2969ec1174p+13",
+        "0x1.086030c45b5d6p+10", "0x1.f9c2969ec1176p+13",
         "-0x1.22add7e842e84p-3", "0x1.735793f3612dep-1"),
     ("Pab:2,1", 0.41): (
         "0x1.39e0670ebb6b4p-1", "0x1.fc642cbf2223cp-1", "0x1.29108e63b6ddcp+1",
-        "0x1.f3c609f3df127p+2", "0x1.184496fbf2913p+5",
+        "0x1.f3c609f3df126p+2", "0x1.184496fbf2912p+5",
         "0x1.95fc47b022a47p-4", "0x1.aa7c7ef0922d0p-2"),
     ("Pab:2,1", 0.77): (
         "0x1.67d33848d7b79p+1", "0x1.7ff1e0cab7624p+3", "0x1.70867da5478d5p+6",
-        "0x1.086030c45b5d6p+10", "0x1.f9c2969ec1174p+13",
+        "0x1.086030c45b5d6p+10", "0x1.f9c2969ec1176p+13",
         "-0x1.22add7e842e84p-3", "0x1.735793f3612dep-1"),
     ("Wab:1,1", 0.41): (
         "0x1.563c962f15dfdp+0", "0x1.a648b2b8d8d70p+1", "0x1.69d6b6b51891ap+3",
@@ -579,7 +578,7 @@ CONSTRUCTION_PINS = {
         "-0x1.bd64325a77f24p-3", "0x1.30fff72b22108p-1"),
     ("Wab:1,1", 0.77): (
         "0x1.151c5c517d3c8p+4", "0x1.0caad89547b20p+7", "0x1.82163c5a80e4dp+10",
-        "0x1.7171e52fdc30cp+14", "0x1.b9cba2d043bd8p+18",
+        "0x1.7171e52fdc30bp+14", "0x1.b9cba2d043bd8p+18",
         "-0x1.24aebb96f2ab8p+0", "0x1.c3e9c608ed26cp-2"),
     ("expof:poly:0,0,1", 0.73): (
         "0x1.10d844d013a92p-1", "0x1.10d844d013a92p+0", "0x1.10d844d013a92p+1",

@@ -284,6 +284,12 @@ class TestPowerCoeff:
         with pytest.raises(ValueError):
             S.power_coeff(S.CoeffSeries.from_list([1, 1]), 0, 3)
 
+    def test_rejects_negative_index(self):
+        a = S.CoeffSeries.from_list([1, 1])
+        for h in (None, a):
+            with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+                S.power_coeff(a, 3, -1, h)
+
     @settings(max_examples=120, deadline=None)
     @given(any_series(max_order=16), exponents, st.integers(min_value=0, max_value=24),
            st.none() | any_series(max_order=16) | any_series(max_order=16, constant="zero"))
