@@ -201,6 +201,7 @@ def local_clt_sup(fam: Family, t: float) -> float:
     The true statement takes the sup over all integers; a truncation can
     only certify the window mean +- 10 sigma, whose top the oracle must reach.
     """
+    fam.check_radius(t)
     if fam.coeffs is None:
         raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
     m = fam.mean(t)
@@ -247,6 +248,7 @@ def strong_gaussian_integral(fam: Family, t: float) -> float:
 def _normalized_charfn(fam: Family, t: float):
     """sigma_f(t) and theta -> E e^{i theta X-check}, the characteristic
     function of (X_t - m) / sigma, with ln f from the circle evaluator at t."""
+    fam.check_radius(t)
     sigma = math.sqrt(fam.variance(t))
     m = fam.mean(t)
     log_f = fam.log_value(t)
@@ -291,6 +293,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, base: int = 4096) -> fl
 
 def gaussianity_ratio(fam: Family, t: float) -> float:
     """Skewness-type ratio F'''(s) / F''(s)^{3/2} at s = ln t."""
+    fam.check_radius(t)
     s = math.log(t)
     d = fm.fulcrum_derivs(fam, s, max_order=3)
     return d[2] / d[1] ** 1.5

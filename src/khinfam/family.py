@@ -176,9 +176,12 @@ def mass_total(fam: Family, t: float) -> tuple[float, float]:
 
 
 def _cumulants(fam: Family, t: float, order: int) -> list[float]:
-    """Cumulants kappa_1..kappa_order of X_t (order <= 4)."""
+    """Cumulants kappa_1..kappa_order of X_t (order <= 4); evaluates only
+    the ones asked for."""
     fam.check_radius(t)
-    out = [fam.mean(t), fam.variance(t)]
+    out = [fam.mean(t)]
+    if order > 1:
+        out.append(fam.variance(t))
     if order > 2:
         out.extend(fam.fulcrum34(math.log(t)))
     return out[:order]
@@ -211,6 +214,7 @@ def factorial_moment(fam: Family, t: float, j: int) -> float:
     """E[X_t (X_t - 1) ... (X_t - j + 1)] = t^j f^(j)(t) / f(t)."""
     if j < 0:
         raise ValueError("factorial moment order must be >= 0")
+    fam.check_radius(t)
     if j == 0:
         return 1.0
     if j > 4:
@@ -223,8 +227,6 @@ def moment(fam: Family, t: float, k: int) -> float:
     falling back to direct coefficient sums for higher k."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    if k == 1:
-        return fam.mean(t)
     if k > 4:
         return _direct_moment_sum(fam, t, k, factorial=False)
     fm = _factorial_moments(_cumulants(fam, t, k))
@@ -234,15 +236,14 @@ def moment(fam: Family, t: float, k: int) -> float:
 def central_moment(fam: Family, t: float, k: int) -> float:
     if k < 1:
         raise ValueError("central moment order must be >= 1")
+    fam.check_radius(t)
     if k == 1:
         return 0.0
     if k == 2:
         return fam.variance(t)
     if k <= 4:
-        kappa = _cumulants(fam, t, k)
-        if k == 3:
-            return kappa[2]
-        return kappa[3] + 3.0 * kappa[1] ** 2
+        k3, k4 = fam.fulcrum34(math.log(t))
+        return k3 if k == 3 else k4 + 3.0 * fam.variance(t) ** 2
     m = fam.mean(t)
     return _direct_weighted_sum(fam, t, lambda n: (n - m) ** k)
 
@@ -304,6 +305,7 @@ def charfn(fam: Family, t: float, theta: float) -> complex:
 
 def normalized_charfn(fam: Family, t: float, theta: float) -> complex:
     """Characteristic function of (X_t - m) / sigma."""
+    fam.check_radius(t)
     sigma = math.sqrt(fam.variance(t))
     m = fam.mean(t)
     return charfn(fam, t, theta / sigma) * cmath.exp(-1j * theta * m / sigma)
@@ -365,6 +367,7 @@ def chernoff_bound(fam: Family, t: float, y: float, lam_max: float) -> float:
 
 def clan_ratio(fam: Family, t: float) -> float:
     """sigma_f(t) / m_f(t); small values signal concentration."""
+    fam.check_radius(t)
     m = fam.mean(t)
     if m <= 0:
         raise ZeroMean(f"mean vanishes at t={t}")

@@ -1,9 +1,9 @@
 """Asymptotics of the k-th coefficient of psi(z)^n across all k/n regimes.
 
-Every estimator returns a log-space value. The exact oracle is
-``series.power_coeff``, coefficient k of h*psi^n (psi^n without a prefactor
-h) in exact rationals: psi and h are truncated at k, and the last step of
-binary exponentiation is the one O(k) dot product that is read.
+Every estimator but the exact fixed-k polynomial returns a log-space value.
+The exact oracle is ``series.power_coeff``, coefficient k of h*psi^n (or psi^n)
+in exact rationals from psi and h truncated at k; the last step of binary
+exponentiation is one O(k) dot product. A shorter truncation is refused.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import (
     BoundaryVarianceInfinite,
     BudgetExceeded,
     FirstCoefficientZero,
+    IndexBeyondTruncation,
     KTooLarge,
     LAboveMeanSup,
     NoApplicableRegime,
@@ -63,16 +64,25 @@ class PowerCoeffQuery:
 
 def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
     """coeff_k(psi^n), or of h*psi^n with a prefactor, exactly."""
-    psi, n, k = q.psi, q.n, q.k
+    psi, n, k, h = q.psi, q.n, q.k, q.prefactor
     if psi.coeffs is None:
         raise NoCoefficientAccess(f"{psi.name} carries no coefficients")
     cost = (k + 1) ** 2 * (2 * max(1, n.bit_length()))
     if cost > CONVOLUTION_BUDGET:
         raise BudgetExceeded(f"estimated {cost} coefficient-multiplies exceeds the budget")
-    h = None if q.prefactor is None else q.prefactor.coeffs
-    if q.prefactor is not None and h is None:
+    if h is not None and h.coeffs is None:
         raise NoCoefficientAccess("prefactor carries no coefficients")
-    return se.power_coeff(psi.coeffs, n, k, h)
+    a = _coeffs_through(psi, k)
+    return se.power_coeff(a, n, k, None if h is None else _coeffs_through(h, k))
+
+
+def _coeffs_through(fam: Family, k: int) -> se.CoeffSeries:
+    """fam's coefficients, refused if truncated before index k and fam may
+    reach it: an entire fam has degree mean_sup (finite for a polynomial)."""
+    coeffs, degree = fam.coeffs, fam.mean_sup if math.isinf(fam.radius) else math.inf
+    if coeffs.order < min(k, degree):
+        raise IndexBeyondTruncation(f"{fam.name} is truncated at order {coeffs.order} < {k}")
+    return coeffs
 
 
 def _estimate(
@@ -223,36 +233,19 @@ class FixedKPolynomial:
 def fixed_k_polynomial(psi: se.CoeffSeries, k: int) -> FixedKPolynomial:
     """Exact polynomial-in-n form of coeff_k(psi^n) for fixed k (k <= 64).
 
-    c_l sums multinomials over the compositions j_1 + 2 j_2 + ... = k with
-    j_1 + ... + j_k = l; enumerated over the partitions of k.
+    With u = psi - b0, psi^n = sum_l C(n, l) b0^{n-l} u^l: c_l is coefficient
+    k of u^l (c_0 = [k = 0]), read off one running product of u at order k.
     """
     if k > FIXED_K_MAX:
-        raise KTooLarge(f"fixed-k enumeration is guarded at k <= {FIXED_K_MAX}")
-    b = [psi.coeff(i) if i <= psi.order else Fraction(0) for i in range(k + 1)]
-    c = [Fraction(0)] * (k + 1)
-    if k == 0:
-        return FixedKPolynomial(0, b[0], (Fraction(1),))
-
-    # iterate over partitions of k into parts >= 1 (multiplicity vectors)
-    def recurse(remaining: int, max_part: int, mults: list[int]) -> None:
-        if remaining == 0:
-            l = sum(mults)
-            weight = Fraction(math.factorial(l))
-            for i, m in enumerate(mults):
-                if m:
-                    part = i + 1
-                    if b[part] == 0:
-                        return
-                    weight *= b[part] ** m / math.factorial(m)
-            c[l] += weight
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            mults[part - 1] += 1
-            recurse(remaining - part, part, mults)
-            mults[part - 1] -= 1
-
-    recurse(k, k, [0] * k)
-    return FixedKPolynomial(k, b[0], tuple(c))
+        raise KTooLarge(f"fixed-k polynomial is guarded at k <= {FIXED_K_MAX}")
+    head = psi.truncate(k)
+    u = se.CoeffSeries((Fraction(0),) + head.coeffs[1:])
+    c = [Fraction(int(k == 0))]
+    power = se.CoeffSeries.from_list([1], order=k)
+    for _ in range(k):
+        power = se.mul(power, u)
+        c.append(power.coeff(k))
+    return FixedKPolynomial(k, head.coeff(0), tuple(c))
 
 
 def estimate_large_k(q: PowerCoeffQuery) -> Estimate:
@@ -337,7 +330,7 @@ def estimate(q: PowerCoeffQuery, regime: Regime) -> Estimate | FixedKPolynomial:
     if kind == "fixed_k":
         if q.psi.coeffs is None:
             raise NoApplicableRegime("fixed-k route needs coefficients")
-        return fixed_k_polynomial(q.psi.coeffs, q.k)
+        return fixed_k_polynomial(_coeffs_through(q.psi, q.k), q.k)
     if kind == "large_k":
         return estimate_large_k(q)
     raise RegimeMismatch(f"unknown regime {kind!r}")

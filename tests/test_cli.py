@@ -111,6 +111,32 @@ class TestLargepowVerb:
         assert row["regime"] == "fixed_k"
         assert float(row["ratio"]) == 1.0
 
+    def test_fixed_k_at_the_guard(self):
+        # k = 64 is the largest fixed-k index; the polynomial equals the oracle
+        code, out = run(["--out", "jsonl", "largepow", "--psi", "exp",
+                         "--n", "1000", "--k", "64"])
+        assert code == 0
+        row = json.loads(out.splitlines()[0])
+        assert row["regime"] == "fixed_k"
+        assert row["ratio"] == "1"
+        assert float(row["exact_ln"]) == pytest.approx(64 * math.log(1000) - math.lgamma(65),
+                                                       rel=1e-12)
+
+    def test_truncated_psi_is_not_reported_as_exact(self, capsys):
+        # --trunc 4 keeps e^z through z^4 only: index 10 of its powers is
+        # out of reach, so no row claims an exact value
+        argv = ["--trunc", "4", "largepow", "--psi", "exp", "--n", "100", "--k"]
+        assert cli.main(argv + ["10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: IndexBeyondTruncation: exp is truncated at order 4 < 10")
+        code, out = run(["--out", "jsonl"] + argv + ["50", "--regime", "comparable:0.1,0.9"])
+        assert code == 0
+        row = json.loads(out.splitlines()[0])
+        assert row["regime"] == "comparable" and row["ln"]
+        assert row["exact_ln"] == row["exact"] == row["ratio"] == ""
+
     def test_auto_with_prefactor_small_k(self):
         code, out = run(["--out", "jsonl", "largepow", "--psi", "poly:1,1", "--h", "poly:1,1",
                          "--n", "1000", "--k", "20", "--regime", "auto"])

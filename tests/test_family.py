@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from khinfam import asym as A
 from khinfam import catalog
 from khinfam import family as F
 from khinfam import series as S
@@ -147,6 +148,39 @@ class TestMoments:
         assert calls == ["mean", "variance"] + (["fulcrum34"] if k > 2 else [])
         assert got == math.fsum(F.stirling2(k, j) * F.factorial_moment(fams["P"], 0.6, j)
                                 for j in range(1, k + 1))
+
+    @pytest.mark.parametrize("stat,want", [
+        (lambda fam, t: F.moment(fam, t, 1), ["mean"]),
+        (lambda fam, t: F.factorial_moment(fam, t, 1), ["mean"]),
+        (lambda fam, t: F.factorial_moment(fam, t, 2), ["mean", "variance"]),
+        (lambda fam, t: F.central_moment(fam, t, 2), ["variance"]),
+        (lambda fam, t: F.central_moment(fam, t, 3), ["fulcrum34"]),
+        (lambda fam, t: F.central_moment(fam, t, 4), ["fulcrum34", "variance"]),
+        (lambda fam, t: F.fulcrum_derivs(fam, math.log(t), 1), ["mean"]),
+    ], ids=["moment1", "fmoment1", "fmoment2", "cmoment2", "cmoment3", "cmoment4", "fulcrum1"])
+    def test_only_the_cumulants_read_are_evaluated(self, fams, stat, want):
+        calls = []
+
+        def counted(name):
+            fn = getattr(fams["P"], name)
+
+            def wrapped(x):
+                calls.append(name)
+                return fn(x)
+
+            return wrapped
+
+        names = ("log_value", "mean", "variance", "fulcrum34")
+        fam = dataclasses.replace(fams["P"], **{n: counted(n) for n in names})
+        got = stat(fam, 0.6)
+        assert calls == want
+        assert got == stat(fams["P"], 0.6)
+
+    def test_third_and_fourth_central_moments_from_the_cumulants(self, fams):
+        fam, t = fams["P"], 0.6
+        k3, k4 = fam.fulcrum34(math.log(t))
+        assert F.central_moment(fam, t, 3) == k3
+        assert F.central_moment(fam, t, 4) == k4 + 3.0 * fam.variance(t) ** 2
 
     def test_high_order_falls_back_to_coefficients(self, fams):
         direct = F._direct_weighted_sum(fams["exp"], 1.0, lambda x: x**5)
@@ -621,6 +655,31 @@ class TestRadiusCheck:
     def test_rejects_non_finite_and_non_positive(self, t):
         with pytest.raises(RadiusOutOfRange):
             make_family(parse_family("exp"), trunc=8).check_radius(t)
+
+    # each pointwise statistic checks t before it evaluates anything: on geom
+    # (radius 1) at t = 2 the closed-form evaluators return a mean of -2.0
+    # and a finite variance, which no statistic may pass on as a value
+    STATS = {
+        "moment1": lambda fam, t: F.moment(fam, t, 1),
+        "moment2": lambda fam, t: F.moment(fam, t, 2),
+        "fmoment0": lambda fam, t: F.factorial_moment(fam, t, 0),
+        "fmoment1": lambda fam, t: F.factorial_moment(fam, t, 1),
+        "cmoment1": lambda fam, t: F.central_moment(fam, t, 1),
+        "cmoment2": lambda fam, t: F.central_moment(fam, t, 2),
+        "cmoment3": lambda fam, t: F.central_moment(fam, t, 3),
+        "clan": F.clan_ratio,
+        "ncharfn": lambda fam, t: F.normalized_charfn(fam, t, 0.5),
+        "sgauss": A.strong_gaussian_integral,
+        "cuts": lambda fam, t: A.cut_diagnostics(fam, t, 1.0),
+        "gratio": A.gaussianity_ratio,
+        "cltsup": A.local_clt_sup,
+    }
+
+    @pytest.mark.parametrize("t", [2.0, -1.0])
+    @pytest.mark.parametrize("stat", sorted(STATS))
+    def test_statistics_check_the_radius_first(self, fams, stat, t):
+        with pytest.raises(RadiusOutOfRange):
+            self.STATS[stat](fams["geom"], t)
 
 
 def _planted(fam, t, log_at_zero):

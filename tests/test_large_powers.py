@@ -14,6 +14,7 @@ from khinfam.errors import (
     BoundaryVarianceInfinite,
     BudgetExceeded,
     FirstCoefficientZero,
+    IndexBeyondTruncation,
     KTooLarge,
     LAboveMeanSup,
     NoApplicableRegime,
@@ -135,6 +136,36 @@ class TestExactRefusals:
         # the budget is checked before the prefactor, as it always was
         with pytest.raises(BudgetExceeded):
             LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 10_000, prefactor=bare))
+
+    def test_truncation_below_k_refused(self, multiplies):
+        # powering e^z cut at z^4 would give 2.7557252624e13 for coefficient
+        # 10 of (e^z)^100, against 100^10/10! = 2.7557319224e13
+        exp4 = make_family(parse_family("exp"), trunc=4)
+        geom9 = make_family(parse_family("geom"), trunc=9)
+        poly1 = make_family(parse_family("poly:1,1,1"), trunc=1)
+        for q in (LP.PowerCoeffQuery(exp4, 100, 10),
+                  LP.PowerCoeffQuery(geom9, 3, 10),
+                  LP.PowerCoeffQuery(poly1, 5, 2),
+                  LP.PowerCoeffQuery(make_family(parse_family("exp"), trunc=16), 5, 10,
+                                     prefactor=geom9)):
+            with pytest.raises(IndexBeyondTruncation, match="truncated at order"):
+                LP.exact_power_coeff(q)
+            if q.prefactor is None:
+                with pytest.raises(IndexBeyondTruncation):
+                    LP.estimate(q, LP.Regime("fixed_k"))
+        assert multiplies == []
+
+    def test_truncation_through_k_or_the_degree_accepted(self, binom):
+        # order >= k, or >= the degree of a polynomial, changes nothing
+        exp10 = make_family(parse_family("exp"), trunc=10)
+        q = LP.PowerCoeffQuery(exp10, 100, 10)
+        assert LP.exact_power_coeff(q) == Fraction(100**10, math.factorial(10))
+        assert LP.estimate(q, LP.Regime("fixed_k")).value_at(100) == LP.exact_power_coeff(q)
+        poly2 = make_family(parse_family("poly:1,1,1"), trunc=2)
+        assert LP.exact_power_coeff(LP.PowerCoeffQuery(poly2, 3, 3)) == 7
+        q = LP.PowerCoeffQuery(binom, 40, 20, prefactor=poly2)
+        assert binom.coeffs.order == 8
+        assert LP.exact_power_coeff(q) == sum(math.comb(40, 20 - i) for i in range(3))
 
 
 class TestComparable:
@@ -318,6 +349,32 @@ class TestFixedK:
         with pytest.raises(KTooLarge):
             LP.fixed_k_polynomial(binom.coeffs, 65)
 
+    # c_l = coeff_k((psi - b0)^l) in closed form, without the series kernel:
+    # e^z - 1 gives l! S(k, l) / k!, z/(1 - z) gives C(k-1, l-1), and z gives [l = k]
+    ORACLES = {
+        "exp": lambda k, l: Fraction(math.factorial(l) * F.stirling2(k, l), math.factorial(k)),
+        "geom": lambda k, l: Fraction(math.comb(k - 1, l - 1) if l >= 1 else 0),
+        "poly:1,1": lambda k, l: Fraction(int(l == k)),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(ORACLES))
+    @pytest.mark.parametrize("k", [1, 7, 31, 64])
+    def test_closed_form_coefficients(self, spec, k):
+        poly = LP.fixed_k_polynomial(exact_coeffs(parse_family(spec), k), k)
+        assert poly.k == k and poly.b0 == 1
+        assert poly.c == tuple(self.ORACLES[spec](k, l) for l in range(k + 1))
+        assert all(type(cl) is Fraction for cl in poly.c)
+
+    def test_zero_index(self):
+        poly = LP.fixed_k_polynomial(exact_coeffs(parse_family("poly:2,1"), 4), 0)
+        assert poly.c == (1,) and poly.b0 == 2 and poly.value_at(7) == 2**7
+
+    def test_truncation_below_k_reads_zeros(self):
+        # a series given directly is taken as it stands: missing terms are 0
+        short = exact_coeffs(parse_family("exp"), 3)
+        padded = short.pad(9)
+        assert LP.fixed_k_polynomial(short, 9) == LP.fixed_k_polynomial(padded, 9)
+
     def test_grid_equality(self):
         specs = ("poly:1,1", "poly:1,1,1", "poly:1,0,1", "exp")
         for text in specs:
@@ -420,7 +477,10 @@ class TestAutoRegime:
         with pytest.raises(NoApplicableRegime, match="prefactor binom:4"):
             LP.auto_regime(LP.PowerCoeffQuery(expf, 5, 500, prefactor=h))
 
-    def test_auto_keeps_the_prefactor(self, expf):
+    def test_auto_keeps_the_prefactor(self):
+        # psi is built through index 150: the module's expf (trunc 128) is
+        # refused by the exact oracle at k = 150
+        expf = make_family(parse_family("exp"), trunc=150)
         h = make_family(parse_family("binom:4"), trunc=64)
         q = LP.PowerCoeffQuery(expf, 100, 150, prefactor=h)
         regime, est = LP.estimate_auto(q)
