@@ -74,6 +74,14 @@ def saddle_solve(fam: Family, n: float) -> SaddlePoint:
     )
 
 
+def saddle_log(lead: float, n: float, log_psi: float, k: float, tau: float, var: float) -> float:
+    """ln of e^lead psi(tau)^n / (tau^k sqrt(2 pi n var)), the Gaussian saddle
+    estimate of [z^k] e^lead psi^n, summed in this order. Hayman's estimate is
+    n = 1; a Lagrange coefficient (1/n) [z^{n-q}] h psi^n at the apex has
+    ln h(tau) - ln n in lead."""
+    return lead + n * log_psi - k * math.log(tau) - 0.5 * math.log(2.0 * math.pi * n * var)
+
+
 def hayman_estimate(fam: Family, n: int) -> Estimate:
     """Saddle-point estimate of coefficient n.
 
@@ -87,12 +95,7 @@ def hayman_estimate(fam: Family, n: int) -> Estimate:
             raise QGcdNotOne(f"coefficient {n} of {fam.name} vanishes (support gcd {q})")
         meta["rescaled_gcd"] = q
     sp = saddle_solve(fam, float(n))
-    ln = (
-        math.log(q)
-        + sp.log_f
-        - n * math.log(sp.t)
-        - 0.5 * math.log(2.0 * math.pi * sp.variance)
-    )
+    ln = saddle_log(math.log(q), 1, sp.log_f, n, sp.t, sp.variance)
     meta["t"] = sp.t
     return Estimate("hayman", LogNumber.from_log(ln), meta)
 
@@ -110,7 +113,7 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
     s_n = approx.s_for_mean(float(n))
     tau = math.exp(-s_n)
     sigma = approx.sigma_tilde(s_n)
-    ln = fam.log_value(tau) - n * math.log(tau) - 0.5 * math.log(2.0 * math.pi) - math.log(sigma)
+    ln = saddle_log(0.0, 1, fam.log_value(tau), n, tau, sigma * sigma)
     return Estimate(
         "baez-duarte", LogNumber.from_log(ln), {"n": n, "tau": tau, "family": fam.name}
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series as se
-from .asym import Estimate, saddle_solve
+from .asym import Estimate, saddle_log, saddle_solve
 from .errors import (
     IndexBelowJ,
     MeanSupBelowOne,
@@ -126,16 +126,9 @@ def omm_estimate(psi: Family, n: int) -> Estimate | DecayCertificate:
     if ap.kind == "linear":
         ln = log_of_fraction(ap.linear_a) + (n - 1) * log_of_fraction(ap.linear_b)
         return Estimate("omm-linear-exact", LogNumber.from_log(ln), {"n": n})
-    tau, sigma = ap.tau, math.sqrt(ap.sigma2)
-    ln = (
-        math.log(psi.q_gcd)
-        - 0.5 * math.log(2.0 * math.pi)
-        + math.log(tau)
-        - math.log(sigma)
-        - 1.5 * math.log(n)
-        + n * (psi.log_value(tau) - math.log(tau))
-    )
-    return Estimate("omm", LogNumber.from_log(ln), {"n": n, "tau": tau, "psi": psi.name})
+    lead = math.log(psi.q_gcd) - math.log(n)  # A_n = (1/n) [z^{n-1}] psi^n
+    ln = saddle_log(lead, n, psi.log_value(ap.tau), n - 1, ap.tau, ap.sigma2)
+    return Estimate("omm", LogNumber.from_log(ln), {"n": n, "tau": ap.tau, "psi": psi.name})
 
 
 def power_asym(
@@ -145,14 +138,16 @@ def power_asym(
     alpha: float | None = None,
     beta: float | None = None,
 ) -> Estimate:
-    """Asymptotics of coeff_n(g^q).
+    """Asymptotics of coeff_n(g^q) = (q/n) [z^{n-q}] psi^n.
 
-    Fixed q: (q/sqrt(2 pi)) tau^q / sigma(tau) * n^{-3/2} (psi(tau)/tau)^n.
-    Scaled q = alpha n + beta sqrt(n): same shape at the radius where the
-    mean equals 1 - alpha, with the Gaussian drift factor.
+    Fixed q: the saddle estimate at the apex. Scaled q = alpha n + beta
+    sqrt(n): the same at the radius where the mean equals 1 - alpha, with
+    the Gaussian drift factor.
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
+    if n < q:
+        raise IndexBelowJ(f"coefficient {n} of g^{q} is 0: progeny below initial size {q}")
     if alpha is None:
         ap = apex(psi)
         if ap.kind == "linear":
@@ -165,20 +160,15 @@ def power_asym(
         sp = saddle_solve(psi, 1.0 - alpha)
         tau, sigma2 = sp.t, sp.variance
         drift = -(beta or 0.0) ** 2 / (2.0 * sigma2)
-    ln = (
-        math.log(q)
-        - 0.5 * math.log(2.0 * math.pi)
-        + q * math.log(tau)
-        - 0.5 * math.log(sigma2)
-        - 1.5 * math.log(n)
-        + n * (psi.log_value(tau) - math.log(tau))
-        + drift
-    )
+    lead = math.log(q) - math.log(n) + drift
+    ln = saddle_log(lead, n, psi.log_value(tau), n - q, tau, sigma2)
     return Estimate("lagrange-power", LogNumber.from_log(ln), {"n": n, "q": q, "tau": tau})
 
 
 def func_asym(h: Family, psi: Family, n: int) -> Estimate:
-    """Asymptotics of coeff_n(H(g)) for a prefactor-series H."""
+    """Asymptotics of coeff_n(H(g)) = (1/n) [z^{n-1}] H'(z) psi^n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if h.radius < psi.radius:
         raise PrefactorRadiusTooSmall(
             f"H radius {h.radius} below psi radius {psi.radius}"
@@ -186,19 +176,16 @@ def func_asym(h: Family, psi: Family, n: int) -> Estimate:
     ap = apex(psi)
     if ap.kind != "interior":
         raise MeanSupBelowOne("function asymptotics need an interior apex")
-    tau, sigma = ap.tau, math.sqrt(ap.sigma2)
-    # H'(tau) = H(tau) m_H(tau) / tau
-    h.check_radius(tau)
-    h_prime = math.exp(h.log_value(tau)) * h.mean(tau) / tau
-    ln = (
-        -0.5 * math.log(2.0 * math.pi)
-        + math.log(h_prime)
-        + math.log(tau)
-        - math.log(sigma)
-        - 1.5 * math.log(n)
-        + n * (psi.log_value(tau) - math.log(tau))
-    )
+    tau = ap.tau
+    lead = _log_derivative(h, tau) - math.log(n)
+    ln = saddle_log(lead, n, psi.log_value(tau), n - 1, tau, ap.sigma2)
     return Estimate("lagrange-func", LogNumber.from_log(ln), {"n": n, "tau": tau})
+
+
+def _log_derivative(f: Family, x: float) -> float:
+    """ln f'(x) = ln f(x) + ln m_f(x) - ln x, with no float f'(x) formed."""
+    f.check_radius(x)
+    return f.log_value(x) + math.log(f.mean(x)) - math.log(x)
 
 
 # -- Borel-Tanner and Poisson-initial progeny laws ---------------------------------
@@ -237,6 +224,8 @@ def borel_tanner_asym(t: float, j: int, n: int) -> Estimate:
     """(j/sqrt(2 pi)) n^{-3/2} t^{n-j} e^{n(1-t)}."""
     if not 0.0 < t <= 1.0:
         raise ParameterDomain(f"offspring tilt t = {t} must lie in (0, 1]")
+    if n < j:
+        raise IndexBelowJ(f"progeny {n} below initial size {j}")
     ln = (
         math.log(j)
         - 0.5 * math.log(2.0 * math.pi)
@@ -304,38 +293,36 @@ class LagrangianSpec:
 
 
 def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
-    """Asymptotics of P(Z_{s,t} = n) for the tilted Lagrangian law."""
+    """Asymptotics of P(Z_{s,t} = n) for the tilted Lagrangian law.
+
+    With f_s(z) = f(sz)/f(s) and psi_t(z) = psi(tz)/psi(t), P(Z = n) is
+    (1/n) [z^{n-1}] f_s'(z) psi_t(z)^n: the saddle estimate of psi_t at its
+    apex tau/t, where psi_t is psi(tau)/psi(t) and its variance is psi's at
+    tau. For f = z^j, f_s' = j z^{j-1} moves the index to n - j.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     psi, t, s = spec.psi, spec.t, spec.s
     ap = apex(psi)
     if ap.kind == "linear":
         raise ParameterDomain("general asymptotics need an interior or boundary apex")
-    tau, sigma = ap.tau, math.sqrt(ap.sigma2)
+    tau = ap.tau
     if t > tau:
         raise SupercriticalSpec(f"tilt t = {t} above the apex {tau}")
     if spec.monomial_j is not None:
         j = spec.monomial_j
-        log_s_over_f = (1 - j) * math.log(s)  # s / s^j
-        log_fprime = math.log(j) + (j - 1) * (math.log(s) + math.log(tau) - math.log(t))
+        if n < j:
+            raise IndexBelowJ(f"progeny {n} below initial size {j}")
+        lead, k = math.log(j), n - j
     else:
         f = spec.initial
-        s_radius = f.radius
-        if s * tau >= t * s_radius:
+        if s * tau >= t * f.radius:
             raise ParameterDomain(
-                f"need s*tau < t*S: s={s}, tau={tau}, t={t}, S={s_radius}"
+                f"need s*tau < t*S: s={s}, tau={tau}, t={t}, S={f.radius}"
             )
-        log_s_over_f = math.log(s) - f.log_value(s)
-        x = s * tau / t
-        f.check_radius(x)
-        log_fprime = math.log(math.exp(f.log_value(x)) * f.mean(x) / x)
-    ln = (
-        -0.5 * math.log(2.0 * math.pi)
-        + log_s_over_f
-        + n * (psi.log_value(tau) - psi.log_value(t))
-        + (n - 1) * (math.log(t) - math.log(tau))
-        - 1.5 * math.log(n)
-        - math.log(sigma)
-        + log_fprime
-    )
+        lead, k = math.log(s) - f.log_value(s) + _log_derivative(f, s * tau / t), n - 1
+    log_psi_t = psi.log_value(tau) - psi.log_value(t)
+    ln = saddle_log(lead - math.log(n), n, log_psi_t, k, tau / t, ap.sigma2)
     return Estimate(
         "lagrangian", LogNumber.from_log(ln), {"n": n, "t": t, "s": s, "tau": tau}
     )

@@ -28,7 +28,7 @@ from .errors import (
     RatioOutOfBand,
     RegimeMismatch,
 )
-from .asym import Estimate, saddle_solve
+from .asym import Estimate, saddle_log, saddle_solve
 from .family import Family
 from .numerics import LogNumber, log_of_fraction
 
@@ -65,12 +65,13 @@ class PowerCoeffQuery:
 def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
     """coeff_k(psi^n), or of h*psi^n with a prefactor, exactly."""
     psi, n, k, h = q.psi, q.n, q.k, q.prefactor
-    if psi.coeffs is None:
+    # the oracles are built only past every refusal
+    if psi.oracle is None:
         raise NoCoefficientAccess(f"{psi.name} carries no coefficients")
     cost = (k + 1) ** 2 * (2 * max(1, n.bit_length()))
     if cost > CONVOLUTION_BUDGET:
         raise BudgetExceeded(f"estimated {cost} coefficient-multiplies exceeds the budget")
-    if h is not None and h.coeffs is None:
+    if h is not None and h.oracle is None:
         raise NoCoefficientAccess("prefactor carries no coefficients")
     a = _coeffs_through(psi, k)
     return se.power_coeff(a, n, k, None if h is None else _coeffs_through(h, k))
@@ -86,23 +87,10 @@ def _coeffs_through(fam: Family, k: int) -> se.CoeffSeries:
 
 
 def _estimate(
-    method: str,
-    q: PowerCoeffQuery,
-    tau: float,
-    sigma2: float,
-    extra_log: float = 0.0,
-    gcd_factor: int = 1,
-    sqrt_term: float | None = None,
+    method: str, q: PowerCoeffQuery, tau: float, var: float, lead: float = 0.0
 ) -> Estimate:
     psi, n, k = q.psi, q.n, q.k
-    ln = (
-        math.log(gcd_factor)
-        - 0.5 * math.log(2.0 * math.pi)
-        + n * psi.log_value(tau)
-        - k * math.log(tau)
-        + extra_log
-    )
-    ln -= math.log(sqrt_term) if sqrt_term is not None else 0.5 * math.log(n * sigma2)
+    ln = saddle_log(lead, n, psi.log_value(tau), k, tau, var)
     meta = {"n": n, "k": k, "tau": tau, "psi": psi.name}
     return Estimate(method, LogNumber.from_log(ln), meta)
 
@@ -118,7 +106,7 @@ def estimate_comparable(q: PowerCoeffQuery, a: float, b: float) -> Estimate:
     if k % psi.q_gcd != 0:
         raise QGcdViolation(f"coefficient {k} vanishes: support gcd is {psi.q_gcd}")
     sp = saddle_solve(psi, ratio)
-    return _estimate("comparable", q, sp.t, sp.variance, gcd_factor=psi.q_gcd)
+    return _estimate("comparable", q, sp.t, sp.variance, math.log(psi.q_gcd))
 
 
 def estimate_limit_l(q: PowerCoeffQuery, l: float, omega: float) -> Estimate:
@@ -129,8 +117,8 @@ def estimate_limit_l(q: PowerCoeffQuery, l: float, omega: float) -> Estimate:
     if q.k % psi.q_gcd != 0:
         raise QGcdViolation(f"coefficient {q.k} vanishes: support gcd is {psi.q_gcd}")
     sp = saddle_solve(psi, l)
-    extra = -omega * omega / (2.0 * sp.variance)
-    return _estimate("limit_l", q, sp.t, sp.variance, extra_log=extra, gcd_factor=psi.q_gcd)
+    lead = math.log(psi.q_gcd) - omega * omega / (2.0 * sp.variance)
+    return _estimate("limit_l", q, sp.t, sp.variance, lead)
 
 
 def estimate_boundary(q: PowerCoeffQuery, omega: float = 0.0) -> Estimate:
@@ -145,8 +133,8 @@ def estimate_boundary(q: PowerCoeffQuery, omega: float = 0.0) -> Estimate:
     if q.k % psi.q_gcd != 0:
         raise QGcdViolation(f"coefficient {q.k} vanishes: support gcd is {psi.q_gcd}")
     var = psi.boundary_variance
-    extra = -omega * omega / (2.0 * var)
-    return _estimate("boundary", q, psi.radius, var, extra_log=extra, gcd_factor=psi.q_gcd)
+    lead = math.log(psi.q_gcd) - omega * omega / (2.0 * var)
+    return _estimate("boundary", q, psi.radius, var, lead)
 
 
 def estimate_small_k(q: PowerCoeffQuery) -> Estimate:
@@ -156,7 +144,7 @@ def estimate_small_k(q: PowerCoeffQuery) -> Estimate:
     if k < 1 or k / n > SMALL_K_MAX_RATIO:
         raise RegimeMismatch(f"k/n = {k / n} not small (threshold {SMALL_K_MAX_RATIO})")
     sp = saddle_solve(psi, k / n)
-    return _estimate("small_k", q, sp.t, sp.variance, sqrt_term=math.sqrt(k))
+    return _estimate("small_k", q, sp.t, k / n)
 
 
 def series_b_coefficients(psi: se.CoeffSeries, j_max: int) -> list[Fraction]:

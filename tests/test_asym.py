@@ -14,6 +14,8 @@ import pytest
 from khinfam import asym as A
 from khinfam import catalog as C
 from khinfam import family as F
+from khinfam import lagrange as L
+from khinfam import large_powers as LP
 from khinfam.catalog import bell_numbers, exact_coeffs, make_family, parse_family
 from khinfam.errors import (
     DomainError,
@@ -556,3 +558,138 @@ class TestCutDiagnostics:
         fam = make_family(parse_family(spec), trunc=8)
         with pytest.raises(DomainError):
             A.cut_diagnostics(fam, 0.9, 0.5)
+
+
+# -- one Gaussian body ---------------------------------------------------------------
+#
+# The float expressions each estimator wrote out by hand before they shared
+# ``saddle_log``, kept as the oracle of the body. Hayman's is the body's own
+# order of evaluation, so it agrees bit for bit. The others sum the same
+# terms in another order, so they agree to 1e-15 relative to the largest
+# term, max(|ln|, n |ln psi(tau)|): at n = 2 the ln of an O(1) coefficient is
+# a difference of O(1) terms, and the tilt of ``general`` cancels terms a few
+# times the size of the result.
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _hand_hayman(fam, n):
+    sp = A.saddle_solve(fam, float(n))
+    return (math.log(fam.q_gcd) + sp.log_f - n * math.log(sp.t)
+            - 0.5 * math.log(_TWO_PI * sp.variance))
+
+
+def _hand_bd(fam, n):
+    approx = C.approx_moments(parse_family(fam.spec_key))
+    s_n = approx.s_for_mean(float(n))
+    tau = math.exp(-s_n)
+    return (fam.log_value(tau) - n * math.log(tau) - 0.5 * math.log(_TWO_PI)
+            - math.log(approx.sigma_tilde(s_n)))
+
+
+def _hand_power(psi, n, k, tau, sigma2, extra_log=0.0, sqrt_term=None):
+    # the gcd factor is 1 on every family here
+    ln = -0.5 * math.log(_TWO_PI) + n * psi.log_value(tau) - k * math.log(tau) + extra_log
+    return ln - (math.log(sqrt_term) if sqrt_term is not None else 0.5 * math.log(n * sigma2))
+
+
+def _hand_omm(psi, n):
+    ap = L.apex(psi)
+    return (math.log(psi.q_gcd) - 0.5 * math.log(_TWO_PI) + math.log(ap.tau)
+            - math.log(math.sqrt(ap.sigma2)) - 1.5 * math.log(n)
+            + n * (psi.log_value(ap.tau) - math.log(ap.tau)))
+
+
+def _hand_lagrange_power(psi, q, n):
+    ap = L.apex(psi)
+    return (math.log(q) - 0.5 * math.log(_TWO_PI) + q * math.log(ap.tau)
+            - 0.5 * math.log(ap.sigma2) - 1.5 * math.log(n)
+            + n * (psi.log_value(ap.tau) - math.log(ap.tau)))
+
+
+def _hand_func(h, psi, n):
+    ap = L.apex(psi)
+    h_prime = math.exp(h.log_value(ap.tau)) * h.mean(ap.tau) / ap.tau
+    return (-0.5 * math.log(_TWO_PI) + math.log(h_prime) + math.log(ap.tau)
+            - math.log(math.sqrt(ap.sigma2)) - 1.5 * math.log(n)
+            + n * (psi.log_value(ap.tau) - math.log(ap.tau)))
+
+
+def _hand_general(spec, n):
+    psi, t, s = spec.psi, spec.t, spec.s
+    ap = L.apex(psi)
+    tau = ap.tau
+    if spec.monomial_j is not None:
+        j = spec.monomial_j
+        log_s_over_f = (1 - j) * math.log(s)
+        log_fprime = math.log(j) + (j - 1) * (math.log(s) + math.log(tau) - math.log(t))
+    else:
+        f = spec.initial
+        log_s_over_f = math.log(s) - f.log_value(s)
+        x = s * tau / t
+        log_fprime = math.log(math.exp(f.log_value(x)) * f.mean(x) / x)
+    return (-0.5 * math.log(_TWO_PI) + log_s_over_f
+            + n * (psi.log_value(tau) - psi.log_value(t))
+            + (n - 1) * (math.log(t) - math.log(tau)) - 1.5 * math.log(n)
+            - math.log(math.sqrt(ap.sigma2)) + log_fprime)
+
+
+BODY_FAMILIES = ("exp", "geom", "bell", "P", "binom:4")
+BODY_NS = (2, 50, 500)
+
+
+def _body_cases(text):
+    """(name, estimate ln, hand-written ln) for every estimator that applies."""
+    fam = make_family(parse_family(text), trunc=8)
+    expf = make_family(parse_family("exp"), trunc=8)
+    for n in BODY_NS:
+        if n < fam.mean_sup:
+            yield f"hayman {n}", A.hayman_estimate(fam, n), _hand_hayman(fam, n)
+        if text in ("bell", "P"):
+            yield f"bd {n}", A.baez_duarte_estimate(fam, n), _hand_bd(fam, n)
+        q = LP.PowerCoeffQuery(fam, n, n)
+        sp = A.saddle_solve(fam, 1.0)
+        yield (f"comparable {n}", LP.estimate_comparable(q, 0.5, 2.0),
+               _hand_power(fam, n, n, sp.t, sp.variance))
+        yield (f"limit_l {n}", LP.estimate_limit_l(q, 1.0, 0.5),
+               _hand_power(fam, n, n, sp.t, sp.variance, -0.125 / sp.variance))
+        if n >= 50:
+            q = LP.PowerCoeffQuery(fam, n, n // 20)
+            sp = A.saddle_solve(fam, (n // 20) / n)
+            yield (f"small_k {n}", LP.estimate_small_k(q),
+                   _hand_power(fam, n, n // 20, sp.t, sp.variance, sqrt_term=math.sqrt(n // 20)))
+        if fam.usg:
+            q = LP.PowerCoeffQuery(fam, n, 20 * n)
+            sp = A.saddle_solve(fam, 20.0)
+            yield (f"large_k {n}", LP.estimate_large_k(q),
+                   _hand_power(fam, n, 20 * n, sp.t, sp.variance))
+        yield f"omm {n}", L.omm_estimate(fam, n), _hand_omm(fam, n)
+        yield f"power {n}", L.power_asym(fam, 2, n), _hand_lagrange_power(fam, 2, n)
+        yield f"func {n}", L.func_asym(expf, fam, n), _hand_func(expf, fam, n)
+        t = 0.5 * L.apex(fam).tau
+        for spec in (L.LagrangianSpec(fam, t, 1.0, monomial_j=2),
+                     L.LagrangianSpec(fam, t, 0.5, initial=expf)):
+            yield f"general {n} j={spec.monomial_j}", L.general_lagrangian_asym(spec, n), \
+                _hand_general(spec, n)
+
+
+class TestSaddleBody:
+    def test_formula_and_order(self):
+        # lead + n ln psi - k ln tau - ln(2 pi n var) / 2, left to right
+        want = 0.25 + 7 * 1.5 - 3 * math.log(0.8) - 0.5 * math.log(_TWO_PI * 7 * 2.5)
+        assert A.saddle_log(0.25, 7, 1.5, 3, 0.8, 2.5) == want
+
+    @pytest.mark.parametrize("text", BODY_FAMILIES)
+    def test_every_estimator_matches_its_hand_written_sum(self, text):
+        psi = make_family(parse_family(text), trunc=8)
+        names = set()
+        for name, est, hand in _body_cases(text):
+            names.add(name.split()[0])
+            assert est.value.sign == 1, name
+            if name.startswith("hayman"):
+                assert est.value.log_abs.hex() == hand.hex(), name
+                continue
+            n, tau = est.meta["n"], est.meta["tau"]
+            scale = max(abs(hand), n * abs(psi.log_value(tau)))
+            assert abs(est.value.log_abs - hand) <= 1e-15 * scale, name
+        assert {"comparable", "limit_l", "omm", "power", "func", "general"} <= names

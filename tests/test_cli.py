@@ -354,3 +354,326 @@ def test_partition_sums_end_below_the_float_range_of_their_criterion(capsys):
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "1e-310"
     assert elapsed < 1.0
+
+
+# -- saddle estimates, pinned to the byte ------------------------------------------
+#
+# Every benchmark cli line whose numbers come from the Gaussian saddle body
+# (asym.saddle_log): the coeff rows of hayman and baez-duarte, the saddle
+# largepow regimes, and lagrange omm, power, func and general. Each maps to
+# its exit code and stdout before the estimators shared the body; a moved
+# last printed digit fails here.
+SADDLE_STDOUT = {
+    '--out csv coeff --family P --n 120 --method exact,hayman,hr': (
+        0,
+        'method,n,ln,value,ratio\n'
+        'exact,120,ln=21.3353925103,1844349560,\n'
+        'hayman,120,ln=21.349310634,1870198915.28,0.986178285599\n'
+        'hr,120,ln=21.3761666759,1921105571.83,0.960045916813\n'
+    ),
+    '--out jsonl coeff --family Q --n 150 --method exact,hayman,bd': (
+        0,
+        '{"method": "exact", "n": 150, "ln": "16.7810936791", "value": "19406016", "ratio": ""}\n'
+        '{"method": "hayman", "n": 150, "ln": "16.7983676037", "value": "19744146.0664", "ratio": "0.982874414258"}\n'
+        '{"method": "baez-duarte", "n": 150, "ln": "16.7985761223", "value": "19748263.518", "ratio": "0.982669487994"}\n'
+    ),
+    'coeff --family P --n 100 --method exact,hayman,hr': (
+        0,
+        'method  n    ln             value          ratio         \n'
+        'exact   100  19.0655264239  190569292                    \n'
+        'hayman  100  19.0808339273  193508873.501  0.98480906096 \n'
+        'hr      100  19.1102259118  199280893.35   0.956284813846\n'
+    ),
+    'coeff --family P --n 1000 --method hayman,bd,hr': (
+        0,
+        'method       n     ln             value              ratio\n'
+        'hayman       1000  72.2628548059  2.4174588419e+31        \n'
+        'baez-duarte  1000  72.2705278273  2.43607940172e+31       \n'
+        'hr           1000  72.272217735   2.44019963168e+31       \n'
+    ),
+    'coeff --family P --n 250 --method exact,hayman,bd,hr': (
+        0,
+        'method       n    ln             value              ratio         \n'
+        'exact        250  33.0725447228  2.30793554365e+14                \n'
+        'hayman       250  33.0820630176  2.33000803415e+14  0.990526860775\n'
+        'baez-duarte  250  33.0973455209  2.36588987327e+14  0.97550421502 \n'
+        'hr           250  33.1007253364  2.37389967288e+14  0.972212756087\n'
+    ),
+    'coeff --family Pab:2,1 --n 150 --method exact,hayman,bd,ingham': (
+        0,
+        'method       n    ln             value          ratio         \n'
+        'exact        150  16.7810936791  19406016                     \n'
+        'hayman       150  16.7983676037  19744146.0664  0.982874414258\n'
+        'baez-duarte  150  16.7985761223  19748263.518   0.982669487994\n'
+        'ingham       150  16.7954907869  19687427.4002  0.9857060349  \n'
+    ),
+    'coeff --family Pab:2,2 --n 10 --method hayman': (
+        0,
+        'method  n   ln             value          ratio\n'
+        'hayman  10  2.06391224106  7.87672525767       \n'
+    ),
+    'coeff --family Pab:3,2 --n 90 --method exact,hayman,closed': (
+        0,
+        'method  n   ln             value          ratio         \n'
+        'exact   90  8.36543963619  4296                         \n'
+        'hayman  90  8.39124904102  4408.32043001  0.974520810865\n'
+        'ingham  90  8.40128574131  4452.78820249  0.964788758108\n'
+    ),
+    'coeff --family Q --n 200 --method exact,hayman,distinct': (
+        0,
+        'method    n    ln             value          ratio         \n'
+        'exact     200  20.0039137802  487067746                    \n'
+        'hayman    200  20.018826751   494385804.431  0.985197676864\n'
+        'distinct  200  20.016311145   493143687.56   0.987679165904\n'
+    ),
+    'coeff --family Q --n 500 --method hayman,bd,distinct': (
+        0,
+        'method       n    ln             value              ratio\n'
+        'hayman       500  34.2375106278  7.39881110558e+14       \n'
+        'baez-duarte  500  34.2375731604  7.39927378696e+14       \n'
+        'distinct     500  34.2358832526  7.38678025604e+14       \n'
+    ),
+    'coeff --family Wab:1,0 --n 70 --method exact,hayman,colored': (
+        0,
+        'method   n   ln             value         ratio         \n'
+        'exact    70  15.223558583   4087968                     \n'
+        'hayman   70  15.2420105515  4164099.2827  0.981717226817\n'
+        'colored  70  15.2770677512  4312669.9627  0.947897250509\n'
+    ),
+    'coeff --family Wab:1,1 --n 80 --method exact,hayman,closed': (
+        0,
+        'method   n   ln             value              ratio         \n'
+        'exact    80  32.7888209618  1.73781688195e+14                \n'
+        'hayman   80  32.8001526335  1.75762124859e+14  0.988732289932\n'
+        'colored  80  32.8019053335  1.76070453255e+14  0.987000856658\n'
+    ),
+    'coeff --family Wab:1,2 --n 40 --method exact,hayman,closed': (
+        0,
+        'method   n   ln             value              ratio         \n'
+        'exact    40  30.1278456723  1.21438704932e+13                \n'
+        'hayman   40  30.14241677    1.23221154756e+13  0.98553454699 \n'
+        'colored  40  30.1398370566  1.22903689153e+13  0.988080225814\n'
+    ),
+    'coeff --family bell --n 120 --method exact,hayman,closed': (
+        0,
+        'method       n    ln              value              ratio         \n'
+        'exact        120  -122.303164882  7.66320374671e-54                \n'
+        'hayman       120  -122.299686993  7.68990191719e-54  0.996528152015\n'
+        'moser-wyman  120  -122.299686993  7.68990191719e-54  0.996528152015\n'
+    ),
+    'coeff --family bell --n 50 --method exact,hayman,mw': (
+        0,
+        'method       n   ln              value              ratio         \n'
+        'exact        50  -39.6371746192  6.1065200116e-18                 \n'
+        'hayman       50  -39.6299625708  6.15071972272e-18  0.992813896079\n'
+        'moser-wyman  50  -39.6299625708  6.15071972272e-18  0.992813896079\n'
+    ),
+    'coeff --family exp --n 30 --method exact,hayman': (
+        0,
+        'method  n   ln              value              ratio        \n'
+        'exact   30  -74.6582363488  3.76998762882e-33               \n'
+        'hayman  30  -74.6554586739  3.78047398604e-33  0.99722617924\n'
+    ),
+    'coeff --family exp --n 300 --method exact,hayman,bd': (
+        3,
+        ''
+    ),
+    'coeff --family expof:poly:0,1,1 --n 25 --method exact,hayman': (
+        0,
+        'method  n   ln              value              ratio         \n'
+        'exact   25  -18.506261586   9.17978928757e-09                \n'
+        'hayman  25  -18.4990010544  9.24668198253e-09  0.992765762347\n'
+    ),
+    'coeff --family geom --n 500 --method exact,hayman': (
+        0,
+        'method  n    ln               value          ratio         \n'
+        'exact   500  0                1                            \n'
+        'hayman  500  0.0810617994239  1.08443791213  0.922136702167\n'
+    ),
+    'coeff --family negbinom:3 --n 40 --method exact,hayman': (
+        0,
+        'method  n   ln             value          ratio         \n'
+        'exact   40  6.75809450443  861                          \n'
+        'hayman  40  6.78591777049  885.292209278  0.972560236017\n'
+    ),
+    'coeff --family setsoflists --n 30 --method exact,hayman': (
+        0,
+        'method  n   ln             value          ratio         \n'
+        'exact   30  6.61527511882  746.410053546                \n'
+        'hayman  30  6.65116184338  773.682701676  0.964749569725\n'
+    ),
+    'largepow --psi bell --n 30 --k 60 --regime auto': (
+        0,
+        'regime      n   k   ln             value              exact_ln       exact              ratio         \n'
+        'comparable  30  60  46.6656146067  1.84764664746e+20  46.6628336302  1.84251552365e+20  0.997222886845\n'
+    ),
+    'largepow --psi binom:2 --n 150 --k 120 --regime auto': (
+        0,
+        'regime      n    k    ln            value              exact_ln       exact              ratio        \n'
+        'comparable  150  120  198.84622851  2.27939603872e+86  198.845348882  2.27739190052e+86  0.99912075911\n'
+    ),
+    'largepow --psi binom:3 --n 200 --k 150 --regime auto': (
+        0,
+        'regime      n    k    ln             value               exact_ln       exact               ratio         \n'
+        'comparable  200  150  334.120671627  1.27868619815e+145  334.120069776  1.27791685111e+145  0.999398330065\n'
+    ),
+    'largepow --psi binom:4 --n 100 --k 150 --regime auto': (
+        0,
+        'regime      n    k    ln             value               exact_ln       exact               ratio         \n'
+        'comparable  100  150  261.436040898  3.46920475075e+113  261.435360343  3.46684457071e+113  0.999319676927\n'
+    ),
+    'largepow --psi exp --n 500 --k 12 --regime smallk': (
+        0,
+        'regime   n    k   ln             value              exact_ln       exact              ratio         \n'
+        'small_k  500  12  54.5950255255  5.13237434119e+23  54.5880826854  5.09686449899e+23  0.993081205726\n'
+    ),
+    'largepow --psi exp --n 60 --k 80 --regime auto': (
+        0,
+        'regime      n   k   ln             value              exact_ln       exact              ratio         \n'
+        'comparable  60  80  53.8754823533  2.49933629456e+23  53.8744406921  2.49673418831e+23  0.998958881099\n'
+    ),
+    'largepow --psi geom --n 40 --k 100 --regime auto': (
+        0,
+        'regime      n   k    ln             value              exact_ln       exact              ratio         \n'
+        'comparable  40  100  79.9098372915  5.06292373511e+34  79.9075159081  5.05118437898e+34  0.997681308916\n'
+    ),
+    'largepow --psi poly:1,1 --n 100 --k 60 --regime comparable:0.1,0.9': (
+        0,
+        'regime      n    k   ln             value             exact_ln       exact              ratio         \n'
+        'comparable  100  60  64.7932012525  1.3782556098e+28  64.7905624171  1.37462341458e+28  0.997364643253\n'
+    ),
+    'largepow --psi poly:1,1 --n 1000 --k 500 --regime auto': (
+        0,
+        'regime      n     k    ln             value               exact_ln       exact               ratio         \n'
+        'comparable  1000  500  689.467511568  2.70355821442e+299  689.467261568  2.70288240945e+299  0.999750031289\n'
+    ),
+    'largepow --psi poly:1,1 --n 200 --k 100 --regime auto': (
+        0,
+        'regime      n    k    ln             value              exact_ln       exact              ratio         \n'
+        'comparable  200  100  135.754486076  9.06617705978e+58  135.753236081  9.05485146561e+58  0.998750786126\n'
+    ),
+    'largepow --psi poly:1,1 --n 400 --k 200 --regime auto': (
+        0,
+        'regime      n    k    ln             value               exact_ln       exact               ratio         \n'
+        'comparable  400  200  274.037348598  1.03016865493e+119  274.036723598  1.02952500135e+119  0.999375195922\n'
+    ),
+    'largepow --psi poly:1,1,1 --n 200 --k 120 --regime auto': (
+        0,
+        'regime      n    k    ln             value              exact_ln       exact              ratio         \n'
+        'comparable  200  120  191.681341349  1.76257997495e+83  191.680207323  1.76058229703e+83  0.998866617149\n'
+    ),
+    'largepow --psi poly:1,2,1 --n 150 --k 120 --regime auto': (
+        0,
+        'regime      n    k    ln            value              exact_ln       exact              ratio        \n'
+        'comparable  150  120  198.84622851  2.27939603872e+86  198.845348882  2.27739190052e+86  0.99912075911\n'
+    ),
+    '--out csv lagrange --op omm --psi Q --n 50': (
+        0,
+        'op,n,ln,value\n'
+        'omm,50,ln=67.1297802807,1.42591339002e+29\n'
+    ),
+    'lagrange --op func --psi exp --h exp --n 25': (
+        0,
+        'op             n   ln             value        \n'
+        'lagrange-func  25  20.2527477295  624678533.821\n'
+    ),
+    'lagrange --op func --psi geom --h bell --n 40': (
+        0,
+        'op             n   ln             value            \n'
+        'lagrange-func  40  49.1085172303  2.12597448281e+21\n'
+    ),
+    'lagrange --op general --psi exp --t 0.5 --s 1 --j 2 --n 50': (
+        0,
+        'op          n   ln              value            \n'
+        'lagrangian  50  -14.3648905277  5.77307647668e-07\n'
+    ),
+    'lagrange --op general --psi geom --t 0.4 --s 1 --h exp --n 30': (
+        0,
+        'op          n   ln              value            \n'
+        'lagrangian  30  -7.11882448027  0.000809718031411\n'
+    ),
+    'lagrange --op omm --psi P --n 30': (
+        0,
+        'op   n   ln             value           \n'
+        'omm  30  42.8345486402  4.0068963588e+18\n'
+    ),
+    'lagrange --op omm --psi bell --n 30': (
+        0,
+        'op   n   ln             value            \n'
+        'omm  30  33.0984786459  2.36857224176e+14\n'
+    ),
+    'lagrange --op omm --psi binom:2 --n 25': (
+        0,
+        'op   n   ln             value            \n'
+        'omm  25  29.2566803478  5.08176799646e+12\n'
+    ),
+    'lagrange --op omm --psi exp --n 20': (
+        0,
+        'op   n   ln             value        \n'
+        'omm  20  14.5874630565  2163987.31362\n'
+    ),
+    'lagrange --op omm --psi geom --n 40': (
+        0,
+        'op   n   ln             value            \n'
+        'omm  40  47.9597959596  6.74023034192e+20\n'
+    ),
+    'lagrange --op power --psi exp --q 2 --n 30': (
+        0,
+        'op              n   ln             value      \n'
+        'lagrange-power  30  24.6724125749  51891071256\n'
+    ),
+    'lagrange --op power --psi geom --q 3 --n 60': (
+        0,
+        'op              n   ln             value            \n'
+        'lagrange-power  60  74.7898034474  3.02551241811e+32\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("line", SADDLE_STDOUT)
+def test_saddle_stdout_is_pinned(line, capsys):
+    code = cli.main(shlex.split(line))
+    assert (code, capsys.readouterr().out) == SADDLE_STDOUT[line]
+
+
+# Sums whose terms each overflow a float, although their log is finite: the
+# derivative of H = e^{1000 z} at the apex tau = 1 of psi = 1 + z^2.
+@pytest.mark.parametrize("line,ln", [
+    ("lagrange --op func --psi poly:1,0,1 --h expof:poly:0,1000 --n 50", "1034.77814127"),
+    ("lagrange --op general --psi poly:1,0,1 --h expof:poly:0,1000 --n 50", "0.120782237635"),
+])
+def test_derivative_past_the_float_range_is_taken_in_logs(line, ln, capsys):
+    assert cli.main(shlex.split(line)) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[1:3] == ["50", ln]
+
+
+@pytest.mark.parametrize("line", [
+    "lagrange --op power --psi exp --q 5 --n 3",  # [z^3] g^5 = 0
+    "lagrange --op btasym --t 0.5 --j 3 --n 2",
+    "lagrange --op general --psi exp --t 0.5 --s 1 --j 5 --n 2",
+    "lagrange --op bt --t 0.5 --j 3 --n 2",
+])
+def test_index_below_the_initial_size_is_refused(line, capsys):
+    assert cli.main(shlex.split(line)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: IndexBelowJ: ")
+
+
+@pytest.mark.parametrize("op", ["omm", "func --h exp", "general"])
+def test_index_zero_is_a_usage_error(op, capsys):
+    assert cli.main(shlex.split(f"lagrange --op {op} --psi exp --t 0.5 --n 0")) == 2
+    assert capsys.readouterr().err == "usage error: n must be >= 1\n"
+
+
+def test_exact_power_over_budget_refused_unbuilt(monkeypatch, capsys):
+    # (k+1)^2 * 2 * bitlen(n) is 2e11 multiplies: the 4096-order oracle of
+    # Wab:1,2 would take half a minute to build only to be refused
+    def spy(spec, n_max):
+        raise AssertionError(f"exact_coeffs({spec.key()}, {n_max}) called")
+
+    monkeypatch.setattr(cli.C, "exact_coeffs", spy)
+    code = cli.main(["largepow", "--psi", "Wab:1,2", "--n", "1000", "--k", "100000"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[1].split() == ["large_k", "1000", "100000", "67271.806371"]

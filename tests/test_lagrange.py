@@ -163,6 +163,12 @@ class TestPowerAsym:
         with pytest.raises(ParameterDomain):
             L.power_asym(expf, 2, 10, alpha=1.0, beta=0.0)
 
+    def test_index_below_the_power_refused(self, expf):
+        # [z^3] g^5 = 0: a forest of 5 trees has at least 5 nodes
+        with pytest.raises(IndexBelowJ):
+            L.power_asym(expf, 5, 3)
+        assert L.power_asym(expf, 5, 5).value.sign == 1
+
 
 class TestFuncAsym:
     def test_identity_outer_reduces_to_omm(self, expf):
@@ -202,6 +208,21 @@ class TestFuncAsym:
         r = est.value.ratio(exact)
         assert 1.0 <= r <= 1.12  # frozen: 1.0802
 
+    def test_derivative_past_the_float_range_in_logs(self):
+        # H = e^{1000 z}, psi = 1 + z^2 with apex tau = 1, psi(1) = 2 and
+        # variance 1: ln H'(1) = 1000 + ln 1000, where H'(1) overflows a float
+        psi = make_family(parse_family("poly:1,0,1"), trunc=8)
+        h = make_family(parse_family("expof:poly:0,1000"), trunc=8)
+        n = 50
+        assert (L.apex(psi).tau, L.apex(psi).sigma2) == (1.0, 1.0)
+        ln = L.func_asym(h, psi, n).value.log_abs
+        ln_h_prime = ln + math.log(n) - n * math.log(2.0) + 0.5 * math.log(2.0 * math.pi * n)
+        assert ln_h_prime == pytest.approx(1000.0 + math.log(1000.0), rel=1e-12)
+
+    def test_index_zero_refused(self, expf):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            L.func_asym(expf, expf, 0)
+
 
 class TestBorelTanner:
     def test_exact_values(self):
@@ -212,6 +233,8 @@ class TestBorelTanner:
     def test_index_guard(self):
         with pytest.raises(IndexBelowJ):
             L.borel_tanner_pmf(0.5, 3, 2)
+        with pytest.raises(IndexBelowJ):
+            L.borel_tanner_asym(0.5, 3, 2)
 
     def test_parameter_guard(self):
         with pytest.raises(ParameterDomain):
@@ -297,6 +320,14 @@ class TestGeneralLagrangian:
         spec = L.LagrangianSpec(psi=expf, t=1.2, s=1.0, monomial_j=1)
         with pytest.raises(SupercriticalSpec):
             L.general_lagrangian_asym(spec, 50)
+
+    def test_index_below_the_initial_size_refused(self, expf):
+        spec = L.LagrangianSpec(psi=expf, t=0.5, s=1.0, monomial_j=5)
+        with pytest.raises(IndexBelowJ):
+            L.general_lagrangian_asym(spec, 2)
+        assert L.general_lagrangian_asym(spec, 5).value.sign == 1
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            L.general_lagrangian_asym(dataclasses.replace(spec, monomial_j=1), 0)
 
 
 class TestTiltScaling:

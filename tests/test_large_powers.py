@@ -118,6 +118,14 @@ class TestExactRefusals:
             LP.exact_power_coeff(q)
         assert multiplies == []
 
+    def test_budget_refused_before_the_oracle_is_built(self, binom):
+        def unbuilt():
+            raise AssertionError("oracle built before the budget check")
+
+        psi = dataclasses.replace(binom, oracle=unbuilt)
+        with pytest.raises(BudgetExceeded):
+            LP.exact_power_coeff(LP.PowerCoeffQuery(psi, 16, 10_000, prefactor=psi))
+
     def test_psi_access_refused_first(self, binom, multiplies):
         bare = dataclasses.replace(binom, oracle=None)
         q = LP.PowerCoeffQuery(bare, 10, 4, prefactor=bare)
