@@ -10,6 +10,10 @@ explicit geometric tail criterion: stop once the current term is below
 1e-16 of the partial sum and the majorant of the remaining tail is below
 1e-14 of it. The complex ln f of a partition product is a Lambert series cut
 at the least order whose certified tail bound is at most 1e-17.
+
+The exact oracle of Q, Pab and Wab is the integer Euler transform
+n a_n = sum_{k<=n} s_k a_{n-k} over the divisor sums s_k that the Lambert
+table reads; P keeps the O(n^1.5) pentagonal recurrence, its independent check.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import series as se
 from .errors import (
@@ -169,17 +174,33 @@ _MAX_TERMS = 10_000_000
 _LAMBERT_TAIL = 1e-17
 
 
-def _divisor_sums(p0: int, d: int, b: int, lo: int, hi: int) -> list[int]:
-    """s_k = sum of c_j p_j over the parts p_j dividing k, for lo <= k <= hi,
-    by a sieve over the parts p_j = p0 + d (j - 1) with weights c_j = j^b."""
+def _parts_shape(spec: FamilySpec) -> tuple[int, int, int]:
+    """(first part p0, step d, weight exponent b) of a partition product
+    prod_j (1 - z^{p_j})^(-c_j), p_j = p0 + d (j - 1), c_j = j^b; Q is the
+    odd-parts form of the distinct-parts product."""
+    v = spec.variant
+    if v == "P":
+        return 1, 1, 0
+    if v == "Q":
+        return 1, 2, 0
+    if v == "Pab":
+        return spec.b, spec.a, 0
+    return spec.a, spec.a, spec.b  # Wab
+
+
+def _part_pairs(p0: int, d: int, b: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The (part, multiplicity) pairs (p_j, j^b), p_j = p0 + d (j - 1) <= hi."""
+    return ((p, j**b) for j, p in enumerate(range(p0, hi + 1, d), 1))
+
+
+def _divisor_sums(parts_mult: Iterable[tuple[int, Fraction | int]], lo: int, hi: int) -> list:
+    """s_k = sum of c p over the (p, c) pairs with p dividing k, for
+    lo <= k <= hi, by a sieve over the pairs (a part above hi adds nothing)."""
     sums = [0] * (hi - lo + 1)
-    j, p = 1, p0
-    while p <= hi:
-        w = j**b * p
+    for p, c in parts_mult:
+        w = c * p
         first = -(-lo // p) * p - lo  # offset of the first multiple of p >= lo
         sums[first::p] = [s + w for s in sums[first::p]]
-        j += 1
-        p += d
     return sums
 
 
@@ -237,11 +258,10 @@ def _lambert_order(r: float, log_bound: Callable[[int], float]) -> int:
 def _parts_sums(p0: int, d: int, b: int):
     """Evaluators of the product prod_j (1 - t^{p_j})^(-c_j), j >= 1.
 
-    The parts are p_j = p0 + d (j - 1) and the weights c_j = j^b: P is
-    (1, 1, 0), Q (odd parts) is (1, 2, 0), Pab:a,b is (b, a, 0) and Wab:a,b
-    is (a, a, b). Returns ln f, m, sigma^2, complex ln f and the pair
-    (F''', F'''') of fulcrum derivatives at s = ln t, then the circle
-    evaluator: t -> (z -> ln f(z)) for |z| = t.
+    The parts are p_j = p0 + d (j - 1) and the weights c_j = j^b, the shape
+    that ``_parts_shape`` names. Returns ln f, m, sigma^2, complex ln f and
+    the pair (F''', F'''') of fulcrum derivatives at s = ln t, then the
+    circle evaluator: t -> (z -> ln f(z)) for |z| = t.
 
     ln f, m and sigma^2 are each one loop over the parts that evaluates u^p
     once per term; the majorant of the tail is read at the next part. Float
@@ -260,8 +280,9 @@ def _parts_sums(p0: int, d: int, b: int):
     Complex ln f is the Lambert series ln f(z) = sum_{k>=1} (s_k/k) z^k with
     s_k = sum_{j : p_j | k} c_j p_j, the same principal-branch value as
     sum_j -c_j Log(1 - z^{p_j}) for |z| < 1. It is one Horner pass over a
-    table of s_k/k kept by the evaluator: the integers s_k come from a
-    divisor sieve, each is divided by k once, and the table grows on demand.
+    table of s_k/k kept by the evaluator: the integers s_k come from the
+    divisor sieve that the exact oracle's Euler transform reads too, each is
+    divided by k once, and the table grows on demand.
     The order K is the least one whose certified tail bound at |z|
     (``_lambert_log_tail``) is at most 1e-17.
 
@@ -333,7 +354,7 @@ def _parts_sums(p0: int, d: int, b: int):
         if order > len(table):
             lo = len(table) + 1
             hi = min(max(order, 2 * len(table)), _MAX_TERMS)
-            sums = _divisor_sums(p0, d, b, lo, hi)
+            sums = _divisor_sums(_part_pairs(p0, d, b, hi), lo, hi)
             table.extend([s / k for k, s in zip(range(lo, hi + 1), sums)])
         coeffs = table[order - 1::-1]
 
@@ -399,39 +420,16 @@ def pentagonal_partitions(n_max: int) -> list[int]:
     return p
 
 
-def product_expansion(parts_mult: Sequence[tuple[int, int]], n_max: int) -> list[int]:
-    """Coefficients of prod (1 - z^p)^(-c) for the listed (p, c) pairs."""
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    for p, c in parts_mult:
-        if p > n_max or c == 0:
-            continue
-        if c == 1:
-            for n in range(p, n_max + 1):
-                out[n] += out[n - p]
-        else:
-            # multiply by sum_m C(m+c-1, m) z^{pm}
-            old = out[:]
-            for n in range(p, n_max + 1):
-                acc = 0
-                binom = c  # C(m+c-1, m) for m = 1
-                m = 1
-                while p * m <= n:
-                    acc += binom * old[n - p * m]
-                    binom = binom * (c + m) // (m + 1)
-                    m += 1
-                out[n] = old[n] + acc
-    return out
-
-
-def distinct_expansion(n_max: int) -> list[int]:
-    """Coefficients of prod (1 + z^j)."""
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    for p in range(1, n_max + 1):
-        for n in range(n_max, p - 1, -1):
-            out[n] += out[n - p]
-    return out
+def product_expansion(parts_mult: Iterable[tuple[int, int]], n_max: int) -> list[int]:
+    """Coefficients a_0..a_{n_max} of prod (1 - z^p)^(-c) over the listed
+    (p, c) pairs, by the Euler transform
+    n a_n = sum_{k=1}^{n} s_k a_{n-k} over the divisor sums s_k of
+    ``_divisor_sums``; the division is exact."""
+    s = _divisor_sums(parts_mult, 1, n_max)
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(sum(map(mul, s, reversed(a))) // n)
+    return a
 
 
 def sets_of_lists_numbers(n_max: int) -> list[int]:
@@ -509,17 +507,8 @@ def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
         return _egf(bell_numbers(n_max))
     if v == "P":
         return se.CoeffSeries.from_list(pentagonal_partitions(n_max))
-    if v == "Q":
-        return se.CoeffSeries.from_list(distinct_expansion(n_max))
-    if v == "Pab":
-        parts = [(p, 1) for p in range(spec.b, n_max + 1, spec.a)]
-        return se.CoeffSeries.from_list(product_expansion(parts, n_max))
-    if v == "Wab":
-        parts = []
-        j = 1
-        while j * spec.a <= n_max:
-            parts.append((j * spec.a, j**spec.b))
-            j += 1
+    if v in ("Q", "Pab", "Wab"):
+        parts = _part_pairs(*_parts_shape(spec), n_max)
         return se.CoeffSeries.from_list(product_expansion(parts, n_max))
     if v == "expof":
         g = se.CoeffSeries.from_list(spec.inner.coeffs, order=n_max)
@@ -629,23 +618,15 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             fulcrum34=f34,
         )
 
-    # partition products: P, Q, Pab, Wab as (first part, step, weight exponent)
-    if v == "P":
-        shape, q_gcd = (1, 1, 0), 1
-    elif v == "Q":
-        shape, q_gcd = (1, 2, 0), 1  # odd-parts form of the product
-    elif v == "Pab":
-        shape, q_gcd = (spec.b, spec.a, 0), math.gcd(spec.a, spec.b)
-    else:  # Wab
-        shape, q_gcd = (spec.a, spec.a, spec.b), spec.a
-
-    log_value, mean, variance, log_complex, fulcrum34, log_circle = _parts_sums(*shape)
+    # partition products: P, Q, Pab, Wab
+    p0, d, b = _parts_shape(spec)
+    log_value, mean, variance, log_complex, fulcrum34, log_circle = _parts_sums(p0, d, b)
 
     return Family(
         **common, radius=1.0, mean_sup=math.inf,
         log_value=log_value, mean=mean, variance=variance,
         log_value_complex=log_complex, log_value_circle=log_circle,
-        q_gcd=q_gcd,
+        q_gcd=math.gcd(p0, d),
         fulcrum34=fulcrum34,
     )
 
@@ -819,17 +800,8 @@ def multiset_transform(c: Sequence[Fraction | int]) -> se.CoeffSeries:
     ``c[j]`` is the count for size j (index 0 ignored); the returned series
     g has b_m = (1/m) sum_{j | m} j c_j and satisfies exp(g) = product.
     """
-    n = len(c) - 1
-    out = [Fraction(0)] * (n + 1)
-    for j in range(1, n + 1):
-        cj = Fraction(c[j])
-        if cj == 0:
-            continue
-        for m in range(j, n + 1, j):
-            out[m] += j * cj
-    for m in range(1, n + 1):
-        out[m] /= m
-    return se.CoeffSeries(tuple(out))
+    sums = _divisor_sums(enumerate(c[1:], 1), 1, len(c) - 1)
+    return se.CoeffSeries((Fraction(0), *(Fraction(s, m) for m, s in enumerate(sums, 1))))
 
 
 def powerset_transform(c: Sequence[Fraction | int]) -> se.CoeffSeries:

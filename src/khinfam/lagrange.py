@@ -148,6 +148,10 @@ def power_asym(
         raise ValueError("need q >= 1 and n >= 1")
     if n < q:
         raise IndexBelowJ(f"coefficient {n} of g^{q} is 0: progeny below initial size {q}")
+    if (n - q) % psi.q_gcd != 0:
+        raise ZeroCoefficient(
+            f"[z^{n}] g^{q} = 0: n - q must be a multiple of the support gcd {psi.q_gcd}"
+        )
     if alpha is None:
         ap = apex(psi)
         if ap.kind == "linear":
@@ -160,7 +164,7 @@ def power_asym(
         sp = saddle_solve(psi, 1.0 - alpha)
         tau, sigma2 = sp.t, sp.variance
         drift = -(beta or 0.0) ** 2 / (2.0 * sigma2)
-    lead = math.log(q) - math.log(n) + drift
+    lead = math.log(psi.q_gcd) + math.log(q) - math.log(n) + drift
     ln = saddle_log(lead, n, psi.log_value(tau), n - q, tau, sigma2)
     return Estimate("lagrange-power", LogNumber.from_log(ln), {"n": n, "q": q, "tau": tau})
 
@@ -224,6 +228,8 @@ def borel_tanner_asym(t: float, j: int, n: int) -> Estimate:
     """(j/sqrt(2 pi)) n^{-3/2} t^{n-j} e^{n(1-t)}."""
     if not 0.0 < t <= 1.0:
         raise ParameterDomain(f"offspring tilt t = {t} must lie in (0, 1]")
+    if j < 1:
+        raise ValueError("initial size j must be >= 1")
     if n < j:
         raise IndexBelowJ(f"progeny {n} below initial size {j}")
     ln = (

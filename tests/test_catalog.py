@@ -727,7 +727,7 @@ class TestLambertSeries:
     @pytest.mark.parametrize("text", sorted(SHAPES))
     def test_divisor_sums_give_the_exact_coefficients(self, text):
         # Euler transform in integers: n a_n = sum_{k=1}^{n} s_k a_{n-k}
-        sums = C._divisor_sums(*SHAPES[text], 1, 200)
+        sums = C._divisor_sums(C._part_pairs(*SHAPES[text], 200), 1, 200)
         a = [1]
         for n in range(1, 201):
             total = sum(sums[k - 1] * a[n - k] for k in range(1, n + 1))
@@ -738,9 +738,10 @@ class TestLambertSeries:
     @pytest.mark.parametrize("text", sorted(SHAPES))
     def test_sieve_segments_join(self, text):
         # the evaluator grows its table one segment at a time
-        whole = C._divisor_sums(*SHAPES[text], 1, 300)
+        whole = C._divisor_sums(C._part_pairs(*SHAPES[text], 300), 1, 300)
         assert whole == _lambert_numerators(PARTS[text], 300)[1:]
-        cut = C._divisor_sums(*SHAPES[text], 1, 37) + C._divisor_sums(*SHAPES[text], 38, 300)
+        cut = (C._divisor_sums(C._part_pairs(*SHAPES[text], 37), 1, 37)
+               + C._divisor_sums(C._part_pairs(*SHAPES[text], 300), 38, 300))
         assert cut == whole
 
     @pytest.mark.parametrize("text", sorted(SHAPES))
@@ -835,3 +836,91 @@ class TestLambertSeries:
                 fam.log_value_complex(z)
             with pytest.raises(TruncationTooLarge):
                 fam.log_value_circle(abs(z))
+
+
+# -- the Euler transform against the per-part product loops it replaced -------------
+
+
+def _loop_product_expansion(parts_mult, n_max):
+    """Coefficients of prod (1 - z^p)^(-c) for the listed (p, c) pairs: one
+    pass per part, and a binomial series for c > 1."""
+    out = [0] * (n_max + 1)
+    out[0] = 1
+    for p, c in parts_mult:
+        if p > n_max or c == 0:
+            continue
+        if c == 1:
+            for n in range(p, n_max + 1):
+                out[n] += out[n - p]
+        else:
+            # multiply by sum_m C(m+c-1, m) z^{pm}
+            old = out[:]
+            for n in range(p, n_max + 1):
+                acc = 0
+                binom = c  # C(m+c-1, m) for m = 1
+                m = 1
+                while p * m <= n:
+                    acc += binom * old[n - p * m]
+                    binom = binom * (c + m) // (m + 1)
+                    m += 1
+                out[n] = old[n] + acc
+    return out
+
+
+def _loop_distinct_expansion(n_max):
+    """Coefficients of prod (1 + z^j)."""
+    out = [0] * (n_max + 1)
+    out[0] = 1
+    for p in range(1, n_max + 1):
+        for n in range(n_max, p - 1, -1):
+            out[n] += out[n - p]
+    return out
+
+
+def _loop_coeffs(text, n_max):
+    """The product loops' coefficients of a partition product, with the part
+    lists written out per variant."""
+    spec = C.parse_family(text)
+    if spec.variant == "Q":
+        return _loop_distinct_expansion(n_max)
+    if spec.variant == "P":
+        parts = [(p, 1) for p in range(1, n_max + 1)]
+    elif spec.variant == "Pab":
+        parts = [(p, 1) for p in range(spec.b, n_max + 1, spec.a)]
+    else:
+        parts = [(j * spec.a, j**spec.b) for j in range(1, n_max // spec.a + 1)]
+    return _loop_product_expansion(parts, n_max)
+
+
+EULER_SPECS = sorted(SHAPES) + ["Pab:3,2", "Pab:2,3", "Wab:2,1", "Wab:1,3", "Wab:3,2"]
+
+
+class TestEulerTransform:
+    """Q, Pab and Wab by n a_n = sum_k s_k a_{n-k} over the one divisor sieve."""
+
+    @pytest.mark.parametrize("text", EULER_SPECS)
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 97, 300])
+    def test_exact_coeffs_equal_the_product_loops(self, text, n_max):
+        got = C.exact_coeffs(C.parse_family(text), n_max)
+        assert got.coeffs == tuple(Fraction(v) for v in _loop_coeffs(text, n_max))
+
+    def test_plane_partitions_to_500(self):
+        got = C.exact_coeffs(C.parse_family("Wab:1,1"), 500)
+        assert got.coeffs == tuple(Fraction(v) for v in _loop_coeffs("Wab:1,1", 500))
+
+    def test_pairs_in_any_order(self):
+        # parts above n_max and zero multiplicities add nothing, as in the loops
+        pairs = [(5, 2), (1, 1), (500, 3), (2, 0), (3, 4)]
+        assert C.product_expansion(pairs, 40) == _loop_product_expansion(pairs, 40)
+
+    @pytest.mark.parametrize("text", sorted(SHAPES))
+    def test_shape_of_each_spec(self, text):
+        assert C._parts_shape(C.parse_family(text)) == SHAPES[text]
+
+    @pytest.mark.parametrize("variant", ["Pab", "Wab"])
+    def test_support_gcd_of_the_shape(self, variant):
+        # Pab:a,b has parts b, b + a, ...; Wab:a,b the multiples of a
+        for a in range(1, 5):
+            for b in range(1 if variant == "Pab" else 0, 5):
+                fam = C.make_family(C.parse_family(f"{variant}:{a},{b}"), 8)
+                assert fam.q_gcd == (math.gcd(a, b) if variant == "Pab" else a), (a, b)

@@ -636,6 +636,38 @@ def test_saddle_stdout_is_pinned(line, capsys):
     assert (code, capsys.readouterr().out) == SADDLE_STDOUT[line]
 
 
+# Exit code and stdout of the cli-pool lines that print or read a partition
+# oracle: the exact rows of Q and P, and criterion 4, whose ratios read the Q
+# and Wab:1,1 oracles at order 500.
+ORACLE_STDOUT = {
+    'coeff --family Q --n 60 --method exact,closed': (
+        0,
+        'method    n   ln             value          ratio        \n'
+        'exact     60  9.29468152041  10880                       \n'
+        'distinct  60  9.31792360713  11135.8354618  0.97702593014\n'
+    ),
+    'coeff --family P --n 80 --method exact,wright': (
+        0,
+        'method        n   ln             value              ratio            \n'
+        'exact         80  16.5752974351  15796476                            \n'
+        'wright_plane  80  32.8019053335  1.76070453255e+14  8.97167906822e-08\n'
+    ),
+    'selftest --criteria 4': (
+        0,
+        "PASS criterion 4: distinct and plane partition closed forms (distinct "
+        "['1.0262', '1.0180', '1.0125', '1.0078']; plane ['1.0181', '1.0113', "
+        "'1.0071', '1.0038']; distinct band; plane band)\n"
+        '1/1 criteria passed\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("line", ORACLE_STDOUT)
+def test_oracle_stdout_is_pinned(line, capsys):
+    code = cli.main(shlex.split(line))
+    assert (code, capsys.readouterr().out) == ORACLE_STDOUT[line]
+
+
 # Sums whose terms each overflow a float, although their log is finite: the
 # derivative of H = e^{1000 z} at the apex tau = 1 of psi = 1 + z^2.
 @pytest.mark.parametrize("line,ln", [
@@ -658,6 +690,18 @@ def test_index_below_the_initial_size_is_refused(line, capsys):
     assert cli.main(shlex.split(line)) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: IndexBelowJ: ")
+
+
+def test_power_off_the_support_lattice_is_a_zero_coefficient(capsys):
+    # psi = 1 + z^2 has support gcd 2 and n - q = 29 is odd: [z^31] g^2 = 0
+    assert cli.main(shlex.split("lagrange --op power --psi poly:1,0,1 --q 2 --n 31")) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ZeroCoefficient: ")
+
+
+def test_borel_tanner_asym_refuses_an_empty_initial_size(capsys):
+    assert cli.main(shlex.split("lagrange --op btasym --t 0.5 --j 0 --n 3")) == 2
+    assert capsys.readouterr().err == "usage error: initial size j must be >= 1\n"
 
 
 @pytest.mark.parametrize("op", ["omm", "func --h exp", "general"])

@@ -169,6 +169,17 @@ class TestPowerAsym:
             L.power_asym(expf, 5, 3)
         assert L.power_asym(expf, 5, 5).value.sign == 1
 
+    def test_support_gcd(self):
+        # psi = 1 + z^2 has support gcd 2: [z^n] g^2 = (2/n) [z^{n-2}] psi^n
+        # is 0 for odd n, and the saddle estimate carries the factor 2 at even n
+        psi = make_family(parse_family("poly:1,0,1"), trunc=8)
+        for alpha in (None, 0.0):
+            with pytest.raises(ZeroCoefficient):
+                L.power_asym(psi, 2, 31, alpha=alpha, beta=0.0)
+        exact = LogNumber.from_fraction(Fraction(2, 30) * math.comb(30, 14))
+        r = L.power_asym(psi, 2, 30).value.ratio(exact)
+        assert 1.0 <= r <= 1.1  # 1.076; 0.538 without the gcd factor
+
 
 class TestFuncAsym:
     def test_identity_outer_reduces_to_omm(self, expf):
@@ -235,6 +246,11 @@ class TestBorelTanner:
             L.borel_tanner_pmf(0.5, 3, 2)
         with pytest.raises(IndexBelowJ):
             L.borel_tanner_asym(0.5, 3, 2)
+
+    def test_initial_size_guard(self):
+        for law in (L.borel_tanner_log_pmf, L.borel_tanner_asym):
+            with pytest.raises(ValueError, match="initial size j must be >= 1"):
+                law(0.5, 0, 3)
 
     def test_parameter_guard(self):
         with pytest.raises(ParameterDomain):
