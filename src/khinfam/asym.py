@@ -218,10 +218,9 @@ def local_clt_sup(fam: Family, t: float) -> float:
         )
     root_2pi = math.sqrt(2.0 * math.pi)
     best = 0.0
-    for n in range(lo, hi + 1):
-        p = fm.mass(fam, t, n)
+    for n, log_p in enumerate(fm._log_masses(fam, t, lo, hi, fam.log_value(t)), lo):
         gauss = math.exp(-((m - n) ** 2) / (2.0 * var))
-        best = max(best, abs(p * root_2pi * sigma - gauss))
+        best = max(best, abs(math.exp(log_p) * root_2pi * sigma - gauss))
     return best
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: family specs in, tables/CSV/JSON-lines out.
 
 Verbs: coeff, family, largepow, lagrange, diag, selftest; global flags
---trunc (env KF_TRUNC), --out and --seed. ``largepow`` hands its regime to
+--trunc (env KF_TRUNC), --out and --seed; ``diag``'s cltsup sizes its oracle
+from its window, not from --trunc. ``largepow`` hands its regime to
 ``large_powers.estimate``. Every numeric result is reported as a natural-log
 column plus, when representable, the decimal value. Exit codes: 0 success,
 2 usage error, 3 domain error (the error name from the owning module is
@@ -384,12 +385,12 @@ def cmd_diag(args, cfg: Config, stream) -> int:
     for t in radii:
         fam.check_radius(t)
     if any(s.startswith("cltsup") for s in stats):
-        top = max(radii)
-        need = int(fam.mean(top) + 12.0 * math.sqrt(fam.variance(top))) + 2
-        if need > C.MAX_TRUNC:  # refuse before building an oracle that large
-            raise WindowTooNarrow(f"cltsup at t={top} needs truncation {need}, past {C.MAX_TRUNC}")
-        if need > cfg.trunc:
-            fam = C.make_family(spec, trunc=need)
+        # one oracle to the top of every window, whatever --trunc says
+        need = {t: int(fam.mean(t) + 12.0 * math.sqrt(fam.variance(t))) + 2 for t in radii}
+        w = max(radii) if need[max(radii)] > C.MAX_TRUNC else max(radii, key=need.get)
+        if need[w] > C.MAX_TRUNC:  # refuse before building an oracle that large
+            raise WindowTooNarrow(f"cltsup at t={w} needs truncation {need[w]}, past {C.MAX_TRUNC}")
+        fam = C.make_family(spec, trunc=need[w])
     rows = []
     for t in radii:
         row: dict = {"t": _fmt(t)}

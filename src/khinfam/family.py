@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import series as se
 from .errors import (
@@ -134,10 +134,20 @@ def log_mass(fam: Family, t: float, n: int) -> LogNumber:
     fam.check_radius(t)
     if fam.coeffs is None:
         raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
-    a_n = fam.coeffs.coeff(n)
-    if a_n == 0:
+    if fam.coeffs.coeff(n) == 0:
         return LogNumber.zero()
-    return LogNumber.from_log(log_of_fraction(a_n) + n * math.log(t) - fam.log_value(t))
+    return LogNumber.from_log(next(_log_masses(fam, t, n, n, fam.log_value(t))))
+
+
+def _log_masses(fam: Family, t: float, lo: int, hi: int, log_f: float) -> Iterator[float]:
+    """ln P(X_t = n) = ln a_n + n ln t - ln f(t) for n = lo..hi, -inf where
+    a_n = 0, given log_f = ln f(t); ln t is taken once. The caller checks t
+    and the coefficient access."""
+    cs = fam.coeffs.coeffs
+    log_t = math.log(t)
+    for n in range(lo, hi + 1):
+        c = cs[n]
+        yield -math.inf if c == 0 else log_of_fraction(c) + n * log_t - log_f
 
 
 def mass(fam: Family, t: float, n: int) -> float:
@@ -160,14 +170,9 @@ def mass_total(fam: Family, t: float) -> tuple[float, float]:
     if not t < t_star < fam.radius:
         raise RadiusOutOfRange(f"no comparison radius strictly between t = {t} and R = {fam.radius}")
     log_f = fam.log_value(t)
-    log_t = math.log(t)
-    total = math.fsum(
-        math.exp(log_of_fraction(c) + n * log_t - log_f)
-        for n, c in enumerate(fam.coeffs.coeffs)
-        if c > 0
-    )
     n_top = fam.coeffs.order
-    log_tail = (n_top + 1) * (log_t - math.log(t_star)) + fam.log_value(t_star) - log_f
+    total = math.fsum(math.exp(x) for x in _log_masses(fam, t, 0, n_top, log_f))
+    log_tail = (n_top + 1) * (math.log(t) - math.log(t_star)) + fam.log_value(t_star) - log_f
     tail = math.exp(log_tail) if log_tail < 700.0 else math.inf
     return total, tail
 
@@ -274,13 +279,8 @@ def _direct_weighted_sum(fam: Family, t: float, weight: Callable[[float], float]
     if fam.coeffs is None:
         raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
     fam.check_radius(t)
-    log_f = fam.log_value(t)
-    log_t = math.log(t)
-    return math.fsum(
-        weight(float(n)) * math.exp(log_of_fraction(c) + n * log_t - log_f)
-        for n, c in enumerate(fam.coeffs.coeffs)
-        if c > 0
-    )
+    terms = enumerate(_log_masses(fam, t, 0, fam.coeffs.order, fam.log_value(t)))
+    return math.fsum(weight(float(n)) * math.exp(x) for n, x in terms if x > -math.inf)
 
 
 # -- characteristic and moment generating functions ----------------------------

@@ -220,6 +220,26 @@ class TestLocalClt:
         with pytest.raises(WindowTooNarrow):
             A.local_clt_sup(fam, 100.0)
 
+    # poly:1,0,1 at t = 1 has zero coefficients inside its window 0..12
+    @pytest.mark.parametrize("text,t", [
+        ("P", 0.9), ("bell", 2.0), ("exp", 30.0), ("geom", 0.5), ("poly:1,0,1", 1.0),
+    ])
+    def test_one_log_value_per_radius(self, text, t):
+        spec = parse_family(text)
+        probe = make_family(spec, trunc=8)
+        m, var = probe.mean(t), probe.variance(t)
+        sigma = math.sqrt(var)
+        fam = make_family(spec, trunc=int(m + 12.0 * sigma) + 2)
+        log_value, calls = _counting(fam.log_value)
+        got = A.local_clt_sup(dataclasses.replace(fam, log_value=log_value), t)
+        assert len(calls) == 1
+        # the sup as one family.mass per index of the window gives it
+        best = 0.0
+        for n in range(max(0, int(m - 10.0 * sigma)), int(m + 10.0 * sigma) + 2):
+            gauss = math.exp(-((m - n) ** 2) / (2.0 * var))
+            best = max(best, abs(F.mass(fam, t, n) * math.sqrt(2.0 * math.pi) * sigma - gauss))
+        assert got == best
+
 
 class TestStrongGaussianIntegral:
     def test_poisson_follows_skewness_law(self):

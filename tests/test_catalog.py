@@ -771,6 +771,16 @@ class TestLambertSeries:
                 gap = abs(fam.log_value_complex(z) - log_value_complex(z))
                 assert gap <= 2048 * ULP * scale, (r, angle)
 
+    @pytest.mark.parametrize("s", [1.0, 0.1, 0.01, 0.001])
+    def test_real_log_of_P_near_the_radius(self, s):
+        # ln P(e^-s) = sum_k sigma(k) q^k / k at q = the float e^-s, against
+        # the truncated sums; their relative error was 4.6e-17, -1.3e-15,
+        # -6.3e-15 and -5.0e-14 at these s, the mark a modular ln P must beat
+        fam = C.make_family(C.parse_family("P"), trunc=8)
+        u = math.exp(-s)
+        ref = _decimal_log_value(PARTS["P"], 0, complex(u))[0]
+        assert abs((Decimal(fam.log_value(u)) - ref) / ref) < Decimal(1e-13)
+
     @pytest.mark.parametrize("text", ["P", "Q", "Pab:3,2", "Wab:1,1", "Wab:1,2"])
     def test_tail_bound_dominates_the_exact_tail(self, text):
         b = SHAPES[text][2]

@@ -197,6 +197,33 @@ class TestDiagVerb:
         assert code == 3 and out == ""
         assert err.startswith("error: WindowTooNarrow: ")
 
+    # int(m + 12 sigma) + 2, the largest over the radii: exp at t = 1000, bell
+    # at 2, and binom:4 at t = 1, whose window is wider than at t = 100
+    @pytest.mark.parametrize("line,order", [
+        ("diag --family exp --t 10,100,1000 --stats cltsup,sgint", 1381),
+        ("diag --family bell --t 2 --stats cltsup", 96),
+        ("diag --family binom:4 --t 1,100 --stats cltsup", 16),
+    ])
+    def test_cltsup_builds_its_oracle_to_the_widest_window(self, line, order, monkeypatch,
+                                                          capsys):
+        built = []
+        exact = cli.C.exact_coeffs
+
+        def spy(spec, n_max):
+            built.append(n_max)
+            return exact(spec, n_max)
+
+        monkeypatch.setattr(cli.C, "exact_coeffs", spy)
+        assert cli.main(shlex.split(line)) == 0
+        assert built == [order]
+        assert capsys.readouterr().out == DIAG_STDOUT[line][1]
+
+    @pytest.mark.parametrize("trunc", ["8", "16", "100000"])
+    def test_cltsup_does_not_read_trunc(self, trunc, capsys):
+        line = "diag --family binom:4 --t 1,100 --stats cltsup"
+        assert cli.main(["--trunc", trunc] + line.split()) == 0
+        assert capsys.readouterr().out == DIAG_STDOUT[line][1]
+
 
 class TestFormats:
     def test_empty_row_set_emits_header_only(self):
@@ -666,6 +693,177 @@ ORACLE_STDOUT = {
 def test_oracle_stdout_is_pinned(line, capsys):
     code = cli.main(shlex.split(line))
     assert (code, capsys.readouterr().out) == ORACLE_STDOUT[line]
+
+
+# Exit code and stdout of the diag lines that read an exact oracle through
+# cltsup: the README's line, the cli pool's five, and three whose oracle at
+# --trunc's default 4,096 took seconds (bell 11.5 s, setsoflists 4.4 s).
+DIAG_STDOUT = {
+    'diag --family exp --t 10,100,1000 --stats cltsup,sgint': (
+        0,
+        't     cltsup           sgint          \n'
+        '10    0.0763987568586  0.215634849584 \n'
+        '100   0.0235323599522  0.0668031467979\n'
+        '1000  0.0073299623834  0.0210861298823\n'
+    ),
+    'diag --family bell --t 2 --stats cltsup': (
+        0,
+        't  cltsup        \n'
+        '2  0.150297381399\n'
+    ),
+    'diag --family binom:4 --t 1,100 --stats cltsup': (
+        0,
+        't    cltsup         \n'
+        '1    0.0600143970134\n'
+        '100  0.503204514327 \n'
+    ),
+    '--trunc 256 diag --family bell --t 2,3 --stats cltsup,gratio': (
+        0,
+        't  cltsup           gratio        \n'
+        '2  0.150297381399   0.550682560835\n'
+        '3  0.0766340076272  0.305957612812\n'
+    ),
+    '--trunc 128 diag --family geom --t 0.3,0.5 --stats cltsup,gratio': (
+        0,
+        't    cltsup          gratio       \n'
+        '0.3  0.512228872871  2.37346441586\n'
+        '0.5  0.993653067834  2.12132034356\n'
+    ),
+    '--trunc 1024 diag --family exp --t 30 --stats cltsup': (
+        0,
+        't   cltsup         \n'
+        '30  0.0438193191781\n'
+    ),
+    '--trunc 2048 diag --family exp --t 100,200 --stats cltsup,gratio': (
+        0,
+        't    cltsup           gratio         \n'
+        '100  0.0235323599522  0.1            \n'
+        '200  0.0165437415899  0.0707106781187\n'
+    ),
+    'diag --family P --t 0.95 --stats cltsup': (
+        0,
+        't     cltsup         \n'
+        '0.95  0.0965396004565\n'
+    ),
+    'diag --family setsoflists --t 0.5 --stats cltsup': (
+        0,
+        't    cltsup       \n'
+        '0.5  1.54223383416\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("line", DIAG_STDOUT)
+def test_diag_stdout_is_pinned(line, capsys):
+    code = cli.main(shlex.split(line))
+    assert (code, capsys.readouterr().out) == DIAG_STDOUT[line]
+
+
+# `khinfam --help` (key "") and each verb's --help at 80 columns.
+HELP_STDOUT = {
+    '': (
+        'usage: khinfam [-h] [--trunc TRUNC] [--out {table,csv,jsonl}] [--seed SEED]\n'
+        '               {coeff,family,largepow,lagrange,diag,selftest} ...\n'
+        '\n'
+        'Exact coefficients and saddle-point asymptotics of power series with non-\n'
+        'negative coefficients.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {coeff,family,largepow,lagrange,diag,selftest}\n'
+        '    coeff               coefficient estimates for a catalog family\n'
+        '    family              pointwise statistics of a family\n'
+        '    largepow            coefficients of large powers psi^n\n'
+        '    lagrange            Lagrange-equation and progeny asymptotics\n'
+        '    diag                Gaussianity diagnostics over a radius grid\n'
+        '    selftest            run the acceptance criteria\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --trunc TRUNC         coefficient truncation order (env KF_TRUNC)\n'
+        '  --out {table,csv,jsonl}\n'
+        '  --seed SEED           sampler seed\n'
+        '\n'
+        'Column order is fixed per verb: coeff -> method,n,ln,value,ratio; family ->\n'
+        'stat,ln,value; largepow -> regime,n,k,ln,value,exact_ln,exact,ratio; lagrange\n'
+        '-> op,n,ln,value[,extra]; diag -> t followed by the requested stats. CSV\n'
+        'renders log columns as ln=<digits> and decimals with 12 significant digits.\n'
+    ),
+    'coeff': (
+        'usage: khinfam coeff [-h] --family FAMILY --n N [--method METHOD]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --family FAMILY\n'
+        '  --n N\n'
+        '  --method METHOD  comma list:\n'
+        '                   exact,hayman,bd,closed,hr,distinct,ingham,wright,colored,mw\n'
+    ),
+    'family': (
+        'usage: khinfam family [-h] --family FAMILY --t T [--stats STATS]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --family FAMILY\n'
+        '  --t T\n'
+        '  --stats STATS    comma list: mean,var,clan,mass:N,moment:K,cmoment:K,fmoment\n'
+        '                   :J,charfn:THETA,mgf:LAMBDA,zerofree,maxterm,gap,qgcd\n'
+    ),
+    'largepow': (
+        'usage: khinfam largepow [-h] --psi PSI --n N --k K [--h H] [--regime REGIME]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --psi PSI\n'
+        '  --n N\n'
+        '  --k K\n'
+        '  --h H            optional prefactor family\n'
+        '  --regime REGIME  auto | comparable:A,B | limitl:L,W | boundary[:W] | smallk\n'
+        '                   | smallkref:J | fixedk | largek\n'
+    ),
+    'lagrange': (
+        'usage: khinfam lagrange [-h]\n'
+        '                        [--op {apex,omm,power,func,bt,btasym,pp,ppasym,general,sample}]\n'
+        '                        [--psi PSI] [--h H] [--n N] [--q Q] [--j J] [--t T]\n'
+        '                        [--s S] [--trials TRIALS]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --op {apex,omm,power,func,bt,btasym,pp,ppasym,general,sample}\n'
+        '  --psi PSI\n'
+        '  --h H                 outer/initial series for func/general\n'
+        '  --n N\n'
+        '  --q Q\n'
+        '  --j J\n'
+        '  --t T\n'
+        '  --s S\n'
+        '  --trials TRIALS\n'
+    ),
+    'diag': (
+        'usage: khinfam diag [-h] --family FAMILY --t T [--stats STATS]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --family FAMILY\n'
+        '  --t T            comma list of radii\n'
+        '  --stats STATS    comma list: cltsup,sgint,gratio,cuts[:H]\n'
+    ),
+    'selftest': (
+        'usage: khinfam selftest [-h] [--criteria CRITERIA]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help           show this help message and exit\n'
+        '  --criteria CRITERIA  comma list of criterion numbers\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", HELP_STDOUT)
+def test_help_is_pinned(verb, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--help"] if verb else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_STDOUT[verb]
 
 
 # Sums whose terms each overflow a float, although their log is finite: the
