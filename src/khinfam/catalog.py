@@ -556,7 +556,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             **common, radius=math.inf, mean_sup=float(n),
             log_value=lambda t: n * math.log1p(t),
             mean=lambda t: n * t / (1.0 + t),
-            variance=lambda t: n * t / (1.0 + t) ** 2,
+            variance=lambda t: _binom_var(n, t),
             log_value_complex=lambda z: n * cmath.log(1 + z),
             fulcrum34=lambda s: _binom_f34(n, math.exp(s)),
         )
@@ -639,10 +639,32 @@ def _float_exp(fn: Callable[[float], float], t: float) -> float:
         raise DomainError(f"e^{t} overflows a float") from None
 
 
+def _binom_var(n: int, t: float) -> float:
+    try:
+        return n * t / (1.0 + t) ** 2
+    except OverflowError:
+        return _binom_cumulants_in_x(n, t)[0]
+
+
 def _binom_f34(n: int, t: float) -> tuple[float, float]:
-    f3 = n * t * (1 - t) / (1 + t) ** 3
-    f4 = n * t * (1 - 4 * t + t * t) / (1 + t) ** 4
+    try:
+        f3 = n * t * (1 - t) / (1 + t) ** 3
+    except OverflowError:
+        f3 = _binom_cumulants_in_x(n, t)[1]
+    try:
+        f4 = n * t * (1 - 4 * t + t * t) / (1 + t) ** 4
+    except OverflowError:
+        f4 = _binom_cumulants_in_x(n, t)[2]
     return f3, f4
+
+
+def _binom_cumulants_in_x(n: int, t: float) -> tuple[float, float, float]:
+    """kappa_2..kappa_4 of binom:n as n x(1-x), n x(1-x)(1-2x) and
+    n x(1-x)(1-6x(1-x)) in x = t/(1+t), for t where (1+t)^k leaves the float
+    range. 1 - x is taken as 1/(1+t): 1 - x itself rounds to 0 there."""
+    x, y = t / (1.0 + t), 1.0 / (1.0 + t)
+    var = n * x * y
+    return var, var * (y - x), var * (1 - 6 * x * y)
 
 
 def _geom_f34(n: int, t: float) -> tuple[float, float]:

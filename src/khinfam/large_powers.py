@@ -1,9 +1,12 @@
 """Asymptotics of the k-th coefficient of psi(z)^n across all k/n regimes.
 
 Every estimator but the exact fixed-k polynomial returns a log-space value.
-The exact oracle is ``series.power_coeff``, coefficient k of h*psi^n (or psi^n)
-in exact rationals from psi and h truncated at k; the last step of binary
-exponentiation is one O(k) dot product. A shorter truncation is refused.
+The exact oracle, ``exact_power_coeff``, gives coefficient k of h*psi^n (or
+psi^n) in exact rationals from psi and h truncated at k. A polynomial psi of
+degree d is powered by Miller's recurrence in integers
+(``series.miller_power_coeff``, O(k d)); a series psi by binary
+exponentiation (``series.power_coeff``), whose last step is one O(k) dot
+product. A shorter truncation is refused.
 """
 
 from __future__ import annotations
@@ -63,7 +66,14 @@ class PowerCoeffQuery:
 
 
 def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
-    """coeff_k(psi^n), or of h*psi^n with a prefactor, exactly."""
+    """coeff_k(psi^n), or of h*psi^n with a prefactor, exactly.
+
+    Refused, in this order: psi without coefficients, a binary-powering
+    cost estimate over CONVOLUTION_BUDGET, a prefactor without
+    coefficients, a truncation below k. A polynomial psi (entire, with its
+    degree as a finite mean limit) is powered by Miller's recurrence, any
+    other psi by binary exponentiation.
+    """
     psi, n, k, h = q.psi, q.n, q.k, q.prefactor
     # the oracles are built only past every refusal
     if psi.oracle is None:
@@ -74,13 +84,19 @@ def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
     if h is not None and h.oracle is None:
         raise NoCoefficientAccess("prefactor carries no coefficients")
     a = _coeffs_through(psi, k)
-    return se.power_coeff(a, n, k, None if h is None else _coeffs_through(h, k))
+    hc = None if h is None else _coeffs_through(h, k)
+    power = se.miller_power_coeff if _is_polynomial(psi) else se.power_coeff
+    return power(a, n, k, hc)
+
+
+def _is_polynomial(fam: Family) -> bool:
+    return math.isinf(fam.radius) and math.isfinite(fam.mean_sup)
 
 
 def _coeffs_through(fam: Family, k: int) -> se.CoeffSeries:
     """fam's coefficients, refused if truncated before index k and fam may
     reach it: an entire fam has degree mean_sup (finite for a polynomial)."""
-    coeffs, degree = fam.coeffs, fam.mean_sup if math.isinf(fam.radius) else math.inf
+    coeffs, degree = fam.coeffs, fam.mean_sup if _is_polynomial(fam) else math.inf
     if coeffs.order < min(k, degree):
         raise IndexBeyondTruncation(f"{fam.name} is truncated at order {coeffs.order} < {k}")
     return coeffs

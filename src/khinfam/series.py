@@ -9,14 +9,16 @@ Each kernel's docstring gives its cost in coefficient products; nnz(a) is
 the number of nonzero coefficients of a within the order used. The loops
 visit nonzero coefficients only, so sparse operands are cheap, and a single
 coefficient of a power h*a^n or a product is computed without the rest of
-the series (``power_coeff``, ``coeff_of_product``).
+the series (``power_coeff``, ``coeff_of_product``). ``miller_power_coeff``
+is the same coefficient of a power by a recurrence over integer numerators,
+linear in k for a polynomial a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -233,6 +235,48 @@ def power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = None) ->
     if y is None:
         return _frac(x.coeffs[k])
     return coeff_of_product(x, y, k)
+
+
+def _integer_terms(a: CoeffSeries, hi: int) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(i, D*a_i)]) over the nonzero a_i with i <= hi, where D is the
+    lcm of their denominators."""
+    terms = _nonzero_terms(a, 0, min(hi, a.order))
+    d = lcm(*(c.denominator for _, c in terms))
+    return d, [(i, c.numerator * (d // c.denominator)) for i, c in terms]
+
+
+def miller_power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = None) -> Fraction:
+    """Coefficient k of h*a^n (of a^n when h is None) by Miller's recurrence
+    in integers; needs a_0 != 0. Equal to ``power_coeff``.
+
+    With p = D*a integer for D the lcm of the denominators of a_0..a_k, the
+    coefficients of w = p^n satisfy
+    m p_0 w_m = sum_{j=1}^{min(m, deg)} ((n+1)j - m) p_j w_{m-j}, an exact
+    integer division (Knuth, TAOCP vol. 2, 4.7), and h*a^n has coefficient
+    sum_i h_i w_{k-i} / D^n. Costs O(k nnz(a)) integer products, so a
+    polynomial a of degree d takes O(k d) whatever n; w_m vanishes past n d.
+    """
+    if n < 1:
+        raise ValueError("exponent must be >= 1")
+    if k < 0:
+        raise ValueError(f"coefficient index must be >= 0, got {k}")
+    if a.coeffs[0] == 0:
+        raise ValueError("Miller's recurrence needs a nonzero constant term")
+    d, terms = _integer_terms(a, k)
+    (_, p0), rest = terms[0], terms[1:]
+    top = min(k, n * terms[-1][0])
+    w = [p0**n]
+    for m in range(1, top + 1):
+        acc = 0
+        for j, pj in rest:
+            if j > m:
+                break
+            acc += ((n + 1) * j - m) * pj * w[m - j]
+        w.append(acc // (m * p0))
+    if h is None:
+        return Fraction(w[k] if k <= top else 0, d**n)
+    e, hterms = _integer_terms(h, k)
+    return Fraction(sum(hi * w[k - i] for i, hi in hterms if k - i <= top), e * d**n)
 
 
 def derivative_series(f: CoeffSeries) -> CoeffSeries:

@@ -214,6 +214,37 @@ class TestClosedEvaluations:
         assert fam.meta.get("truncated_product")
         assert fam.mean_sup == 3.0
 
+    @pytest.mark.parametrize("spec", ["bernoulli", "binom:5"])
+    def test_binomial_cumulants_unchanged_where_the_t_forms_are_finite(self, spec):
+        fam = C.make_family(C.parse_family(spec), trunc=8)
+        n = fam.mean_sup
+        grid = [10.0**e for e in range(-300, 308, 7)] + [0.5, 1.0, 2.0, 3.0, 1.3e77, 5.6e102]
+        finite = 0
+        for t0 in grid:
+            t = math.exp(math.log(t0))
+            k3, k4 = fam.fulcrum34(math.log(t0))
+            for got, old in ((fam.variance(t0), lambda: n * t0 / (1.0 + t0) ** 2),
+                             (k3, lambda: n * t * (1 - t) / (1 + t) ** 3),
+                             (k4, lambda: n * t * (1 - 4 * t + t * t) / (1 + t) ** 4)):
+                try:
+                    want = old()
+                except OverflowError:
+                    continue
+                finite += 1
+                assert got.hex() == want.hex(), t0
+        assert finite > 100
+
+    @pytest.mark.parametrize("t", [1e120, 1e160, 1e200, 1e300, 1e307])
+    def test_binomial_cumulants_in_x_past_the_float_range_of_the_t_forms(self, t):
+        # with x = t/(1+t): n x(1-x), n x(1-x)(1-2x), n x(1-x)(1-6x(1-x)),
+        # which are 5/t, -5/t and 5/t to float precision at these t;
+        # fulcrum34 takes s = ln t and reads t back as e^s
+        fam = C.make_family(C.parse_family("binom:5"), trunc=8)
+        k3, k4 = fam.fulcrum34(math.log(t))
+        te = math.exp(math.log(t))
+        for got, want in ((fam.variance(t), 5 / t), (k3, -5 / te), (k4, 5 / te)):
+            assert math.isfinite(got) and abs(got - want) <= 1e-14 * abs(want)
+
     def test_basic_family_radii(self):
         geom = C.make_family(C.parse_family("geom"), 8)
         assert geom.radius == 1.0 and math.isinf(geom.mean_sup)

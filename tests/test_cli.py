@@ -340,7 +340,6 @@ CONTRACT_INPUTS = [
 FLOAT_RANGE_INPUTS = [
     "diag --family exp --t 1e300 --stats gratio",  # d[1] ** 1.5 overflows
     "diag --family P --t 1e-300 --stats gratio",  # the variance is 0
-    "family --family binom:4 --t 1e200 --stats var",
     "family --family exp --t 1e10 --stats mgf:0.1",
     "family --family bell --t 1e10 --stats charfn:0.5",
     "diag --family expof:poly:0,1,1 --t 1e200 --stats cltsup",  # int() of an infinite mean
@@ -370,6 +369,25 @@ def test_exact_value_past_the_digit_limit_is_a_domain_error(line, capsys):
 def test_float_range_error_is_a_domain_error(line, capsys):
     assert cli.main(shlex.split(line)) == 3
     assert capsys.readouterr().err.startswith("error: DomainError: ")
+
+
+# Finite statistics of binom and bernoulli at t where a (1+t)^k form leaves
+# the float range; they once exited 3 with OverflowError.
+BINOMIAL_FINITE_INPUTS = [
+    ("family --family binom:5 --t 1e300 --stats var,clan", ["5e-300", "4.472135955e-151"]),
+    ("family --family binom:5 --t 1e300 --stats moment:2", ["25"]),
+    ("family --family binom:5 --t 1e300 --stats cmoment:3", ["-5e-300"]),
+    ("family --family bernoulli --t 1e200 --stats var", ["1e-200"]),
+    ("family --family binom:4 --t 1e200 --stats var", ["4e-200"]),
+]
+
+
+@pytest.mark.parametrize("line,values", BINOMIAL_FINITE_INPUTS)
+def test_binomial_cumulants_past_the_float_range_exit_0(line, values, capsys):
+    assert cli.main(["--out", "csv"] + shlex.split(line)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == values
 
 
 def test_partition_sums_end_below_the_float_range_of_their_criterion(capsys):

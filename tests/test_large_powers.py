@@ -98,14 +98,16 @@ def multiplies(monkeypatch):
 
 class TestExactRefusals:
     # (k+1)^2 * 2 * bitlen(n) against CONVOLUTION_BUDGET = 10^9: with n = 16
-    # (bitlen 5) k = 9999 costs exactly 10^9 and k = 10000 is over.
+    # (bitlen 5) k = 9999 costs exactly 10^9 and k = 10000 is over. binom is
+    # a polynomial, so a query under the budget reaches Miller's recurrence.
 
     def test_budget_threshold(self, binom, monkeypatch, multiplies):
         with pytest.raises(BudgetExceeded):
             LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 10_000))
         assert multiplies == []
         seen = []
-        monkeypatch.setattr(S, "power_coeff", lambda a, n, k, h=None: seen.append((n, k)) or Fraction(0))
+        monkeypatch.setattr(S, "miller_power_coeff",
+                            lambda a, n, k, h=None: seen.append((n, k)) or Fraction(0))
         assert LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 9_999)) == 0
         assert seen == [(16, 9_999)]
         with pytest.raises(BudgetExceeded):
@@ -174,6 +176,44 @@ class TestExactRefusals:
         q = LP.PowerCoeffQuery(binom, 40, 20, prefactor=poly2)
         assert binom.coeffs.order == 8
         assert LP.exact_power_coeff(q) == sum(math.comb(40, 20 - i) for i in range(3))
+
+
+class TestExactRoute:
+    @pytest.fixture
+    def powered(self, monkeypatch):
+        """Counts every series.power_coeff call, passing it through."""
+        calls = []
+        real = S.power_coeff
+
+        def spy(*args):
+            calls.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(S, "power_coeff", spy)
+        return calls
+
+    def test_polynomial_psi_takes_miller(self, binom, multiplies, powered):
+        bern = make_family(parse_family("bernoulli"), trunc=4)
+        tri = make_family(parse_family("poly:3,0,1/2,2"), trunc=3)
+        exp22 = make_family(parse_family("exp"), trunc=22)
+        queries = (LP.PowerCoeffQuery(binom, 1000, 500),
+                   LP.PowerCoeffQuery(bern, 20, 10, prefactor=binom),
+                   LP.PowerCoeffQuery(tri, 7, 30),  # past n * deg = 21
+                   LP.PowerCoeffQuery(tri, 7, 22, prefactor=exp22))
+        got = [LP.exact_power_coeff(q) for q in queries]
+        assert multiplies == [] and powered == []
+        for q, c in zip(queries, got):
+            h = None if q.prefactor is None else q.prefactor.coeffs
+            assert type(c) is Fraction
+            assert c == S.power_coeff(q.psi.coeffs, q.n, q.k, h)
+
+    def test_series_psi_keeps_binary_powering(self, expf, binom, multiplies, powered):
+        geom = make_family(parse_family("geom"), trunc=16)
+        assert LP.exact_power_coeff(LP.PowerCoeffQuery(expf, 7, 9, prefactor=binom)) == (
+            S.power_coeff(expf.coeffs, 7, 9, binom.coeffs))
+        assert LP.exact_power_coeff(LP.PowerCoeffQuery(geom, 5, 16)) == math.comb(20, 16)
+        assert powered[0] == (7, 9) and powered[-1] == (5, 16)
+        assert multiplies != []
 
 
 class TestComparable:

@@ -313,6 +313,80 @@ class TestPowerCoeff:
                 math.comb(n, k - 1) if k else 0)
 
 
+@st.composite
+def integer_polynomials(draw, max_degree=8):
+    """Integer coefficients with gaps and a nonzero constant term, often
+    not +-1."""
+    values = draw(st.lists(st.integers(min_value=-9, max_value=9),
+                           min_size=1, max_size=max_degree + 1))
+    if values[0] == 0:
+        values[0] = draw(st.sampled_from([-3, 2, 5]))
+    return S.CoeffSeries.from_list(values)
+
+
+def miller_operands(max_order=8):
+    """Integer and rational polynomials, sparse ones with long gaps, all
+    with a nonzero constant term."""
+    return st.one_of(integer_polynomials(max_order), signed_series(max_order, "nonzero"),
+                     sparse_series(4 * max_order, "nonzero"))
+
+
+class TestMillerPowerCoeff:
+    @settings(max_examples=200, deadline=None)
+    @given(miller_operands(), exponents, st.integers(min_value=0, max_value=40),
+           st.none() | signed_series(12) | sparse_series(40))
+    def test_equals_power_coeff(self, a, n, k, h):
+        c = S.miller_power_coeff(a, n, k, h)
+        assert c == S.power_coeff(a, n, k, h)
+        assert type(c) is Fraction
+
+    @settings(max_examples=40, deadline=None)
+    @given(miller_operands(max_order=4), exponents,
+           st.none() | signed_series(12) | sparse_series(40))
+    def test_index_zero_and_past_the_degree(self, a, n, h):
+        deg = max(a.nonzero_indices())
+        for k in (0, n * deg, n * deg + 1, n * deg + 7):
+            c = S.miller_power_coeff(a, n, k, h)
+            assert c == S.power_coeff(a, n, k, h)
+            assert type(c) is Fraction
+        if h is None:
+            assert S.miller_power_coeff(a, n, 0) == a.coeff(0) ** n
+            assert S.miller_power_coeff(a, n, n * deg) == a.coeff(deg) ** n
+            assert S.miller_power_coeff(a, n, n * deg + 1) == 0
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 16])
+    def test_dense_series(self, order):
+        for a in (exp_coeffs(order), geometric_series(order), dense_64(3).truncate(order)):
+            for n in (1, 2, 3, 7, 8, 13):
+                for k in {0, order // 2, order}:
+                    for h in (None, exp_coeffs(order), S.CoeffSeries.from_list([0, 0, FR(-2, 3)])):
+                        assert S.miller_power_coeff(a, n, k, h) == S.power_coeff(a, n, k, h)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 100])
+    def test_closed_forms(self, n):
+        # (1 + z^2)^n, (2 + z)^n and (1/2 + z/3)^n coefficient by coefficient
+        gap = S.CoeffSeries.from_list([1, 0, 1])
+        two = S.CoeffSeries.from_list([2, 1])
+        thirds = S.CoeffSeries.from_list([FR(1, 2), FR(1, 3)])
+        for k in range(2 * n + 3):
+            assert S.miller_power_coeff(gap, n, k) == (math.comb(n, k // 2) if k % 2 == 0 else 0)
+            assert S.miller_power_coeff(two, n, k) == math.comb(n, k) * 2 ** max(n - k, 0)
+            assert S.miller_power_coeff(thirds, n, k) == (
+                math.comb(n, k) * FR(1, 2) ** (n - k) * FR(1, 3) ** k if k <= n else 0)
+
+    def test_rejects_zero_constant_term(self):
+        for a in (S.CoeffSeries.from_list([0, 1]), S.CoeffSeries.from_list([0, 0, 3])):
+            with pytest.raises(ValueError, match="nonzero constant term"):
+                S.miller_power_coeff(a, 3, 2)
+
+    def test_rejects_exponent_zero_and_negative_index(self):
+        a = S.CoeffSeries.from_list([1, 1])
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            S.miller_power_coeff(a, 0, 3)
+        with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+            S.miller_power_coeff(a, 3, -1)
+
+
 def parent_extended_coeff(h, psi, n):
     """``lagrange.extended_coeff`` as it was before it read one coefficient
     through ``power_coeff``: a full power, then a full product with H'."""
