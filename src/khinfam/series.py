@@ -249,34 +249,41 @@ def miller_power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = N
     """Coefficient k of h*a^n (of a^n when h is None) by Miller's recurrence
     in integers; needs a_0 != 0. Equal to ``power_coeff``.
 
-    With p = D*a integer for D the lcm of the denominators of a_0..a_k, the
-    coefficients of w = p^n satisfy
-    m p_0 w_m = sum_{j=1}^{min(m, deg)} ((n+1)j - m) p_j w_{m-j}, an exact
-    integer division (Knuth, TAOCP vol. 2, 4.7), and h*a^n has coefficient
-    sum_i h_i w_{k-i} / D^n. Costs O(k nnz(a)) integer products, so a
-    polynomial a of degree d takes O(k d) whatever n; w_m vanishes past n d.
+    With b = a/a_0 and c the lcm of the denominators of b_1..b_k, the series
+    q(z) = b(cz) has integer coefficients and q_0 = 1, so the coefficients of
+    v = q^n satisfy m v_m = sum_{j=1}^{min(m, deg)} ((n+1)j - m) q_j v_{m-j},
+    an exact integer division (Knuth, TAOCP vol. 2, 4.7), and h*a^n has
+    coefficient a_0^n sum_i h_i v_{k-i} / c^{k-i}. v_m = c^m [z^m] b^n grows
+    with m, not with n, and a_0^n is the only n-th power formed. Costs
+    O(k nnz(a)) integer products, so a polynomial a of degree d takes O(k d)
+    whatever n; v_m vanishes past n d.
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
     if k < 0:
         raise ValueError(f"coefficient index must be >= 0, got {k}")
-    if a.coeffs[0] == 0:
+    a0 = _frac(a.coeffs[0])
+    if a0 == 0:
         raise ValueError("Miller's recurrence needs a nonzero constant term")
-    d, terms = _integer_terms(a, k)
-    (_, p0), rest = terms[0], terms[1:]
-    top = min(k, n * terms[-1][0])
-    w = [p0**n]
+    terms = [(j, x / a0) for j, x in _nonzero_terms(a, 1, min(k, a.order))]
+    top = min(k, n * terms[-1][0]) if terms else 0
+    if h is None and k > top:
+        return Fraction(0)
+    c = lcm(*(b.denominator for _, b in terms))
+    q = [(j, b.numerator * (c // b.denominator) * c ** (j - 1)) for j, b in terms]
+    v = [1]
     for m in range(1, top + 1):
         acc = 0
-        for j, pj in rest:
+        for j, qj in q:
             if j > m:
                 break
-            acc += ((n + 1) * j - m) * pj * w[m - j]
-        w.append(acc // (m * p0))
+            acc += ((n + 1) * j - m) * qj * v[m - j]
+        v.append(acc // m)
     if h is None:
-        return Fraction(w[k] if k <= top else 0, d**n)
+        return a0**n * Fraction(v[k], c**k)
     e, hterms = _integer_terms(h, k)
-    return Fraction(sum(hi * w[k - i] for i, hi in hterms if k - i <= top), e * d**n)
+    total = sum(hi * v[k - i] * c**i for i, hi in hterms if k - i <= top)
+    return a0**n * Fraction(total, e * c**k)
 
 
 def derivative_series(f: CoeffSeries) -> CoeffSeries:

@@ -207,6 +207,14 @@ class TestExactRoute:
             assert type(c) is Fraction
             assert c == S.power_coeff(q.psi.coeffs, q.n, q.k, h)
 
+    def test_rational_polynomial_at_a_huge_exponent(self, multiplies, powered):
+        # (1 + z/2)^n at n = 10^7: C(n, 10)/2^10, with no 2^n-sized integer
+        half = make_family(parse_family("poly:1,1/2"), trunc=1)
+        c = LP.exact_power_coeff(LP.PowerCoeffQuery(half, 10**7, 10))
+        assert multiplies == [] and powered == []
+        assert type(c) is Fraction and c == Fraction(math.comb(10**7, 10), 2**10)
+        assert c == S.power_coeff(half.coeffs, 10**7, 10)
+
     def test_series_psi_keeps_binary_powering(self, expf, binom, multiplies, powered):
         geom = make_family(parse_family("geom"), trunc=16)
         assert LP.exact_power_coeff(LP.PowerCoeffQuery(expf, 7, 9, prefactor=binom)) == (

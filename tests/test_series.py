@@ -1,6 +1,7 @@
 """Exact-series arithmetic against schoolbook oracles."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -373,6 +374,28 @@ class TestMillerPowerCoeff:
             assert S.miller_power_coeff(two, n, k) == math.comb(n, k) * 2 ** max(n - k, 0)
             assert S.miller_power_coeff(thirds, n, k) == (
                 math.comb(n, k) * FR(1, 2) ** (n - k) * FR(1, 3) ** k if k <= n else 0)
+
+    def test_huge_exponent_with_a_small_answer(self):
+        # a_0 = +-1 and rational a_j: the coefficient stays small whatever n,
+        # so no n-th power of a denominator or of a scaled a_0 may be formed
+        half = S.CoeffSeries.from_list([1, FR(1, 2)])
+        gap = S.CoeffSeries.from_list([-1, 0, FR(2, 3)])
+        h = S.CoeffSeries.from_list([FR(1, 5), 0, 3])
+        for n in (10**7, 10**7 + 1, 10**9):
+            start = time.perf_counter()
+            for k in (0, 1, 10):
+                assert S.miller_power_coeff(half, n, k) == FR(math.comb(n, k), 2**k)
+                assert S.miller_power_coeff(gap, n, 2 * k) == (
+                    math.comb(n, k) * (-1) ** (n - k) * FR(2, 3) ** k)
+            assert S.miller_power_coeff(gap, n, 21) == 0
+            assert S.miller_power_coeff(half, n, 10, h) == (
+                FR(1, 5) * FR(math.comb(n, 10), 2**10) + 3 * FR(math.comb(n, 8), 2**8))
+            # checked before the next n, so a regression fails before n = 10^9
+            assert time.perf_counter() - start < 2.0
+        for a in (half, gap):
+            for k in (0, 7, 10):
+                c = S.miller_power_coeff(a, 10**7, k, h)
+                assert c == S.power_coeff(a, 10**7, k, h) and type(c) is Fraction
 
     def test_rejects_zero_constant_term(self):
         for a in (S.CoeffSeries.from_list([0, 1]), S.CoeffSeries.from_list([0, 0, 3])):
