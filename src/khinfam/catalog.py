@@ -171,6 +171,7 @@ def _validate(spec: FamilySpec) -> None:
 # -- partition-product sums ------------------------------------------------------
 
 _MAX_TERMS = 10_000_000
+_NO_TAIL = "series summation did not reach its tail criterion"
 _LAMBERT_TAIL = 1e-17
 
 
@@ -263,19 +264,28 @@ def _parts_sums(p0: int, d: int, b: int):
     the pair (F''', F'''') of fulcrum derivatives at s = ln t, then the
     circle evaluator: t -> (z -> ln f(z)) for |z| = t.
 
-    ln f, m and sigma^2 are each one loop over the parts that evaluates u^p
-    once per term; the majorant of the tail is read at the next part. Float
-    expressions keep their order and grouping, and only side-effect-free
-    comparisons are reordered, so every result is bit-identical to summing
-    term by term. F''' and F'''' share one loop: with x = u^p, the inner
-    sums over k of k^(q-1) x^k are x (1 + x) / (1 - x)^3 and
-    x (1 + 4x + x^2) / (1 - x)^4 (Eulerian polynomials), so a part costs one
-    power and no inner series. It stops once both sums meet the tail
-    criterion. A loop also stops at a term that is exactly 0.0: u^p has
-    underflowed, so every later term is 0 too. That test comes after the
-    tail criterion, so an input that meets the criterion stops where it
-    always did; it ends the loops at t below about 5e-308, where 1e-16 times
-    the sum underflows to 0 and the criterion can never be met.
+    ln f, m and sigma^2 are each one for loop over the part range
+    range(p0, p0 + d _MAX_TERMS, d); its end is the term limit, past which a
+    sum that has not met its tail criterion raises. A term takes u^p once,
+    and the majorant of the tail is read at the next part, p + d. With
+    b = 0 the weight j^b is the integer 1, so those shapes (P, Q, Pab,
+    Wab:a,0) loop with no weight power and no part counter; b >= 1 counts j
+    with enumerate. Float expressions keep their operands, order and
+    grouping (1 p and j^b p are exact integers either way), and only
+    side-effect-free comparisons are reordered. So for 0 <= u < 1, where no
+    term is negative, every result is bit-identical to summing term by term,
+    with the same powers taken in the same order. The term test
+    v <= 1e-16 total comes first: only a term that passes it can end a loop.
+    A loop also stops at a term that is exactly 0.0: u^p has underflowed,
+    so every later term is 0 too. That test comes after the tail criterion,
+    so an input that meets the criterion stops where it always did; it ends
+    the loops at t below about 5e-308, where 1e-16 times the sum underflows
+    to 0 and the criterion can never be met (the term test's equality case).
+    F''' and F'''' share one loop: with x = u^p, the inner sums over k of
+    k^(q-1) x^k are x (1 + x) / (1 - x)^3 and x (1 + 4x + x^2) / (1 - x)^4
+    (Eulerian polynomials), so a part costs one power and no inner series.
+    It stops once both sums meet the tail criterion, or at a term that is
+    exactly 0.0.
 
     Complex ln f is the Lambert series ln f(z) = sum_{k>=1} (s_k/k) z^k with
     s_k = sum_{j : p_j | k} c_j p_j, the same principal-branch value as
@@ -297,52 +307,81 @@ def _parts_sums(p0: int, d: int, b: int):
     order up to _MAX_TERMS that is below 1.00000001e-17.
     """
 
-    def log_value(u: float) -> float:
-        total = 0.0
-        j, p = 1, p0
-        while True:
-            v = -(j**b) * math.log1p(-u**p)
-            total += v
-            j += 1
-            p += d
-            if (total > 0 and v < _REL_TERM * total
-                    and j**b * u**p / (1.0 - u) < _REL_TAIL * total
-                    or v == 0.0):
-                return total
-            if j > _MAX_TERMS:
-                raise TruncationTooLarge("series summation did not reach its tail criterion")
+    parts = range(p0, p0 + d * _MAX_TERMS, d)
 
-    def mean(u: float) -> float:
-        total = 0.0
-        j, p = 1, p0
-        while True:
-            x = u**p
-            v = j**b * p * x / (1.0 - x)
-            total += v
-            j += 1
-            p += d
-            if (total > 0 and v < _REL_TERM * total
-                    and j**b * p * u**p / (1.0 - u) < _REL_TAIL * total
-                    or v == 0.0):
-                return total
-            if j > _MAX_TERMS:
-                raise TruncationTooLarge("series summation did not reach its tail criterion")
+    if b == 0:
 
-    def variance(u: float) -> float:
-        total = 0.0
-        j, p = 1, p0
-        while True:
-            x = u**p
-            v = j**b * p * p * x / (1.0 - x) ** 2
-            total += v
-            j += 1
-            p += d
-            if (total > 0 and v < _REL_TERM * total
-                    and j**b * p * p * u**p / (1.0 - u) ** 2 < _REL_TAIL * total
-                    or v == 0.0):
-                return total
-            if j > _MAX_TERMS:
-                raise TruncationTooLarge("series summation did not reach its tail criterion")
+        def log_value(u: float) -> float:
+            total = 0.0
+            for p in parts:
+                v = -math.log1p(-u**p)
+                total += v
+                tiny = _REL_TERM * total
+                if v <= tiny and (v < tiny and u ** (p + d) / (1.0 - u)
+                                  < _REL_TAIL * total or v == 0.0):
+                    return total
+            raise TruncationTooLarge(_NO_TAIL)
+
+        def mean(u: float) -> float:
+            total = 0.0
+            for p in parts:
+                x = u**p
+                v = p * x / (1.0 - x)
+                total += v
+                tiny = _REL_TERM * total
+                if v <= tiny and (v < tiny and (p + d) * u ** (p + d) / (1.0 - u)
+                                  < _REL_TAIL * total or v == 0.0):
+                    return total
+            raise TruncationTooLarge(_NO_TAIL)
+
+        def variance(u: float) -> float:
+            total = 0.0
+            for p in parts:
+                x = u**p
+                v = p * p * x / (1.0 - x) ** 2
+                total += v
+                tiny = _REL_TERM * total
+                if v <= tiny and (v < tiny and (p + d) * (p + d) * u ** (p + d) / (1.0 - u) ** 2
+                                  < _REL_TAIL * total or v == 0.0):
+                    return total
+            raise TruncationTooLarge(_NO_TAIL)
+
+    else:
+
+        def log_value(u: float) -> float:
+            total = 0.0
+            for j, p in enumerate(parts, 1):
+                v = -(j**b) * math.log1p(-u**p)
+                total += v
+                tiny = _REL_TERM * total
+                if v <= tiny and (v < tiny and (j + 1) ** b * u ** (p + d) / (1.0 - u)
+                                  < _REL_TAIL * total or v == 0.0):
+                    return total
+            raise TruncationTooLarge(_NO_TAIL)
+
+        def mean(u: float) -> float:
+            total = 0.0
+            for j, p in enumerate(parts, 1):
+                x = u**p
+                v = j**b * p * x / (1.0 - x)
+                total += v
+                tiny = _REL_TERM * total
+                if v <= tiny and (v < tiny and (j + 1) ** b * (p + d) * u ** (p + d) / (1.0 - u)
+                                  < _REL_TAIL * total or v == 0.0):
+                    return total
+            raise TruncationTooLarge(_NO_TAIL)
+
+        def variance(u: float) -> float:
+            total = 0.0
+            for j, p in enumerate(parts, 1):
+                x = u**p
+                v = j**b * p * p * x / (1.0 - x) ** 2
+                total += v
+                tiny = _REL_TERM * total
+                if v <= tiny and (v < tiny and (j + 1) ** b * (p + d) * (p + d) * u ** (p + d)
+                                  / (1.0 - u) ** 2 < _REL_TAIL * total or v == 0.0):
+                    return total
+            raise TruncationTooLarge(_NO_TAIL)
 
     log_bound = _coeff_log_bound(b)
     table = array("d")  # s_k / k at index k - 1, grown on demand
@@ -555,7 +594,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
         return Family(
             **common, radius=math.inf, mean_sup=float(n),
             log_value=lambda t: n * math.log1p(t),
-            mean=lambda t: n * t / (1.0 + t),
+            mean=lambda t: _binom_mean(n, t),
             variance=lambda t: _binom_var(n, t),
             log_value_complex=lambda z: n * cmath.log(1 + z),
             fulcrum34=lambda s: _binom_f34(n, math.exp(s)),
@@ -637,6 +676,12 @@ def _float_exp(fn: Callable[[float], float], t: float) -> float:
         return fn(t)
     except OverflowError:
         raise DomainError(f"e^{t} overflows a float") from None
+
+
+def _binom_mean(n: int, t: float) -> float:
+    m = n * t / (1.0 + t)
+    # n t overflows for t near the float maximum; n x with x = t/(1+t) does not
+    return n * (t / (1.0 + t)) if m == math.inf else m
 
 
 def _binom_var(n: int, t: float) -> float:

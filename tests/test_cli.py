@@ -371,14 +371,16 @@ def test_float_range_error_is_a_domain_error(line, capsys):
     assert capsys.readouterr().err.startswith("error: DomainError: ")
 
 
-# Finite statistics of binom and bernoulli at t where a (1+t)^k form leaves
-# the float range; they once exited 3 with OverflowError.
+# Finite statistics of binom and bernoulli at t where a (1+t)^k form or n t
+# leaves the float range; they once exited 3 with OverflowError or an
+# infinite mean.
 BINOMIAL_FINITE_INPUTS = [
     ("family --family binom:5 --t 1e300 --stats var,clan", ["5e-300", "4.472135955e-151"]),
     ("family --family binom:5 --t 1e300 --stats moment:2", ["25"]),
     ("family --family binom:5 --t 1e300 --stats cmoment:3", ["-5e-300"]),
     ("family --family bernoulli --t 1e200 --stats var", ["1e-200"]),
     ("family --family binom:4 --t 1e200 --stats var", ["4e-200"]),
+    ("family --family binom:5 --t 1e308 --stats mean,var", ["5", "5e-308"]),
 ]
 
 
@@ -679,6 +681,50 @@ SADDLE_STDOUT = {
 def test_saddle_stdout_is_pinned(line, capsys):
     code = cli.main(shlex.split(line))
     assert (code, capsys.readouterr().out) == SADDLE_STDOUT[line]
+
+
+# Lines outside the benchmark pool where the partition sums for ln f, m and
+# sigma^2 run longest (10^4 to 10^5 terms a sum), each mapped to its exit
+# code and stdout before those loops ran over the part range.
+LONG_SUM_STDOUT = {
+    'coeff --family P --n 100000 --method hayman,bd,hr': (
+        0,
+        'method       n       ln             value  ratio\n'
+        'hayman       100000  797.70627005               \n'
+        'baez-duarte  100000  797.707040234              \n'
+        'hr           100000  797.707209224              \n'
+    ),
+    'coeff --family Wab:1,1 --n 20000 --method hayman,bd': (
+        0,
+        'method       n      ln             value  ratio\n'
+        'hayman       20000  1472.23165297              \n'
+        'baez-duarte  20000  1472.23169636              \n'
+    ),
+    'coeff --family Wab:1,2 --n 5000 --method hayman': (
+        0,
+        'method  n     ln             value  ratio\n'
+        'hayman  5000  1258.85963617              \n'
+    ),
+    'family --family Q --t 0.999 --stats mean,var,clan': (
+        0,
+        'stat  ln              value          \n'
+        'mean  13.6190632122   821644.593263  \n'
+        'var   21.219465514    1642467488.21  \n'
+        'clan  -3.00933045523  0.0493246927973\n'
+    ),
+    'family --family Pab:3,2 --t 0.9999 --stats mean,var': (
+        0,
+        'stat  ln             value            \n'
+        'mean  17.8196383545  54823985.8687    \n'
+        'var   27.723091105   1.09644155831e+12\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("line", LONG_SUM_STDOUT)
+def test_long_partition_sums_stdout_is_pinned(line, capsys):
+    code = cli.main(shlex.split(line))
+    assert (code, capsys.readouterr().out) == LONG_SUM_STDOUT[line]
 
 
 # Exit code and stdout of the cli-pool lines that print or read a partition
