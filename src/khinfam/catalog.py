@@ -265,27 +265,23 @@ def _parts_sums(p0: int, d: int, b: int):
     circle evaluator: t -> (z -> ln f(z)) for |z| = t.
 
     ln f, m and sigma^2 are each one for loop over the part range
-    range(p0, p0 + d _MAX_TERMS, d); its end is the term limit, past which a
-    sum that has not met its tail criterion raises. A term takes u^p once,
-    and the majorant of the tail is read at the next part, p + d. With
-    b = 0 the weight j^b is the integer 1, so those shapes (P, Q, Pab,
-    Wab:a,0) loop with no weight power and no part counter; b >= 1 counts j
-    with enumerate. Float expressions keep their operands, order and
-    grouping (1 p and j^b p are exact integers either way), and only
-    side-effect-free comparisons are reordered. So for 0 <= u < 1, where no
-    term is negative, every result is bit-identical to summing term by term,
-    with the same powers taken in the same order. The term test
-    v <= 1e-16 total comes first: only a term that passes it can end a loop.
-    A loop also stops at a term that is exactly 0.0: u^p has underflowed,
-    so every later term is 0 too. That test comes after the tail criterion,
-    so an input that meets the criterion stops where it always did; it ends
-    the loops at t below about 5e-308, where 1e-16 times the sum underflows
-    to 0 and the criterion can never be met (the term test's equality case).
-    F''' and F'''' share one loop: with x = u^p, the inner sums over k of
-    k^(q-1) x^k are x (1 + x) / (1 - x)^3 and x (1 + 4x + x^2) / (1 - x)^4
-    (Eulerian polynomials), so a part costs one power and no inner series.
-    It stops once both sums meet the tail criterion, or at a term that is
-    exactly 0.0.
+    range(p0, p0 + d _MAX_TERMS, d), whose end is the term limit. Each
+    term takes u^p once; the majorant of the tail is read at the next part,
+    p + d. For b = 0 the weight j^b is the integer 1, so P, Q, Pab and
+    Wab:a,0 loop with no weight power and no part counter. Float
+    expressions keep their operands, order and grouping, and only
+    side-effect-free comparisons are reordered, so for 0 <= u < 1, where no
+    term is negative, every result and every power taken is that of summing
+    term by term. The term test v <= 1e-16 total comes first. F''' and
+    F'''' share one loop: with x = u^p, the inner sums over k of k^(q-1) x^k
+    are x (1 + x) / (1 - x)^3 and x (1 + 4x + x^2) / (1 - x)^4 (Eulerian
+    polynomials), so a part costs one power and no inner series. It stops
+    once both sums meet the tail criterion. A loop also stops at a term
+    that is exactly 0.0: u^p has underflowed, so every later term is 0 too.
+    That test comes after the tail criterion, so an input that meets the
+    criterion stops where it always did; it ends the loops at t below about
+    5e-308, where 1e-16 times the sum underflows to 0 and the criterion can
+    never be met (the term test's equality case).
 
     Complex ln f is the Lambert series ln f(z) = sum_{k>=1} (s_k/k) z^k with
     s_k = sum_{j : p_j | k} c_j p_j, the same principal-branch value as
@@ -310,7 +306,6 @@ def _parts_sums(p0: int, d: int, b: int):
     parts = range(p0, p0 + d * _MAX_TERMS, d)
 
     if b == 0:
-
         def log_value(u: float) -> float:
             total = 0.0
             for p in parts:
@@ -347,7 +342,6 @@ def _parts_sums(p0: int, d: int, b: int):
             raise TruncationTooLarge(_NO_TAIL)
 
     else:
-
         def log_value(u: float) -> float:
             total = 0.0
             for j, p in enumerate(parts, 1):
