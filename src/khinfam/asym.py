@@ -110,10 +110,13 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
         raise cat.NoApproxAvailable(f"{fam.name} has no registered approximate laws")
     spec = cat.parse_family(fam.spec_key)
     approx = cat.approx_moments(spec)
+    q = fam.q_gcd
+    if n % q != 0:
+        raise QGcdNotOne(f"coefficient {n} of {fam.name} vanishes (support gcd {q})")
     s_n = approx.s_for_mean(float(n))
     tau = math.exp(-s_n)
     sigma = approx.sigma_tilde(s_n)
-    ln = saddle_log(0.0, 1, fam.log_value(tau), n, tau, sigma * sigma)
+    ln = saddle_log(math.log(q), 1, fam.log_value(tau), n, tau, sigma * sigma)
     return Estimate(
         "baez-duarte", LogNumber.from_log(ln), {"n": n, "tau": tau, "family": fam.name}
     )

@@ -794,10 +794,11 @@ def approx_moments(spec: FamilySpec) -> ApproxMoments:
             s_for_mean=lambda n: math.sqrt(z2 / (a * n)),
         )
     if v == "Wab":
+        # parts a*j of weight j^b: ln f ~ Gamma(b+1) zeta(b+2) / (a s)^(b+1)
         a, b = float(spec.a), float(spec.b)
-        e = 1.0 + (b + 1.0) / a
-        c = zeta_real(e) * math.exp(log_gamma(e)) / a
-        c2 = zeta_real(e) * math.exp(log_gamma(e + 1.0)) / a
+        e = b + 2.0
+        c = zeta_real(e) * math.exp(log_gamma(e)) / a ** (b + 1.0)
+        c2 = zeta_real(e) * math.exp(log_gamma(e + 1.0)) / a ** (b + 1.0)
         return ApproxMoments(
             m_tilde=lambda s: c / s**e,
             sigma_tilde=lambda s: math.sqrt(c2 / s ** (e + 1.0)),
@@ -842,11 +843,13 @@ def axis_asymptotic(spec: FamilySpec, s: float) -> LogNumber:
         a, b = spec.a, spec.b
         if b > 2:
             raise NoAxisFormula("colored axis asymptotics need b <= 2 (zeta'(-b) table)")
-        e = (b + 1.0) / a
+        # the poles at w = b + 1 and w = 0 of Gamma(w) zeta(w+1) a^-w zeta(w-b) s^-w
+        e = b + 1.0
         ln = (
-            zeta_real(1.0 + e) * math.exp(log_gamma(e)) / a / s**e
+            zeta_real(1.0 + e) * math.exp(log_gamma(e)) / a**e / s**e
             - ZETA_NEG[b] * math.log(s)
-            + a * zeta_prime_neg(b)
+            + zeta_prime_neg(b)
+            - ZETA_NEG[b] * math.log(a)
         )
         return LogNumber.from_log(ln)
     raise NoAxisFormula(f"no axis asymptotic formula for {v}")

@@ -3,10 +3,13 @@
 Verbs: coeff, family, largepow, lagrange, diag, selftest; global flags
 --trunc (env KF_TRUNC), --out and --seed; ``diag``'s cltsup sizes its oracle
 from its window, not from --trunc. ``largepow`` hands its regime to
-``large_powers.estimate``. Every numeric result is reported as a natural-log
+``large_powers.estimate``. A command builds the main parser and the
+subparser of its own verb only; help, a missing or unknown verb, or any
+other token before the verb builds every verb's, so every output is the full
+tree's. Every numeric result is reported as a natural-log
 column plus, when representable, the decimal value. Exit codes: 0 success,
-2 usage error, 3 domain error (the error name from the owning module is
-echoed verbatim). A family spec that
+2 usage error (a ``KF_TRUNC`` that is not an integer too), 3 domain error
+(the error name from the owning module is echoed verbatim). A family spec that
 does not parse (``--family nope``) is ``InvalidSpec`` and exits 3, like any
 other named error. A float overflow or division by zero that escapes a verb
 is reported as ``DomainError`` and exits 3 too.
@@ -21,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import asym as A
 from . import catalog as C
@@ -437,37 +441,22 @@ def cmd_selftest(args, cfg: Config, stream) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="khinfam",
-        description=(
-            "Exact coefficients and saddle-point asymptotics of power series "
-            "with non-negative coefficients."
-        ),
-        epilog=COLUMN_ORDER_NOTE,
-        allow_abbrev=False,
-    )
-    parser.add_argument("--trunc", type=int,
-                        default=int(os.environ.get("KF_TRUNC", str(DEFAULT_ORDER))),
-                        help="coefficient truncation order (env KF_TRUNC)")
-    parser.add_argument("--out", choices=("table", "csv", "jsonl"), default="table")
-    parser.add_argument("--seed", type=int, default=0, help="sampler seed")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("coeff", help="coefficient estimates for a catalog family")
+def _coeff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", default="exact,hayman",
                    help="comma list: exact,hayman,bd,closed,hr,distinct,ingham,wright,colored,mw")
 
-    p = sub.add_parser("family", help="pointwise statistics of a family")
+
+def _family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--stats", default="mean,var",
                    help="comma list: mean,var,clan,mass:N,moment:K,cmoment:K,fmoment:J,"
                         "charfn:THETA,mgf:LAMBDA,zerofree,maxterm,gap,qgcd")
 
-    p = sub.add_parser("largepow", help="coefficients of large powers psi^n")
+
+def _largepow_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--psi", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -476,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto | comparable:A,B | limitl:L,W | boundary[:W] | smallk | "
                         "smallkref:J | fixedk | largek")
 
-    p = sub.add_parser("lagrange", help="Lagrange-equation and progeny asymptotics")
+
+def _lagrange_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", default="omm",
                    choices=("apex", "omm", "power", "func", "bt", "btasym", "pp",
                             "ppasym", "general", "sample"))
@@ -489,32 +479,97 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=10000)
 
-    p = sub.add_parser("diag", help="Gaussianity diagnostics over a radius grid")
+
+def _diag_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--t", required=True, help="comma list of radii")
     p.add_argument("--stats", default="cltsup,sgint",
                    help="comma list: cltsup,sgint,gratio,cuts[:H]")
 
-    p = sub.add_parser("selftest", help="run the acceptance criteria")
+
+def _selftest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criteria", default=None, help="comma list of criterion numbers")
 
+
+class Verb(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[..., int]
+
+
+VERBS = {
+    "coeff": Verb("coefficient estimates for a catalog family", _coeff_args, cmd_coeff),
+    "family": Verb("pointwise statistics of a family", _family_args, cmd_family),
+    "largepow": Verb("coefficients of large powers psi^n", _largepow_args, cmd_largepow),
+    "lagrange": Verb("Lagrange-equation and progeny asymptotics", _lagrange_args, cmd_lagrange),
+    "diag": Verb("Gaussianity diagnostics over a radius grid", _diag_args, cmd_diag),
+    "selftest": Verb("run the acceptance criteria", _selftest_args, cmd_selftest),
+}
+# the global options that take a value: the token after one is not a verb
+_VALUED = ("--trunc", "--out", "--seed")
+
+
+def _env_trunc() -> int:
+    text = os.environ.get("KF_TRUNC")
+    if text is None:
+        return DEFAULT_ORDER
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"KF_TRUNC={text!r} is not an integer") from None
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The main parser with every verb's subparser, or with ``verb``'s only.
+
+    A lone subparser takes the full tree's verb list as its metavar, so the
+    usage line argparse prints on an error stays the full tree's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="khinfam",
+        description=(
+            "Exact coefficients and saddle-point asymptotics of power series "
+            "with non-negative coefficients."
+        ),
+        epilog=COLUMN_ORDER_NOTE,
+        allow_abbrev=False,
+    )
+    parser.add_argument("--trunc", type=int, default=_env_trunc(),
+                        help="coefficient truncation order (env KF_TRUNC)")
+    parser.add_argument("--out", choices=("table", "csv", "jsonl"), default="table")
+    parser.add_argument("--seed", type=int, default=0, help="sampler seed")
+    sub = parser.add_subparsers(dest="verb", required=True,
+                                metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
+    for name, v in VERBS.items():
+        if verb is None or name == verb:
+            v.add_arguments(sub.add_parser(name, help=v.help))
     return parser
 
 
+def _verb_of(argv: list[str]) -> str | None:
+    """The verb argparse will dispatch ``argv`` to, or None where that is not
+    sure before parsing: no verb, help asked for, or any token before the
+    verb other than a global option and its value."""
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in VERBS:
+            return tok
+        if tok in _VALUED:
+            i += 2
+        elif tok.partition("=")[0] in _VALUED:
+            i += 1
+        else:
+            return None
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = build_parser(_verb_of(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
         cfg = Config(trunc=args.trunc, out=args.out, seed=args.seed)
-        handler = {
-            "coeff": cmd_coeff,
-            "family": cmd_family,
-            "largepow": cmd_largepow,
-            "lagrange": cmd_lagrange,
-            "diag": cmd_diag,
-            "selftest": cmd_selftest,
-        }[args.verb]
-        return handler(args, cfg, sys.stdout)
+        return VERBS[args.verb].run(args, cfg, sys.stdout)
     except KhinfamError as exc:
         print(f"error: {exc.name}: {exc}", file=sys.stderr)
         return 3

@@ -142,6 +142,29 @@ class TestBaezDuarte:
         est = A.baez_duarte_estimate(fams["P"], 100)
         assert abs(est.meta["tau"] - math.exp(-math.pi / math.sqrt(600))) < 1e-12
 
+    # exact / estimate on Wab:a,b with a >= 2, whose parts a*j share the gcd
+    # a: frozen 0.9822, 0.9888, 0.9962; 0.9927, 0.9946, 0.9957; 0.9457,
+    # 0.9614, 0.9726. Báez-Duarte's law leaves out the D(0)/s term of the
+    # mean, so it trails Hayman on Wab:2,0 (0.9782, 0.9848, 0.9894).
+    @pytest.mark.parametrize("text,ns", [
+        ("Wab:2,1", (100, 200, 1000)),
+        ("Wab:3,2", (300, 450, 600)),
+        ("Wab:2,0", (100, 200, 400)),
+    ])
+    def test_parts_on_a_lattice_against_exact(self, text, ns):
+        spec = parse_family(text)
+        fam = make_family(spec, trunc=8)
+        exact = exact_coeffs(spec, max(ns))
+        ratios = [LogNumber.from_fraction(Fraction(exact.coeff(n))).ratio(
+            A.baez_duarte_estimate(fam, n).value) for n in ns]
+        assert all(0.94 < r < 1.0 for r in ratios), ratios
+        assert ratios == sorted(ratios)
+
+    def test_index_off_the_lattice_refused(self):
+        fam = make_family(parse_family("Wab:2,0"), trunc=8)
+        with pytest.raises(QGcdNotOne):
+            A.baez_duarte_estimate(fam, 201)
+
 
 class TestClosedPartitionForms:
     def test_hr_at_100(self, exact_p):
@@ -494,6 +517,9 @@ PINNED = {
     "fulcrum Q ln 0.95": ["0x1.38907851f02ffp+8", "0x1.7ce7b1bd4b395p+13",
                           "0x1.5c183efcfbb90p+19", "0x1.a825be8d9fe91p+25"],
     "cuts Q 0.6 0.5 256": ["0x1.92a27fb1560e9p+0", "0x1.990b3db0d8975p+0"],
+    "bd Wab:1,1 10000": "0x1.ce6be3807368bp+9",
+    "bd Wab:1,1 100000": "0x1.0dfc2e13c706cp+12",
+    "bd Wab:1,2 100000": "0x1.75c4eab4dfc1dp+13",
 }
 
 
@@ -511,6 +537,13 @@ class TestPinnedValues:
         assert est.value.sign == 1
         assert est.value.log_abs.hex() == PINNED[f"hayman {text} {n}"]
         assert est.meta["t"].hex() == PINNED[f"hayman {text} {n} t"]
+
+    # the saddle pool's Wab queries, from before the a >= 2 laws were fixed
+    @pytest.mark.parametrize("text,n", [("Wab:1,1", 10_000), ("Wab:1,1", 100_000),
+                                        ("Wab:1,2", 100_000)])
+    def test_baez_duarte(self, fam64, text, n):
+        est = A.baez_duarte_estimate(fam64(text), n)
+        assert est.value.log_abs.hex() == PINNED[f"bd {text} {n}"]
 
     def test_fulcrum_derivatives(self, fam64):
         got = F.fulcrum_derivs(fam64("Q"), math.log(0.95), 4)

@@ -311,6 +311,16 @@ class TestApproxMoments:
 
             assert residual(0.01) < residual(0.1)
 
+    @pytest.mark.parametrize("text", ["Wab:2,1", "Wab:3,2", "Wab:2,0"])
+    def test_colored_laws_with_parts_on_a_lattice(self, text):
+        # parts a*j of weight j^b: m ~ Gamma(b+2) zeta(b+2) / (a^(b+1) s^(b+2))
+        spec = C.parse_family(text)
+        fam = C.make_family(spec, trunc=8)
+        ap = C.approx_moments(spec)
+        t = math.exp(-0.01)
+        assert abs(ap.m_tilde(0.01) / fam.mean(t) - 1.0) < 0.01
+        assert abs(ap.sigma_tilde(0.01) ** 2 / fam.variance(t) - 1.0) < 0.01
+
     def test_unavailable(self):
         with pytest.raises(NoApproxAvailable):
             C.approx_moments(C.parse_family("geom"))
@@ -341,6 +351,14 @@ class TestAxisAsymptotics:
         s = 0.05
         ax = C.axis_asymptotic(spec, s).log_abs
         assert abs(ax - fam.log_value(math.exp(-s))) < 1e-4
+
+    @pytest.mark.parametrize("text", ["Wab:2,1", "Wab:3,2", "Wab:2,0"])
+    def test_colored_with_parts_on_a_lattice(self, text):
+        # Wab:2,1 at s = 0.01: ln f = 3004.65; the law for a = 1 gave 81.5
+        spec = C.parse_family(text)
+        fam = C.make_family(spec, trunc=8)
+        for s, tol in ((0.1, 1e-2), (0.01, 1e-3)):
+            assert abs(C.axis_asymptotic(spec, s).log_abs - fam.log_value(math.exp(-s))) < tol
 
     def test_colored_beyond_table_raises(self):
         with pytest.raises(NoAxisFormula):

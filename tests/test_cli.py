@@ -1,13 +1,19 @@
 """Command-line surface: verbs, formats, exit codes, determinism."""
 
+import argparse
 import cmath
+import contextlib
 import dataclasses
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +22,6 @@ from khinfam import cli
 
 def run(argv):
     buf = io.StringIO()
-    import contextlib
-
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     return code, buf.getvalue()
@@ -315,6 +319,15 @@ class TestEnvConfig:
         out, err = capsys.readouterr()
         assert code == 3
         assert out == "" and "InvalidSpec" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1e3"])
+    def test_env_truncation_not_an_integer_is_a_usage_error(self, value, monkeypatch, capsys):
+        # int() of it once raised outside main's error handling: a traceback, exit 1
+        monkeypatch.setenv("KF_TRUNC", value)
+        code = cli.main(["family", "--family", "exp", "--t", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err == f"usage error: KF_TRUNC={value!r} is not an integer\n"
 
 
 # Inputs that once crashed with a traceback, printed nan/inf/-1 with exit 0,
@@ -928,6 +941,112 @@ def test_help_is_pinned(verb, monkeypatch, capsys):
         cli.main([verb, "--help"] if verb else ["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == HELP_STDOUT[verb]
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# A command builds the subparser of its verb only. These argv reach every
+# place argparse prints from: help before and after a verb, no verb or an
+# unknown one, a token before the verb that is not a global option, a global
+# option's value that fails or looks like a verb or an option, and errors
+# inside and after the verb's own arguments.
+PARSER_CORPUS = [
+    "", "-h", "--help", "-h coeff", "--help family", "--seed 1 -h largepow",
+    *(f"{verb} -h" for verb in cli.VERBS), "lagrange --help --op bogus",
+    "bogus", "bogus coeff", "--bogus coeff --family P --n 5", "-5 coeff", "'' coeff",
+    "-hx coeff", "-- coeff --family P --n 5", "--tr 5 coeff --family P --n 5",
+    "--trunc x coeff --family P --n 5", "--trunc= coeff --family P --n 5",
+    "--out xml family --family exp --t 1", "--seed 1.5 selftest",
+    "--trunc coeff family --family exp --t 1", "--out --trunc coeff --family P --n 5",
+    "--trunc -- coeff --family P --n 5", "--trunc -h coeff --family P --n 5", "--trunc",
+    "coeff --family P --n 5 --bogus", "coeff --family P --n 5 --trunc 7", "coeff --n 5",
+    "coeff coeff --family P --n 5", "family --family exp --t x", "lagrange --op bogus",
+    "diag --family exp", "selftest --criteria",
+    "--trunc=64 --out csv coeff --family P --n 50 --method exact,hayman",
+    "--seed 3 --trunc -3 lagrange --op bt --t 0.5 --n 3",
+    "--out jsonl family --family exp --t 1", "largepow --psi exp --n 100 --k 10",
+    "diag --family geom --t 0.5 --stats sgint,gratio",
+]
+
+
+@pytest.mark.parametrize("line", PARSER_CORPUS)
+def test_lone_subparser_prints_what_the_full_tree_prints(line, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = shlex.split(line)
+    got = outcome(argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_verb_of", lambda argv: None)  # every verb's subparser
+        assert got == outcome(argv)
+
+
+_USAGE = (
+    "usage: khinfam [-h] [--trunc TRUNC] [--out {table,csv,jsonl}] [--seed SEED]\n"
+    "               {coeff,family,largepow,lagrange,diag,selftest} ...\n"
+)
+# The full tree names its verb action "verb" (a metavar would rename it) and
+# lists every verb as a choice.
+FULL_TREE_STDERR = {
+    "": _USAGE + "khinfam: error: the following arguments are required: verb\n",
+    "bogus coeff": _USAGE + (
+        "khinfam: error: argument verb: invalid choice: 'bogus' (choose from 'coeff', "
+        "'family', 'largepow', 'lagrange', 'diag', 'selftest')\n"),
+    "--trunc x coeff": _USAGE + "khinfam: error: argument --trunc: invalid int value: 'x'\n",
+}
+
+
+@pytest.mark.parametrize("line", FULL_TREE_STDERR)
+def test_parser_errors_are_pinned(line, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(shlex.split(line)) == (2, "", FULL_TREE_STDERR[line])
+
+
+def test_a_command_builds_only_its_verbs_subparser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run(["coeff", "--family", "P", "--n", "5", "--method", "exact"])[0] == 0
+    assert built == ["coeff"]
+    # and builds it again for the next command: no parser outlives a call
+    assert run(["coeff", "--family", "Q", "--n", "5", "--method", "exact"])[0] == 0
+    assert built == ["coeff", "coeff"]
+
+
+# One command per verb as its own process, where main reads sys.argv.
+ONE_SHOT = [
+    "coeff --family P --n 100 --method exact,hayman,hr",
+    "family --family exp --t 3 --stats mass:5,maxterm",
+    "largepow --psi exp --n 100 --k 10",
+    "lagrange --op omm --psi geom --n 40",
+    "diag --family geom --t 0.5 --stats sgint,gratio",
+    "selftest --criteria 1",
+    "-h coeff",
+]
+
+
+@pytest.mark.parametrize("line", ONE_SHOT)
+def test_one_shot_process_prints_what_main_prints(line, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = shlex.split(line)
+    proc = subprocess.run([sys.executable, "-m", "khinfam.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome(argv)
 
 
 # Sums whose terms each overflow a float, although their log is finite: the
