@@ -20,6 +20,7 @@ from .errors import (
     ComplexEvalUnavailable,
     DomainError,
     GcdNotOne,
+    MixedResidueClasses,
     NoCoefficientAccess,
     QGcdNotOne,
     TargetAboveMeanSup,
@@ -82,21 +83,37 @@ def saddle_log(lead: float, n: float, log_psi: float, k: float, tau: float, var:
     return lead + n * log_psi - k * math.log(tau) - 0.5 * math.log(2.0 * math.pi * n * var)
 
 
-def hayman_estimate(fam: Family, n: int) -> Estimate:
-    """Saddle-point estimate of coefficient n.
+def on_lattice(g: int, m: int, shift: int = 0) -> bool:
+    """Whether g divides m - shift: the lattice rule of ``lattice_lead``."""
+    return (m - shift) % g == 0
 
-    For families supported on multiples of q > 1 the plain formula is wrong;
-    the rescaled variant (valid only at multiples of q) multiplies by q.
+
+def lattice_lead(g: int, m: int, refuse: type, h_gcd: int = 0, shift: int = 0) -> float:
+    """ln g, which makes the one-peak saddle estimate of [z^m] h psi^n right
+    when psi(z) = psi_1(z^g). psi^n then has g equal peaks on |z| = tau, at
+    tau times the g-th roots of unity w, where an h on the class shift + gZ
+    takes the value w^shift h(tau): the peaks add up to g times the Gaussian
+    value at tau when g divides m - shift, and cancel otherwise, where the
+    coefficient is 0 and m is refused with the caller's error ``refuse``.
+    shift is -1 for H' or f_s', j - 1 for j z^(j-1), 0 for a prefactor or
+    h = 1; h_gcd is the support gcd of H, f or the prefactor, 0 for a
+    monomial. As h(0) > 0, h lies on one class iff g divides h_gcd; an h
+    over several classes is refused (MixedResidueClasses). g = 1 gives 0.0.
     """
-    meta: dict = {"n": n, "family": fam.name}
-    q = fam.q_gcd
-    if q > 1:
-        if n % q != 0:
-            raise QGcdNotOne(f"coefficient {n} of {fam.name} vanishes (support gcd {q})")
-        meta["rescaled_gcd"] = q
+    if h_gcd % g:
+        raise MixedResidueClasses(f"a factor of support gcd {h_gcd} spans classes mod {g}")
+    if not on_lattice(g, m, shift):
+        raise refuse(f"[z^{m}] h psi^n vanishes: support gcd {g} does not divide {m - shift}")
+    return math.log(g)
+
+
+def hayman_estimate(fam: Family, n: int) -> Estimate:
+    """Saddle-point estimate of coefficient n; a family on the multiples of
+    g > 1 takes ``lattice_lead``'s factor g (meta ``rescaled_gcd``)."""
+    lead = lattice_lead(fam.q_gcd, n, QGcdNotOne)
     sp = saddle_solve(fam, float(n))
-    ln = saddle_log(math.log(q), 1, sp.log_f, n, sp.t, sp.variance)
-    meta["t"] = sp.t
+    ln = saddle_log(lead, 1, sp.log_f, n, sp.t, sp.variance)
+    meta = {"n": n, "family": fam.name, "rescaled_gcd": round(math.exp(lead)), "t": sp.t}
     return Estimate("hayman", LogNumber.from_log(ln), meta)
 
 
@@ -110,16 +127,12 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
         raise cat.NoApproxAvailable(f"{fam.name} has no registered approximate laws")
     spec = cat.parse_family(fam.spec_key)
     approx = cat.approx_moments(spec)
-    q = fam.q_gcd
-    if n % q != 0:
-        raise QGcdNotOne(f"coefficient {n} of {fam.name} vanishes (support gcd {q})")
+    lead = lattice_lead(fam.q_gcd, n, QGcdNotOne)
     s_n = approx.s_for_mean(float(n))
     tau = math.exp(-s_n)
     sigma = approx.sigma_tilde(s_n)
-    ln = saddle_log(math.log(q), 1, fam.log_value(tau), n, tau, sigma * sigma)
-    return Estimate(
-        "baez-duarte", LogNumber.from_log(ln), {"n": n, "tau": tau, "family": fam.name}
-    )
+    ln = saddle_log(lead, 1, fam.log_value(tau), n, tau, sigma * sigma)
+    return Estimate("baez-duarte", LogNumber.from_log(ln), {"n": n, "tau": tau, "family": fam.name})
 
 
 # -- closed-form partition asymptotics -------------------------------------------

@@ -103,6 +103,10 @@ class QGcdNotOne(KhinfamError):
     pass
 
 
+class MixedResidueClasses(KhinfamError):
+    pass
+
+
 class GcdNotOne(KhinfamError):
     pass
 

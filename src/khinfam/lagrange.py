@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series as se
-from .asym import Estimate, saddle_log, saddle_solve
+from .asym import Estimate, lattice_lead, saddle_log, saddle_solve
 from .errors import (
     IndexBelowJ,
     MeanSupBelowOne,
@@ -118,16 +118,12 @@ def omm_estimate(psi: Family, n: int) -> Estimate | DecayCertificate:
         if psi.boundary_variance is None or not math.isfinite(psi.boundary_variance):
             raise MeanSupBelowOne(f"{psi.name}: subcritical data needs boundary moments")
         return DecayCertificate(psi.radius, psi.log_value(psi.radius))
-    if (n - 1) % psi.q_gcd != 0:
-        raise ZeroCoefficient(
-            f"A_{n} = 0: n - 1 must be a multiple of the support gcd {psi.q_gcd}"
-        )
+    lead = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient)  # A_n = (1/n) [z^{n-1}] psi^n
     ap = apex(psi)
     if ap.kind == "linear":
         ln = log_of_fraction(ap.linear_a) + (n - 1) * log_of_fraction(ap.linear_b)
         return Estimate("omm-linear-exact", LogNumber.from_log(ln), {"n": n})
-    lead = math.log(psi.q_gcd) - math.log(n)  # A_n = (1/n) [z^{n-1}] psi^n
-    ln = saddle_log(lead, n, psi.log_value(ap.tau), n - 1, ap.tau, ap.sigma2)
+    ln = saddle_log(lead - math.log(n), n, psi.log_value(ap.tau), n - 1, ap.tau, ap.sigma2)
     return Estimate("omm", LogNumber.from_log(ln), {"n": n, "tau": ap.tau, "psi": psi.name})
 
 
@@ -148,23 +144,19 @@ def power_asym(
         raise ValueError("need q >= 1 and n >= 1")
     if n < q:
         raise IndexBelowJ(f"coefficient {n} of g^{q} is 0: progeny below initial size {q}")
-    if (n - q) % psi.q_gcd != 0:
-        raise ZeroCoefficient(
-            f"[z^{n}] g^{q} = 0: n - q must be a multiple of the support gcd {psi.q_gcd}"
-        )
+    lead = lattice_lead(psi.q_gcd, n - q, ZeroCoefficient)
     if alpha is None:
         ap = apex(psi)
         if ap.kind == "linear":
             raise MeanSupBelowOne("power asymptotics need an interior or boundary apex")
-        tau, sigma2 = ap.tau, ap.sigma2
-        drift = 0.0
+        tau, sigma2, drift = ap.tau, ap.sigma2, 0.0
     else:
         if not 0.0 <= alpha < 1.0:
             raise ParameterDomain(f"alpha must lie in [0, 1), got {alpha}")
         sp = saddle_solve(psi, 1.0 - alpha)
         tau, sigma2 = sp.t, sp.variance
         drift = -(beta or 0.0) ** 2 / (2.0 * sigma2)
-    lead = math.log(psi.q_gcd) + math.log(q) - math.log(n) + drift
+    lead = lead + math.log(q) - math.log(n) + drift
     ln = saddle_log(lead, n, psi.log_value(tau), n - q, tau, sigma2)
     return Estimate("lagrange-power", LogNumber.from_log(ln), {"n": n, "q": q, "tau": tau})
 
@@ -174,14 +166,13 @@ def func_asym(h: Family, psi: Family, n: int) -> Estimate:
     if n < 1:
         raise ValueError("n must be >= 1")
     if h.radius < psi.radius:
-        raise PrefactorRadiusTooSmall(
-            f"H radius {h.radius} below psi radius {psi.radius}"
-        )
+        raise PrefactorRadiusTooSmall(f"H radius {h.radius} below psi radius {psi.radius}")
+    lead = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient, h.q_gcd, -1)
     ap = apex(psi)
     if ap.kind != "interior":
         raise MeanSupBelowOne("function asymptotics need an interior apex")
     tau = ap.tau
-    lead = _log_derivative(h, tau) - math.log(n)
+    lead = lead + _log_derivative(h, tau) - math.log(n)
     ln = saddle_log(lead, n, psi.log_value(tau), n - 1, tau, ap.sigma2)
     return Estimate("lagrange-func", LogNumber.from_log(ln), {"n": n, "tau": tau})
 
@@ -320,18 +311,16 @@ def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
         if n < j:
             raise IndexBelowJ(f"progeny {n} below initial size {j}")
         lead, k = math.log(j), n - j
+        lattice = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient, 0, j - 1)
     else:
         f = spec.initial
         if s * tau >= t * f.radius:
-            raise ParameterDomain(
-                f"need s*tau < t*S: s={s}, tau={tau}, t={t}, S={f.radius}"
-            )
+            raise ParameterDomain(f"need s*tau < t*S: s={s}, tau={tau}, t={t}, S={f.radius}")
+        lattice = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient, f.q_gcd, -1)
         lead, k = math.log(s) - f.log_value(s) + _log_derivative(f, s * tau / t), n - 1
     log_psi_t = psi.log_value(tau) - psi.log_value(t)
-    ln = saddle_log(lead - math.log(n), n, log_psi_t, k, tau / t, ap.sigma2)
-    return Estimate(
-        "lagrangian", LogNumber.from_log(ln), {"n": n, "t": t, "s": s, "tau": tau}
-    )
+    ln = saddle_log(lattice + lead - math.log(n), n, log_psi_t, k, tau / t, ap.sigma2)
+    return Estimate("lagrangian", LogNumber.from_log(ln), {"n": n, "t": t, "s": s, "tau": tau})
 
 
 # -- Monte Carlo --------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     RatioOutOfBand,
     RegimeMismatch,
 )
-from .asym import Estimate, saddle_log, saddle_solve
+from .asym import Estimate, lattice_lead, on_lattice, saddle_log, saddle_solve
 from .family import Family
 from .numerics import LogNumber, log_of_fraction
 
@@ -119,10 +119,9 @@ def estimate_comparable(q: PowerCoeffQuery, a: float, b: float) -> Estimate:
     ratio = k / n
     if not a <= ratio <= b:
         raise RatioOutOfBand(f"k/n = {ratio} outside [{a}, {b}]")
-    if k % psi.q_gcd != 0:
-        raise QGcdViolation(f"coefficient {k} vanishes: support gcd is {psi.q_gcd}")
+    lead = lattice_lead(psi.q_gcd, k, QGcdViolation)
     sp = saddle_solve(psi, ratio)
-    return _estimate("comparable", q, sp.t, sp.variance, math.log(psi.q_gcd))
+    return _estimate("comparable", q, sp.t, sp.variance, lead)
 
 
 def estimate_limit_l(q: PowerCoeffQuery, l: float, omega: float) -> Estimate:
@@ -130,10 +129,9 @@ def estimate_limit_l(q: PowerCoeffQuery, l: float, omega: float) -> Estimate:
     psi = q.psi
     if l >= psi.mean_sup:
         raise LAboveMeanSup(f"L = {l} >= mean limit {psi.mean_sup}")
-    if q.k % psi.q_gcd != 0:
-        raise QGcdViolation(f"coefficient {q.k} vanishes: support gcd is {psi.q_gcd}")
+    lead = lattice_lead(psi.q_gcd, q.k, QGcdViolation)
     sp = saddle_solve(psi, l)
-    lead = math.log(psi.q_gcd) - omega * omega / (2.0 * sp.variance)
+    lead -= omega * omega / (2.0 * sp.variance)
     return _estimate("limit_l", q, sp.t, sp.variance, lead)
 
 
@@ -143,13 +141,10 @@ def estimate_boundary(q: PowerCoeffQuery, omega: float = 0.0) -> Estimate:
     if not math.isfinite(psi.radius) or not math.isfinite(psi.mean_sup):
         raise RegimeMismatch("boundary regime needs finite radius and finite mean limit")
     if psi.boundary_variance is None or not math.isfinite(psi.boundary_variance):
-        raise BoundaryVarianceInfinite(
-            f"{psi.name} has no finite boundary variance"
-        )
-    if q.k % psi.q_gcd != 0:
-        raise QGcdViolation(f"coefficient {q.k} vanishes: support gcd is {psi.q_gcd}")
+        raise BoundaryVarianceInfinite(f"{psi.name} has no finite boundary variance")
+    lead = lattice_lead(psi.q_gcd, q.k, QGcdViolation)
     var = psi.boundary_variance
-    lead = math.log(psi.q_gcd) - omega * omega / (2.0 * var)
+    lead -= omega * omega / (2.0 * var)
     return _estimate("boundary", q, psi.radius, var, lead)
 
 
@@ -267,12 +262,11 @@ def estimate_with_prefactor(q: PowerCoeffQuery, regime: Regime) -> Estimate:
     """Coefficients of h(z) psi(z)^n in the comparable or small-k regimes."""
     if q.prefactor is None:
         raise ValueError("query has no prefactor family")
-    h = q.prefactor
-    if h.radius < q.psi.radius:
-        raise PrefactorRadiusTooSmall(
-            f"prefactor radius {h.radius} below psi radius {q.psi.radius}"
-        )
-    bare = PowerCoeffQuery(q.psi, q.n, q.k)
+    psi, h = q.psi, q.prefactor
+    if h.radius < psi.radius:
+        raise PrefactorRadiusTooSmall(f"prefactor radius {h.radius} below psi radius {psi.radius}")
+    lattice_lead(psi.q_gcd, q.k, QGcdViolation, h.q_gcd)
+    bare = PowerCoeffQuery(psi, q.n, q.k)
     if regime.kind == "comparable":
         est = estimate_comparable(bare, regime.a, regime.b)
         tau = est.meta["tau"]
@@ -306,7 +300,7 @@ def auto_regime(q: PowerCoeffQuery) -> Regime:
         return Regime("large_k")
     cap = min(psi.mean_sup, 20.0)
     a, b = 0.05 * cap, 0.95 * cap
-    if a <= ratio <= b and k % psi.q_gcd == 0:
+    if a <= ratio <= b and on_lattice(psi.q_gcd, k):
         return Regime("comparable", a=a, b=b)
     with_h = "" if bare else f" with prefactor {q.prefactor.name} (small_k or comparable only)"
     raise NoApplicableRegime(

@@ -1050,10 +1050,13 @@ def test_one_shot_process_prints_what_main_prints(line, monkeypatch):
 
 
 # Sums whose terms each overflow a float, although their log is finite: the
-# derivative of H = e^{1000 z} at the apex tau = 1 of psi = 1 + z^2.
+# derivative of H = e^{1000 z^2} at the apex tau = 1 of psi = 1 + z^2. H and
+# psi both live on the even indices: each ln is that of H = e^{1000 z}
+# (1034.77814127 and 0.120782237635) plus ln 2 for H'(1) and ln 2 for the
+# lattice lead.
 @pytest.mark.parametrize("line,ln", [
-    ("lagrange --op func --psi poly:1,0,1 --h expof:poly:0,1000 --n 50", "1034.77814127"),
-    ("lagrange --op general --psi poly:1,0,1 --h expof:poly:0,1000 --n 50", "0.120782237635"),
+    ("lagrange --op func --psi poly:1,0,1 --h expof:poly:0,0,1000 --n 50", "1036.16443563"),
+    ("lagrange --op general --psi poly:1,0,1 --h expof:poly:0,0,1000 --n 50", "1.50707659876"),
 ])
 def test_derivative_past_the_float_range_is_taken_in_logs(line, ln, capsys):
     assert cli.main(shlex.split(line)) == 0

@@ -220,15 +220,17 @@ class TestFuncAsym:
         assert 1.0 <= r <= 1.12  # frozen: 1.0802
 
     def test_derivative_past_the_float_range_in_logs(self):
-        # H = e^{1000 z}, psi = 1 + z^2 with apex tau = 1, psi(1) = 2 and
-        # variance 1: ln H'(1) = 1000 + ln 1000, where H'(1) overflows a float
+        # H = e^{1000 z^2}, psi = 1 + z^2 with apex tau = 1, psi(1) = 2 and
+        # variance 1: ln H'(1) = 1000 + ln 2000, where H'(1) overflows a float.
+        # H and psi both live on the even indices, so the lead adds ln 2.
         psi = make_family(parse_family("poly:1,0,1"), trunc=8)
-        h = make_family(parse_family("expof:poly:0,1000"), trunc=8)
+        h = make_family(parse_family("expof:poly:0,0,1000"), trunc=8)
         n = 50
         assert (L.apex(psi).tau, L.apex(psi).sigma2) == (1.0, 1.0)
         ln = L.func_asym(h, psi, n).value.log_abs
-        ln_h_prime = ln + math.log(n) - n * math.log(2.0) + 0.5 * math.log(2.0 * math.pi * n)
-        assert ln_h_prime == pytest.approx(1000.0 + math.log(1000.0), rel=1e-12)
+        ln_h_prime = (ln - math.log(2.0) + math.log(n) - n * math.log(2.0)
+                      + 0.5 * math.log(2.0 * math.pi * n))
+        assert ln_h_prime == pytest.approx(1000.0 + math.log(2000.0), rel=1e-12)
 
     def test_index_zero_refused(self, expf):
         with pytest.raises(ValueError, match="n must be >= 1"):
