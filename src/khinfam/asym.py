@@ -22,6 +22,7 @@ from .errors import (
     GcdNotOne,
     MixedResidueClasses,
     NoCoefficientAccess,
+    ParameterDomain,
     QGcdNotOne,
     TargetAboveMeanSup,
     UnsupportedColoredOrder,
@@ -59,7 +60,7 @@ class Estimate:
 def saddle_solve(fam: Family, n: float) -> SaddlePoint:
     """The unique radius t_n with m_f(t_n) = n."""
     if n <= 0:
-        raise ValueError("saddle target must be positive")
+        raise ParameterDomain(f"saddle target {n} must be positive")
     if n >= fam.mean_sup:
         raise TargetAboveMeanSup(f"target {n} >= mean limit {fam.mean_sup} of {fam.name}")
     # The bracket carries the means at its ends and the solver returns the

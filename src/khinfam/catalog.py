@@ -818,7 +818,11 @@ def approx_moments(spec: FamilySpec) -> ApproxMoments:
 
 
 def axis_asymptotic(spec: FamilySpec, s: float) -> LogNumber:
-    """Closed asymptotic value of f(e^{-s}) as s drops to 0, in log space."""
+    """Closed asymptotic value of f(e^{-s}) as s drops to 0, in log space.
+
+    No caller in the package: kept until one Mellin record per partition
+    shape decides whether the closed forms read it or it moves to the tests.
+    """
     _validate(spec)
     if s <= 0:
         raise NoAxisFormula("axis asymptotics need s > 0")
@@ -853,86 +857,3 @@ def axis_asymptotic(spec: FamilySpec, s: float) -> LogNumber:
         )
         return LogNumber.from_log(ln)
     raise NoAxisFormula(f"no axis asymptotic formula for {v}")
-
-
-# -- set/multiset coefficient transforms ------------------------------------------
-
-
-def multiset_transform(c: Sequence[Fraction | int]) -> se.CoeffSeries:
-    """Log-series of the multiset product prod (1 - z^j)^(-c_j).
-
-    ``c[j]`` is the count for size j (index 0 ignored); the returned series
-    g has b_m = (1/m) sum_{j | m} j c_j and satisfies exp(g) = product.
-    """
-    sums = _divisor_sums(enumerate(c[1:], 1), 1, len(c) - 1)
-    return se.CoeffSeries((Fraction(0), *(Fraction(s, m) for m, s in enumerate(sums, 1))))
-
-
-def powerset_transform(c: Sequence[Fraction | int]) -> se.CoeffSeries:
-    """Log-series of the selection product prod (1 + z^j)^{c_j}.
-
-    b_m = (1/m) sum_{jk = m} (-1)^{k+1} j c_j; the result may carry negative
-    coefficients, in which case exp(g) is still the product but g leaves the
-    non-negative class.
-    """
-    n = len(c) - 1
-    out = [Fraction(0)] * (n + 1)
-    for j in range(1, n + 1):
-        cj = Fraction(c[j])
-        if cj == 0:
-            continue
-        k = 1
-        while j * k <= n:
-            sign = 1 if k % 2 == 1 else -1
-            out[j * k] += sign * j * cj
-            k += 1
-    for m in range(1, n + 1):
-        out[m] /= m
-    return se.CoeffSeries(tuple(out))
-
-
-# -- Hayman-class coefficient criteria ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriterionVerdict:
-    ok: bool
-    reason: str
-    first_violation: int | None = None
-
-
-def hayman_criterion_entire(
-    g: se.CoeffSeries, B: float, beta: float, L: float, lam: float
-) -> CriterionVerdict:
-    """Window check of B beta^n/n! <= b_n <= L lam^n/n! with 2 lam < 3 beta."""
-    if not (B > 0 and L > 0 and beta >= 0 and lam >= 0):
-        raise ValueError("constants must satisfy B, L > 0 and beta, lam >= 0")
-    if not 2.0 * lam < 3.0 * beta:
-        return CriterionVerdict(False, "parameter-inequality")
-    log_fact = 0.0
-    for n in range(1, g.order + 1):
-        log_fact += math.log(n)
-        bn = float(g.coeff(n))
-        lo = B * math.exp(n * math.log(beta) - log_fact) if beta > 0 else 0.0
-        hi = L * math.exp(n * math.log(lam) - log_fact) if lam > 0 else 0.0
-        if bn < lo * (1 - 1e-12) or bn > hi * (1 + 1e-12):
-            return CriterionVerdict(False, "coefficient-bound", first_violation=n)
-    return CriterionVerdict(True, "ok")
-
-
-def hayman_criterion_finite(
-    g: se.CoeffSeries, B: float, beta: float, L: float, lam: float, R: float
-) -> CriterionVerdict:
-    """Window check of B n^beta/R^n <= b_n <= L n^lam/R^n with 2 lam < 3 beta + 1."""
-    if not (B > 0 and L > 0 and beta > -1 and lam > -1 and R > 0):
-        raise ValueError("need B, L > 0, beta, lam > -1 and finite R > 0")
-    if not 2.0 * lam < 3.0 * beta + 1.0:
-        return CriterionVerdict(False, "parameter-inequality")
-    log_r = math.log(R)
-    for n in range(1, g.order + 1):
-        bn = float(g.coeff(n))
-        lo = B * math.exp(beta * math.log(n) - n * log_r)
-        hi = L * math.exp(lam * math.log(n) - n * log_r)
-        if bn < lo * (1 - 1e-12) or bn > hi * (1 + 1e-12):
-            return CriterionVerdict(False, "coefficient-bound", first_violation=n)
-    return CriterionVerdict(True, "ok")

@@ -67,10 +67,6 @@ class ZeroMean(KhinfamError):
     pass
 
 
-class NotEntire(KhinfamError):
-    pass
-
-
 class ZeroInSector(KhinfamError):
     pass
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from . import series as se
 from .errors import (
@@ -27,7 +27,6 @@ from .errors import (
     DerivativeOrderUnavailable,
     DomainError,
     NoCoefficientAccess,
-    NotEntire,
     RadiusOutOfRange,
     ZeroInSector,
     ZeroMean,
@@ -303,14 +302,6 @@ def charfn(fam: Family, t: float, theta: float) -> complex:
     return cmath.exp(fam.log_value_complex(z) - fam.log_value(t))
 
 
-def normalized_charfn(fam: Family, t: float, theta: float) -> complex:
-    """Characteristic function of (X_t - m) / sigma."""
-    fam.check_radius(t)
-    sigma = math.sqrt(fam.variance(t))
-    m = fam.mean(t)
-    return charfn(fam, t, theta / sigma) * cmath.exp(-1j * theta * m / sigma)
-
-
 def mgf(fam: Family, t: float, lam: float) -> float:
     """E[e^{lam X_t}] = f(t e^lam) / f(t)."""
     fam.check_radius(t)
@@ -441,22 +432,6 @@ def max_term(fam: Family, t: float) -> tuple[int, LogNumber]:
     if best_n < 0:
         raise NoCoefficientAccess("series has no positive coefficients")
     return best_n, LogNumber.from_log(best)
-
-
-def estimate_order(fam: Family, t_grid: Sequence[float]) -> float:
-    """Order-of-growth estimate max over the grid of ln m_f(t) / ln t."""
-    if math.isfinite(fam.radius):
-        raise NotEntire(f"{fam.name} has finite radius {fam.radius}")
-    vals = []
-    for t in t_grid:
-        if t <= 1.0:
-            raise ValueError("grid radii must exceed 1")
-        m = fam.mean(t)
-        if m > 0:
-            vals.append(math.log(m) / math.log(t))
-    if not vals:
-        raise ZeroMean("mean vanishes on the whole grid")
-    return max(vals)
 
 
 # -- building families from raw coefficients -----------------------------------

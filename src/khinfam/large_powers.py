@@ -335,6 +335,7 @@ def estimate(q: PowerCoeffQuery, regime: Regime) -> Estimate | FixedKPolynomial:
 
 
 def estimate_auto(q: PowerCoeffQuery) -> tuple[Regime, Estimate | FixedKPolynomial]:
+    """``estimate`` in the ``auto_regime`` regime; kept for the benchmark's saddle pool."""
     regime = auto_regime(q)
     return regime, estimate(q, regime)
 

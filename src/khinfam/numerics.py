@@ -77,12 +77,6 @@ class LogNumber:
         return LogNumber(sign, log_abs)
 
     @staticmethod
-    def from_float(x: float) -> "LogNumber":
-        if x == 0:
-            return LogNumber.zero()
-        return LogNumber(1 if x > 0 else -1, math.log(abs(x)))
-
-    @staticmethod
     def from_fraction(q: Fraction) -> "LogNumber":
         if q == 0:
             return LogNumber.zero()

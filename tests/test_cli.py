@@ -358,6 +358,14 @@ FLOAT_RANGE_INPUTS = [
     "diag --family expof:poly:0,1,1 --t 1e200 --stats cltsup",  # int() of an infinite mean
 ]
 CONTRACT_INPUTS += FLOAT_RANGE_INPUTS
+# A saddle target of at most 0 parses, so the estimate refuses it by name;
+# these exited 2 as usage errors.
+SADDLE_TARGET_INPUTS = [
+    "coeff --family P --n 0 --method hayman",
+    "coeff --family P --n -3 --method hayman",
+    "largepow --psi poly:1,1 --n 10 --k 0 --regime limitl:0,0",
+]
+CONTRACT_INPUTS += SADDLE_TARGET_INPUTS
 
 
 @pytest.mark.parametrize("line", CONTRACT_INPUTS)
@@ -382,6 +390,12 @@ def test_exact_value_past_the_digit_limit_is_a_domain_error(line, capsys):
 def test_float_range_error_is_a_domain_error(line, capsys):
     assert cli.main(shlex.split(line)) == 3
     assert capsys.readouterr().err.startswith("error: DomainError: ")
+
+
+@pytest.mark.parametrize("line", SADDLE_TARGET_INPUTS)
+def test_non_positive_saddle_target_is_a_parameter_error(line, capsys):
+    assert cli.main(shlex.split(line)) == 3
+    assert capsys.readouterr().err.startswith("error: ParameterDomain: saddle target ")
 
 
 # Finite statistics of binom and bernoulli at t where a (1+t)^k form or n t
