@@ -19,25 +19,19 @@ from . import family as fm
 from .errors import (
     ComplexEvalUnavailable,
     DomainError,
-    GcdNotOne,
     MixedResidueClasses,
     NoCoefficientAccess,
     ParameterDomain,
     QGcdNotOne,
     TargetAboveMeanSup,
-    UnsupportedColoredOrder,
     WindowTooNarrow,
 )
 from .family import Family
 from .numerics import (
-    ZETA_NEG,
     LogNumber,
     bracket_increasing,
     lambert_w0,
-    log_gamma,
     solve_monotone_point,
-    zeta_prime_neg,
-    zeta_real,
 )
 
 
@@ -140,62 +134,39 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
 
 
 def closed_partition_asym(kind: str, n: int, a: int | None = None, b: int | None = None) -> Estimate:
-    """Closed asymptotic formulas for the classical partition counts.
-
-    kind: 'hr' (plain partitions), 'distinct', 'ingham' (needs a, b),
-    'wright_plane' (plane partitions), 'colored' (needs b <= 2).
-    """
+    """Meinardus' asymptotic of the n-th count of a partition product: kind
+    'hr' (P), 'distinct' (Q), 'ingham' (Pab:a,b), 'wright_plane' (Wab:1,1)
+    or 'colored' (Wab:a,b, a = 1 by default). It reads the Mellin record of
+    the shape with g divided out at n/g, and refuses an n off the multiples
+    of g (QGcdNotOne): ln a_n ~ D'(0) - ln(2 pi (1+alpha))/2 + (1 - 2 D(0))
+    / (2 + 2 alpha) ln K + (D(0) - 1 - alpha/2) / (1 + alpha) ln n
+    + (1 + 1/alpha) K^(1/(1+alpha)) n^(alpha/(1+alpha))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind == "hr":
-        ln = -math.log(4.0 * math.sqrt(3.0)) - math.log(n) + math.pi * math.sqrt(2.0 * n / 3.0)
-        return Estimate("hr", LogNumber.from_log(ln), {"n": n})
-    if kind == "distinct":
-        ln = (
-            -math.log(4.0 * 3.0**0.25)
-            - 0.75 * math.log(n)
-            + math.pi * math.sqrt(n / 3.0)
-        )
-        return Estimate("distinct", LogNumber.from_log(ln), {"n": n})
     if kind == "ingham":
-        if a is None or b is None or a < 1 or b < 1:
-            raise ValueError("ingham needs integers a, b >= 1")
-        if math.gcd(a, b) != 1:
-            raise GcdNotOne(f"ingham needs gcd(a, b) = 1, got gcd({a},{b}) != 1")
-        z2 = zeta_real(2.0)
-        ln_const = (
-            -0.5 * math.log(2.0)
-            - math.log(2.0 * math.pi)
-            + log_gamma(b / a)
-            + (b / (2.0 * a) - 0.5) * math.log(a)
-            + (b / (2.0 * a)) * math.log(z2)
-        )
-        ln = ln_const - (0.5 + b / (2.0 * a)) * math.log(n) + math.pi * math.sqrt(2.0 * n / (3.0 * a))
-        return Estimate("ingham", LogNumber.from_log(ln), {"n": n, "a": a, "b": b})
-    if kind == "wright_plane":
-        return _colored_estimate(1, n, "wright_plane")
-    if kind == "colored":
-        if b is None or b < 0:
-            raise ValueError("colored needs an integer b >= 0")
-        if b > 2:
-            raise UnsupportedColoredOrder("colored asymptotics provided for b <= 2")
-        return _colored_estimate(b, n, "colored")
-    raise ValueError(f"unknown closed form {kind!r}")
-
-
-def _colored_estimate(b: int, n: int, method: str) -> Estimate:
-    zb = ZETA_NEG[b]
-    gz = math.exp(log_gamma(b + 2.0)) * zeta_real(b + 2.0)
-    ln_alpha = (
-        -0.5 * math.log(2.0 * math.pi)
-        + zeta_prime_neg(b)
-        - 0.5 * math.log(b + 2.0)
-        + (1.0 - 2.0 * zb) / (2.0 * (b + 2.0)) * math.log(gz)
+        spec = cat.FamilySpec("Pab", a=a, b=b)
+    elif kind == "colored":
+        spec = cat.FamilySpec("Wab", a=1 if a is None else a, b=b)
+    elif kind in ("hr", "distinct", "wright_plane"):
+        spec = cat.parse_family({"hr": "P", "distinct": "Q", "wright_plane": "Wab:1,1"}[kind])
+    else:
+        raise ValueError(f"unknown closed form {kind!r}")
+    full = cat.mellin(spec)
+    if not on_lattice(full.g, n):
+        raise QGcdNotOne(f"{spec.key()} has no part count at {n}: gcd {full.g} does not divide it")
+    rec = full.reduced()
+    m = n // full.g
+    d0, d1 = rec.at_zero()
+    alpha, k = rec.alpha, rec.k
+    e = alpha + 1.0
+    ln = (
+        d1
+        - 0.5 * math.log(2.0 * math.pi * e)
+        + (1.0 - 2.0 * d0) / (2.0 * e) * math.log(k)
+        + (d0 - 1.0 - alpha / 2.0) / e * math.log(m)
+        + e / alpha * k ** (1.0 / e) * m ** (alpha / e)
     )
-    beta_exp = (-2.0 * zb + b + 3.0) / (2.0 * (b + 2.0))
-    gamma = (b + 2.0) / (b + 1.0) * gz ** (1.0 / (b + 2.0))
-    ln = ln_alpha - beta_exp * math.log(n) + gamma * n ** ((b + 1.0) / (b + 2.0))
-    return Estimate(method, LogNumber.from_log(ln), {"n": n, "b": b})
+    return Estimate(kind, LogNumber.from_log(ln), {"n": n, "family": spec.key()})
 
 
 def moser_wyman(n: int) -> Estimate:

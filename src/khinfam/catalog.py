@@ -2,8 +2,8 @@
 
 Each catalog entry binds three things together: closed-form evaluators for
 ln f, the mean and the variance; an exact integer/rational coefficient
-oracle; and, for the partition-type families, the approximate mean/variance
-laws and the axis asymptotics of f(e^{-s}) as s drops to 0.
+oracle; and, for the partition-type families, the Mellin record that the
+approximate mean/variance laws and the closed forms of ``asym`` read.
 
 Infinite sums (partition means, fulcrum derivatives) are truncated with an
 explicit geometric tail criterion: stop once the current term is below
@@ -34,11 +34,10 @@ from .errors import (
     DomainError,
     InvalidSpec,
     NoApproxAvailable,
-    NoAxisFormula,
     TruncationTooLarge,
 )
 from .family import Family
-from .numerics import ZETA_NEG, LogNumber, lambert_w0, log_gamma, zeta_prime_neg, zeta_real
+from .numerics import ZETA_NEG, lambert_w0, log_gamma, zeta_prime_neg, zeta_real
 
 MAX_TRUNC = 100_000
 
@@ -749,7 +748,62 @@ def _exp_poly_family(g: se.CoeffSeries, common: dict) -> Family:
     )
 
 
-# -- approximate moments and axis asymptotics ------------------------------------
+# -- the Mellin record and the approximate laws -----------------------------------
+
+
+@dataclass(frozen=True)
+class Mellin:
+    """The Mellin data of the partition product of shape (p0, d, b) (see
+    ``_parts_shape``), which Meinardus' theorem reads off the Dirichlet
+    series D(w) = sum_j c_j p_j^(-w): its pole ``alpha``, its residue A
+    there, D(0) and D'(0) (``at_zero``), and g = gcd(p0, d). With
+    K = A Gamma(alpha + 1) zeta(alpha + 1), ln f(e^-s) ~ (K/alpha) s^-alpha
+    - D(0) ln s + D'(0) as s drops to 0.
+
+    b = 0 (P, Q, Pab): D(w) = d^(-w) zeta(w, p0/d), so alpha = 1, A = 1/d,
+    D(0) = 1/2 - p0/d and D'(0) = ln Gamma(p0/d) - ln(2 pi)/2 - D(0) ln d.
+    Wab:a,b (p0 = d = a): D(w) = a^(-w) zeta(w - b), so alpha = b + 1,
+    A = a^-(b+1), D(0) = zeta(-b) and D'(0) = zeta'(-b) - zeta(-b) ln a.
+    """
+
+    p0: int
+    d: int
+    b: int
+
+    @property
+    def alpha(self) -> float:
+        return self.b + 1.0
+
+    @property
+    def k(self) -> float:
+        """K = A Gamma(alpha + 1) zeta(alpha + 1), with A = d^-(b+1)."""
+        e = self.alpha + 1.0
+        return 1.0 / self.d ** (self.b + 1) * math.exp(log_gamma(e)) * zeta_real(e)
+
+    @property
+    def g(self) -> int:
+        return math.gcd(self.p0, self.d)
+
+    def reduced(self) -> "Mellin":
+        """The shape (p0/g, d/g, b), whose counts at n/g are this one's at n."""
+        return Mellin(self.p0 // self.g, self.d // self.g, self.b)
+
+    def at_zero(self) -> tuple[float, float]:
+        """(D(0), D'(0)); UnsupportedOrder past the zeta'(-b) table, b > 2."""
+        if self.b == 0:
+            x = self.p0 / self.d
+            d0 = 0.5 - x
+            return d0, log_gamma(x) - 0.5 * math.log(2.0 * math.pi) - d0 * math.log(self.d)
+        slope = zeta_prime_neg(self.b)
+        return ZETA_NEG[self.b], slope - ZETA_NEG[self.b] * math.log(self.d)
+
+
+def mellin(spec: FamilySpec) -> Mellin:
+    """The Mellin record of a partition product P, Q, Pab or Wab."""
+    _validate(spec)
+    if spec.variant not in ("P", "Q", "Pab", "Wab"):
+        raise NoApproxAvailable(f"{spec.variant} is not a partition product")
+    return Mellin(*_parts_shape(spec))
 
 
 @dataclass(frozen=True)
@@ -770,41 +824,10 @@ class ApproxMoments:
 
 
 def approx_moments(spec: FamilySpec) -> ApproxMoments:
-    """The closed approximate mean/variance laws of the partition catalog."""
-    _validate(spec)
-    v = spec.variant
-    z2 = zeta_real(2.0)
-    if v == "P":
-        return ApproxMoments(
-            m_tilde=lambda s: z2 / s**2,
-            sigma_tilde=lambda s: math.sqrt(2.0 * z2 / s**3),
-            s_for_mean=lambda n: math.sqrt(z2 / n),
-        )
-    if v == "Q":
-        return ApproxMoments(
-            m_tilde=lambda s: z2 / (2.0 * s**2),
-            sigma_tilde=lambda s: math.sqrt(z2 / s**3),
-            s_for_mean=lambda n: math.sqrt(z2 / (2.0 * n)),
-        )
-    if v == "Pab":
-        a = float(spec.a)
-        return ApproxMoments(
-            m_tilde=lambda s: z2 / (a * s**2),
-            sigma_tilde=lambda s: math.sqrt(2.0 * z2 / (a * s**3)),
-            s_for_mean=lambda n: math.sqrt(z2 / (a * n)),
-        )
-    if v == "Wab":
-        # parts a*j of weight j^b: ln f ~ Gamma(b+1) zeta(b+2) / (a s)^(b+1)
-        a, b = float(spec.a), float(spec.b)
-        e = b + 2.0
-        c = zeta_real(e) * math.exp(log_gamma(e)) / a ** (b + 1.0)
-        c2 = zeta_real(e) * math.exp(log_gamma(e + 1.0)) / a ** (b + 1.0)
-        return ApproxMoments(
-            m_tilde=lambda s: c / s**e,
-            sigma_tilde=lambda s: math.sqrt(c2 / s ** (e + 1.0)),
-            s_for_mean=lambda n: (c / n) ** (1.0 / e),
-        )
-    if v == "bell":
+    """The closed approximate mean/variance laws: the leading terms of the
+    Mellin record's ln f for a partition product, m ~ K / s^(alpha+1) and
+    sigma^2 ~ (alpha+1) K / s^(alpha+2); the exact laws for bell."""
+    if spec.variant == "bell":
         # exact mean law te^t: the inverse is the Lambert function, and the
         # deviation approximation is the true one.
         return ApproxMoments(
@@ -814,46 +837,10 @@ def approx_moments(spec: FamilySpec) -> ApproxMoments:
             ),
             s_for_mean=lambda n: -math.log(lambert_w0(n)),
         )
-    raise NoApproxAvailable(f"no approximate moment law for {v}")
-
-
-def axis_asymptotic(spec: FamilySpec, s: float) -> LogNumber:
-    """Closed asymptotic value of f(e^{-s}) as s drops to 0, in log space.
-
-    No caller in the package: kept until one Mellin record per partition
-    shape decides whether the closed forms read it or it moves to the tests.
-    """
-    _validate(spec)
-    if s <= 0:
-        raise NoAxisFormula("axis asymptotics need s > 0")
-    v = spec.variant
-    z2 = zeta_real(2.0)
-    if v == "P":
-        ln = z2 / s + 0.5 * math.log(s) - 0.5 * math.log(2.0 * math.pi)
-        return LogNumber.from_log(ln)
-    if v == "Q":
-        ln = z2 / (2.0 * s) - 0.5 * math.log(2.0)
-        return LogNumber.from_log(ln)
-    if v == "Pab":
-        a, b = spec.a, spec.b
-        ln = (
-            z2 / (a * s)
-            + (b / a - 0.5) * math.log(a * s)
-            + log_gamma(b / a)
-            - 0.5 * math.log(2.0 * math.pi)
-        )
-        return LogNumber.from_log(ln)
-    if v == "Wab":
-        a, b = spec.a, spec.b
-        if b > 2:
-            raise NoAxisFormula("colored axis asymptotics need b <= 2 (zeta'(-b) table)")
-        # the poles at w = b + 1 and w = 0 of Gamma(w) zeta(w+1) a^-w zeta(w-b) s^-w
-        e = b + 1.0
-        ln = (
-            zeta_real(1.0 + e) * math.exp(log_gamma(e)) / a**e / s**e
-            - ZETA_NEG[b] * math.log(s)
-            + zeta_prime_neg(b)
-            - ZETA_NEG[b] * math.log(a)
-        )
-        return LogNumber.from_log(ln)
-    raise NoAxisFormula(f"no axis asymptotic formula for {v}")
+    rec = mellin(spec)
+    e, k = rec.alpha + 1.0, rec.k
+    return ApproxMoments(
+        m_tilde=lambda s: k / s**e,
+        sigma_tilde=lambda s: math.sqrt(e * k / s ** (e + 1.0)),
+        s_for_mean=lambda n: (k / n) ** (1.0 / e),
+    )

@@ -1,18 +1,18 @@
 """Command-line front end: family specs in, tables/CSV/JSON-lines out.
 
 Verbs: coeff, family, largepow, lagrange, diag, selftest; global flags
---trunc (env KF_TRUNC), --out and --seed; ``diag``'s cltsup sizes its oracle
-from its window, not from --trunc. ``largepow`` hands its regime to
-``large_powers.estimate``. A command builds the main parser and the
-subparser of its own verb only; help, a missing or unknown verb, or any
-other token before the verb builds every verb's, so every output is the full
-tree's. Every numeric result is reported as a natural-log
-column plus, when representable, the decimal value. Exit codes: 0 success,
-2 usage error (a ``KF_TRUNC`` that is not an integer too), 3 domain error
-(the error name from the owning module is echoed verbatim). A family spec that
-does not parse (``--family nope``) is ``InvalidSpec`` and exits 3, like any
-other named error. A float overflow or division by zero that escapes a verb
-is reported as ``DomainError`` and exits 3 too.
+--trunc, --out and --seed; ``diag``'s cltsup and ``family``'s maxterm size
+their oracle from their window, not from --trunc alone. ``largepow`` hands
+its regime to ``large_powers.estimate``. A command builds the main parser
+and the subparser of its own verb only; help, a missing or unknown verb, or
+any other token before the verb builds every verb's, so every output is the
+full tree's. Every numeric result is reported as a natural-log column plus,
+when representable, the decimal value. Exit codes: 0 success, 2 usage
+error, 3 domain error (the error name from the owning module is echoed
+verbatim). A family spec that does not parse (``--family nope``) is
+``InvalidSpec`` and exits 3, like any other named error. A float overflow
+or division by zero that escapes a verb is reported as ``DomainError`` and
+exits 3 too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,24 +114,24 @@ def emit_rows(rows: list[dict], columns: list[str], fmt: str, stream) -> None:
 
 
 _CLOSED_BY_VARIANT = {"P": "hr", "Q": "distinct", "Pab": "ingham", "Wab": "colored", "bell": "mw"}
+_CLOSED_KINDS = {"hr": "hr", "distinct": "distinct", "ingham": "ingham", "wright": "wright_plane",
+                 "colored": "colored"}
+# the closed forms that read a and b from the family, and the variant they read
+_PARAMETRIC = {"ingham": "Pab", "colored": "Wab"}
 
 
 def _closed_estimate(spec: C.FamilySpec, method: str, n: int) -> A.Estimate:
+    if method == "closed":
+        if spec.variant not in _CLOSED_BY_VARIANT:
+            raise InvalidSpec(f"no closed form registered for {spec.variant}")
+        method = _CLOSED_BY_VARIANT[spec.variant]
     if method == "mw":
         return A.moser_wyman(n)
-    if method == "hr":
-        return A.closed_partition_asym("hr", n)
-    if method == "distinct":
-        return A.closed_partition_asym("distinct", n)
-    if method == "ingham":
-        return A.closed_partition_asym("ingham", n, a=spec.a, b=spec.b)
-    if method == "wright":
-        return A.closed_partition_asym("wright_plane", n)
-    if method == "colored":
-        if spec.variant != "Wab" or spec.a != 1:
-            raise InvalidSpec("colored closed form applies to Wab:1,b families")
-        return A.closed_partition_asym("colored", n, b=spec.b)
-    raise InvalidSpec(f"unknown coeff method {method!r}")
+    if method not in _CLOSED_KINDS:
+        raise InvalidSpec(f"unknown coeff method {method!r}")
+    if _PARAMETRIC.get(method, spec.variant) != spec.variant:
+        raise InvalidSpec(f"{method} closed form applies to {_PARAMETRIC[method]}:a,b families")
+    return A.closed_partition_asym(_CLOSED_KINDS[method], n, a=spec.a, b=spec.b)
 
 
 def _exact_text(value: Fraction) -> str:
@@ -165,19 +164,10 @@ def cmd_coeff(args, cfg: Config, stream) -> int:
     for method in methods:
         if method == "exact":
             continue
-        if method == "hayman":
+        if method in ("hayman", "bd", "baez-duarte"):
             if fam is None:
                 fam = C.make_family(spec, trunc=min(cfg.trunc, 64))
-            est = A.hayman_estimate(fam, n)
-        elif method in ("bd", "baez-duarte"):
-            if fam is None:
-                fam = C.make_family(spec, trunc=min(cfg.trunc, 64))
-            est = A.baez_duarte_estimate(fam, n)
-        elif method == "closed":
-            variant = _CLOSED_BY_VARIANT.get(spec.variant)
-            if variant is None:
-                raise InvalidSpec(f"no closed form registered for {spec.variant}")
-            est = _closed_estimate(spec, variant, n)
+            est = (A.hayman_estimate if method == "hayman" else A.baez_duarte_estimate)(fam, n)
         else:
             est = _closed_estimate(spec, method, n)
         ln_cell, val_cell = _log_cells(est.value)
@@ -234,6 +224,12 @@ def cmd_family(args, cfg: Config, stream) -> int:
             trunc = max(trunc, min(C.MAX_TRUNC, int(arg)))
     fam = C.make_family(spec, trunc=trunc)
     fam.check_radius(args.t)
+    if "maxterm" in stats:
+        # the oracle reaches past the window mean + 12 sigma, whatever --trunc says
+        need = int(fam.mean(args.t) + 12.0 * math.sqrt(fam.variance(args.t))) + 2
+        if need > C.MAX_TRUNC:
+            raise WindowTooNarrow(f"maxterm at t={args.t} needs truncation {need} > {C.MAX_TRUNC}")
+        fam = C.make_family(spec, trunc=max(trunc, need))
     rows = []
     for stat in stats:
         val = _family_stat(fam, stat, args.t, cfg)
@@ -509,16 +505,6 @@ VERBS = {
 _VALUED = ("--trunc", "--out", "--seed")
 
 
-def _env_trunc() -> int:
-    text = os.environ.get("KF_TRUNC")
-    if text is None:
-        return DEFAULT_ORDER
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"KF_TRUNC={text!r} is not an integer") from None
-
-
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The main parser with every verb's subparser, or with ``verb``'s only.
 
@@ -534,8 +520,8 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         epilog=COLUMN_ORDER_NOTE,
         allow_abbrev=False,
     )
-    parser.add_argument("--trunc", type=int, default=_env_trunc(),
-                        help="coefficient truncation order (env KF_TRUNC)")
+    parser.add_argument("--trunc", type=int, default=DEFAULT_ORDER,
+                        help="coefficient truncation order")
     parser.add_argument("--out", choices=("table", "csv", "jsonl"), default="table")
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
     sub = parser.add_subparsers(dest="verb", required=True,

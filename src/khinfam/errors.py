@@ -85,10 +85,6 @@ class NoApproxAvailable(KhinfamError):
     pass
 
 
-class NoAxisFormula(KhinfamError):
-    pass
-
-
 # -- asymptotics -------------------------------------------------------------
 
 class TargetAboveMeanSup(KhinfamError):
@@ -100,14 +96,6 @@ class QGcdNotOne(KhinfamError):
 
 
 class MixedResidueClasses(KhinfamError):
-    pass
-
-
-class GcdNotOne(KhinfamError):
-    pass
-
-
-class UnsupportedColoredOrder(KhinfamError):
     pass
 
 

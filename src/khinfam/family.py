@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     NoCoefficientAccess,
     RadiusOutOfRange,
+    WindowTooNarrow,
     ZeroInSector,
     ZeroMean,
 )
@@ -418,7 +419,9 @@ def zero_free_halfwidth(fam: Family, t: float) -> float:
 
 
 def max_term(fam: Family, t: float) -> tuple[int, LogNumber]:
-    """Largest term max_n a_n t^n of the truncated series, as (index, value)."""
+    """Largest term max_n a_n t^n of the truncated series, as (index, value);
+    WindowTooNarrow when that is the window's last index, the truncation
+    edge, unless it is a polynomial's degree (``mean_sup``)."""
     if fam.coeffs is None:
         raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
     fam.check_radius(t)
@@ -431,6 +434,8 @@ def max_term(fam: Family, t: float) -> tuple[int, LogNumber]:
                 best_n, best = n, v
     if best_n < 0:
         raise NoCoefficientAccess("series has no positive coefficients")
+    if best_n == fam.coeffs.order and best_n < fam.mean_sup:
+        raise WindowTooNarrow(f"the largest term of {fam.name} is at the window's edge {best_n}")
     return best_n, LogNumber.from_log(best)
 
 

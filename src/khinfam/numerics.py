@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .errors import BracketInvalid, DomainError, NoConvergence, UnsupportedOrder
@@ -160,8 +161,10 @@ def lambert_w0(x: float) -> float:
     raise NoConvergence("lambert_w0 did not converge")
 
 
+@cache
 def zeta_real(s: float) -> float:
-    """Riemann zeta on the real axis s > 1, Euler-Maclaurin accelerated."""
+    """Riemann zeta on the real axis s > 1, Euler-Maclaurin accelerated; cached,
+    since every Mellin record K reads zeta(alpha + 1)."""
     if s <= 1.0:
         raise DomainError("zeta_real needs s > 1")
     n_terms = 24

@@ -19,13 +19,12 @@ from khinfam import large_powers as LP
 from khinfam.catalog import bell_numbers, exact_coeffs, make_family, parse_family
 from khinfam.errors import (
     DomainError,
-    GcdNotOne,
     QGcdNotOne,
     TargetAboveMeanSup,
-    UnsupportedColoredOrder,
+    UnsupportedOrder,
     WindowTooNarrow,
 )
-from khinfam.numerics import LogNumber, lambert_w0, zeta_real
+from khinfam.numerics import ZETA_NEG, LogNumber, lambert_w0, log_gamma, zeta_prime_neg, zeta_real
 
 
 @pytest.fixture(scope="module")
@@ -188,11 +187,16 @@ class TestClosedPartitionForms:
             assert abs(di.value.log_abs - i21.value.log_abs) < 1e-12 * max(1, di.value.log_abs)
 
     def test_ingham_gcd_guard(self):
-        with pytest.raises(GcdNotOne):
-            A.closed_partition_asym("ingham", 10, a=2, b=4)
+        # parts 4, 6, 8, ...: Pab:2,4 counts at n those of Pab:1,2 at n/2
+        for n in (10, 100):
+            half = A.closed_partition_asym("ingham", n // 2, a=1, b=2)
+            assert A.closed_partition_asym("ingham", n, a=2, b=4).value == half.value
+        with pytest.raises(QGcdNotOne):
+            A.closed_partition_asym("ingham", 11, a=2, b=4)
 
     def test_colored_order_guard(self):
-        with pytest.raises(UnsupportedColoredOrder):
+        # zeta'(-3) is not tabled
+        with pytest.raises(UnsupportedOrder):
             A.closed_partition_asym("colored", 10, b=3)
 
     def test_wright_plane_band(self):
@@ -205,6 +209,56 @@ class TestClosedPartitionForms:
         hr = A.closed_partition_asym("hr", 1000)
         bd = A.baez_duarte_estimate(fams["P"], 1000)
         assert abs(math.exp(hr.value.log_abs - bd.value.log_abs) - 1.0) < 0.02
+
+
+# The five hand-written closed forms that the Mellin record replaced, kept as
+# oracles of ``closed_partition_asym``.
+
+
+def _hand_hr(n):
+    return -math.log(4.0 * math.sqrt(3.0)) - math.log(n) + math.pi * math.sqrt(2.0 * n / 3.0)
+
+
+def _hand_distinct(n):
+    return -math.log(4.0 * 3.0**0.25) - 0.75 * math.log(n) + math.pi * math.sqrt(n / 3.0)
+
+
+def _hand_ingham(n, a, b):
+    # gcd(a, b) = 1 only
+    const = (-0.5 * math.log(2.0) - math.log(2.0 * math.pi) + log_gamma(b / a)
+             + (b / (2.0 * a) - 0.5) * math.log(a) + (b / (2.0 * a)) * math.log(zeta_real(2.0)))
+    return const - (0.5 + b / (2.0 * a)) * math.log(n) + math.pi * math.sqrt(2.0 * n / (3.0 * a))
+
+
+def _hand_colored(n, b):
+    zb = ZETA_NEG[b]
+    gz = math.exp(log_gamma(b + 2.0)) * zeta_real(b + 2.0)
+    const = (-0.5 * math.log(2.0 * math.pi) + zeta_prime_neg(b) - 0.5 * math.log(b + 2.0)
+             + (1.0 - 2.0 * zb) / (2.0 * (b + 2.0)) * math.log(gz))
+    return (const - (-2.0 * zb + b + 3.0) / (2.0 * (b + 2.0)) * math.log(n)
+            + (b + 2.0) / (b + 1.0) * gz ** (1.0 / (b + 2.0)) * n ** ((b + 1.0) / (b + 2.0)))
+
+
+def _hand_wright_plane(n):
+    return _hand_colored(n, 1)
+
+
+_HAND_CASES = (
+    [("hr", {}, _hand_hr), ("distinct", {}, _hand_distinct),
+     ("wright_plane", {}, _hand_wright_plane)]
+    + [("colored", {"b": b}, lambda n, b=b: _hand_colored(n, b)) for b in (0, 1, 2)]
+    + [("ingham", {"a": a, "b": b}, lambda n, a=a, b=b: _hand_ingham(n, a, b))
+       for a in range(1, 6) for b in range(1, 6) if math.gcd(a, b) == 1]
+)
+
+
+@pytest.mark.parametrize("kind, params, hand", _HAND_CASES,
+                         ids=[f"{k}{''.join(f'-{v}' for v in p.values())}" for k, p, _ in _HAND_CASES])
+def test_closed_forms_match_the_hand_formulas(kind, params, hand):
+    for n in (1, 2, 3, 10, 37, 100, 1000, 12345, 10**6, 10**8):
+        want = hand(n)
+        got = A.closed_partition_asym(kind, n, **params).value.log_abs
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, got, want)
 
 
 class TestMoserWyman:

@@ -13,8 +13,8 @@ from khinfam import series as S
 from khinfam.errors import (
     InvalidSpec,
     NoApproxAvailable,
-    NoAxisFormula,
     TruncationTooLarge,
+    UnsupportedOrder,
 )
 from khinfam.numerics import lambert_w0, zeta_real
 
@@ -327,15 +327,86 @@ class TestApproxMoments:
             C.approx_moments(C.parse_family("geom"))
 
 
+def axis_log(spec, s):
+    """ln f(e^-s) ~ (K/alpha) s^-alpha - D(0) ln s + D'(0), read from the
+    Mellin record: the poles at w = alpha and w = 0 of Gamma(w) zeta(w+1) D(w) s^-w."""
+    rec = C.mellin(spec)
+    d0, d1 = rec.at_zero()
+    return rec.k / rec.alpha * s**-rec.alpha - d0 * math.log(s) + d1
+
+
+def next_mellin_term(spec, s):
+    """(1/2) D(-1) s, the pole at w = -1, where Gamma has residue -1 and zeta(0) = -1/2.
+
+    D(-1) = d zeta(-1, p0/d) = -d B_2(p0/d) / 2 for b = 0, and a zeta(-1-b) for
+    Wab:a,b, zeta(-1-b) = -B_{b+2}/(b+2)."""
+    rec = C.mellin(spec)
+    if rec.b == 0:
+        x = rec.p0 / rec.d
+        d_minus_1 = -rec.d * (x * x - x + 1.0 / 6.0) / 2.0
+    else:
+        d_minus_1 = rec.d * {1: 1.0 / 120.0, 2: 0.0}[rec.b]
+    return 0.5 * d_minus_1 * s
+
+
+class TestMellinRecord:
+    def test_partitions(self):
+        rec = C.mellin(C.parse_family("P"))
+        assert rec.alpha == 1.0 and rec.g == 1 and abs(rec.k - Z2) < 1e-15
+        d0, d1 = rec.at_zero()
+        assert d0 == -0.5 and abs(d1 + 0.5 * math.log(2 * math.pi)) < 1e-15
+
+    def test_distinct_parts(self):
+        # Q is the odd-parts product: D(w) = (1 - 2^-w) zeta(w), D(0) = 0, D'(0) = -ln 2 / 2
+        rec = C.mellin(C.parse_family("Q"))
+        assert rec.alpha == 1.0 and abs(rec.k - Z2 / 2) < 1e-15
+        d0, d1 = rec.at_zero()
+        assert d0 == 0.0 and abs(d1 + 0.5 * math.log(2.0)) < 1e-15
+
+    def test_colored(self):
+        # Wab:2,1: D(w) = 2^-w zeta(w - 1); K = Gamma(3) zeta(3) / 4
+        rec = C.mellin(C.parse_family("Wab:2,1"))
+        assert rec.alpha == 2.0 and abs(rec.k - 2.0 * zeta_real(3.0) / 4.0) < 1e-15
+        d0, d1 = rec.at_zero()
+        assert d0 == -1.0 / 12.0
+        assert abs(d1 - (1.0 / 12.0 - math.log(1.2824271291006226) + math.log(2.0) / 12.0)) < 1e-14
+
+    @pytest.mark.parametrize("text, g, reduced", [
+        ("P", 1, (1, 1, 0)), ("Pab:2,4", 2, (2, 1, 0)), ("Pab:6,4", 2, (2, 3, 0)),
+        ("Wab:3,2", 3, (1, 1, 2)), ("Wab:1,0", 1, (1, 1, 0)),
+    ])
+    def test_lattice_and_reduced_shape(self, text, g, reduced):
+        rec = C.mellin(C.parse_family(text))
+        red = rec.reduced()
+        assert rec.g == g and (red.p0, red.d, red.b) == reduced
+
+    @pytest.mark.parametrize(
+        "text",
+        ["P", "Q"] + [f"Pab:{a},{b}" for a in range(1, 5) for b in range(1, 5)]
+        + [f"Wab:{a},{b}" for a in range(1, 4) for b in range(3)],
+    )
+    def test_axis_identity(self, text):
+        # the error falls with s like the next Mellin term (1/2) D(-1) s; past
+        # it, what is left at s = 0.01 is below 1e-3 (raw errors there reach
+        # 0.030, Pab:1,4, whose D(-1) = -73/12)
+        spec = C.parse_family(text)
+        fam = C.make_family(spec, trunc=8)
+        err = {s: fam.log_value(math.exp(-s)) - axis_log(spec, s) for s in (0.1, 0.01)}
+        assert abs(err[0.01]) < abs(err[0.1])
+        assert abs(err[0.01] - next_mellin_term(spec, 0.01)) < 1e-3
+
+    def test_laws_answer_past_the_zeta_prime_table(self):
+        ap = C.approx_moments(C.parse_family("Wab:1,3"))
+        assert abs(ap.m_tilde(0.1) - 24.0 * zeta_real(5.0) * 1e5) < 1e-9 * 24.0 * 1e5
+
+
 class TestAxisAsymptotics:
     def test_partition_ratio_tends_to_one(self):
         spec = C.parse_family("P")
         fam = C.make_family(spec, trunc=8)
         ratios = []
         for s in (0.2, 0.1, 0.05, 0.02):
-            ratios.append(
-                math.exp(C.axis_asymptotic(spec, s).log_abs - fam.log_value(math.exp(-s)))
-            )
+            ratios.append(math.exp(axis_log(spec, s) - fam.log_value(math.exp(-s))))
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert abs(ratios[2] - 1.0) < 0.02  # s = 0.05 within two percent
 
@@ -350,8 +421,7 @@ class TestAxisAsymptotics:
         spec = C.parse_family("Wab:1,1")
         fam = C.make_family(spec, trunc=8)
         s = 0.05
-        ax = C.axis_asymptotic(spec, s).log_abs
-        assert abs(ax - fam.log_value(math.exp(-s))) < 1e-4
+        assert abs(axis_log(spec, s) - fam.log_value(math.exp(-s))) < 1e-4
 
     @pytest.mark.parametrize("text", ["Wab:2,1", "Wab:3,2", "Wab:2,0"])
     def test_colored_with_parts_on_a_lattice(self, text):
@@ -359,15 +429,15 @@ class TestAxisAsymptotics:
         spec = C.parse_family(text)
         fam = C.make_family(spec, trunc=8)
         for s, tol in ((0.1, 1e-2), (0.01, 1e-3)):
-            assert abs(C.axis_asymptotic(spec, s).log_abs - fam.log_value(math.exp(-s))) < tol
+            assert abs(axis_log(spec, s) - fam.log_value(math.exp(-s))) < tol
 
     def test_colored_beyond_table_raises(self):
-        with pytest.raises(NoAxisFormula):
-            C.axis_asymptotic(C.parse_family("Wab:1,3"), 0.1)
+        with pytest.raises(UnsupportedOrder):
+            C.mellin(C.parse_family("Wab:1,3")).at_zero()
 
     def test_no_formula_for_basic_families(self):
-        with pytest.raises(NoAxisFormula):
-            C.axis_asymptotic(C.parse_family("exp"), 0.1)
+        with pytest.raises(NoApproxAvailable):
+            C.mellin(C.parse_family("exp"))
 
 
 # -- set/multiset transforms and Hayman-class window checks, kept as oracles ---------

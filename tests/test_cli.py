@@ -301,33 +301,10 @@ class TestSelftestVerb:
 
 
 class TestEnvConfig:
-    def test_env_truncation_override(self, monkeypatch):
-        monkeypatch.setenv("KF_TRUNC", "123")
-        parser = cli.build_parser()
-        args = parser.parse_args(["family", "--family", "exp", "--t", "1.0"])
-        assert args.trunc == 123
-
     def test_truncation_guard(self):
         code = cli.main(["--trunc", "200000", "family", "--family", "exp",
                          "--t", "1.0", "--stats", "mean"])
         assert code == 3
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_env_truncation_below_one_refused(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("KF_TRUNC", value)
-        code = cli.main(["coeff", "--family", "P", "--n", "5", "--method", "exact"])
-        out, err = capsys.readouterr()
-        assert code == 3
-        assert out == "" and "InvalidSpec" in err
-
-    @pytest.mark.parametrize("value", ["abc", "1e3"])
-    def test_env_truncation_not_an_integer_is_a_usage_error(self, value, monkeypatch, capsys):
-        # int() of it once raised outside main's error handling: a traceback, exit 1
-        monkeypatch.setenv("KF_TRUNC", value)
-        code = cli.main(["family", "--family", "exp", "--t", "1"])
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == "" and err == f"usage error: KF_TRUNC={value!r} is not an integer\n"
 
 
 # Inputs that once crashed with a traceback, printed nan/inf/-1 with exit 0,
@@ -396,6 +373,65 @@ def test_float_range_error_is_a_domain_error(line, capsys):
 def test_non_positive_saddle_target_is_a_parameter_error(line, capsys):
     assert cli.main(shlex.split(line)) == 3
     assert capsys.readouterr().err.startswith("error: ParameterDomain: saddle target ")
+
+
+# -- closed forms read the family's Mellin record ---------------------------------
+
+
+def _csv_rows(line):
+    code, out = run(["--out", "csv"] + shlex.split(line))
+    assert code == 0
+    return [row.split(",") for row in out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("family, reduced", [
+    ("Pab:2,2", "coeff --family P --n 5 --method hr"),
+    ("Wab:2,1", "coeff --family Wab:1,1 --n 5 --method colored"),
+])
+def test_closed_form_on_a_lattice_is_the_reduced_family_at_n_over_g(family, reduced):
+    # parts 2, 4, 6, ... count at 10 what parts 1, 2, 3, ... count at 5; both exited 3
+    [row] = _csv_rows(f"coeff --family {family} --n 10 --method closed")
+    [want] = _csv_rows(reduced)
+    assert row[1:] == ["10"] + want[2:]
+
+
+@pytest.mark.parametrize("family", ["Pab:2,2", "Wab:2,1"])
+def test_closed_form_off_the_lattice_is_refused(family, capsys):
+    assert cli.main(["coeff", "--family", family, "--n", "11", "--method", "closed"]) == 3
+    assert capsys.readouterr().err.startswith("error: QGcdNotOne: ")
+
+
+def test_closed_form_past_the_zeta_prime_table_is_refused_while_bd_answers(capsys):
+    assert cli.main(shlex.split("coeff --family Wab:1,3 --n 50 --method closed")) == 3
+    assert capsys.readouterr().err.startswith("error: UnsupportedOrder: ")
+    # the approximate laws read only alpha and K
+    assert cli.main(shlex.split("coeff --family Wab:1,3 --n 50 --method bd")) == 0
+
+
+@pytest.mark.parametrize("line", ["coeff --family Pab:2,1 --n 10 --method colored",
+                                  "coeff --family Wab:3,1 --n 10 --method ingham"])
+def test_parametric_closed_form_of_another_variant_is_refused(line, capsys):
+    assert cli.main(shlex.split(line)) == 3
+    assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
+
+
+# -- family --stats maxterm reads an oracle past its window -------------------------
+
+
+@pytest.mark.parametrize("line, want", [
+    # each printed the truncation edge, n=512 or n=8, with exit 0
+    ("family --family P --t 0.95 --stats maxterm", "n=586 ln=23.709324637"),
+    ("family --family exp --t 600 --stats maxterm", "n=599 ln=595.88245775"),  # ties n=600
+    ("--trunc 8 family --family exp --t 30 --stats maxterm", "n=30 ln=27.377685101"),  # ties n=29
+])
+def test_maxterm_is_the_largest_term_not_the_window_edge(line, want):
+    [row] = _csv_rows(line)
+    assert row[2] == want
+
+
+def test_maxterm_past_the_truncation_guard_is_refused(capsys):
+    assert cli.main(shlex.split("family --family exp --t 1e5 --stats maxterm")) == 3
+    assert capsys.readouterr().err.startswith("error: WindowTooNarrow: ")
 
 
 # Finite statistics of binom and bernoulli at t where a (1+t)^k form or n t
@@ -870,7 +906,7 @@ HELP_STDOUT = {
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
-        '  --trunc TRUNC         coefficient truncation order (env KF_TRUNC)\n'
+        '  --trunc TRUNC         coefficient truncation order\n'
         '  --out {table,csv,jsonl}\n'
         '  --seed SEED           sampler seed\n'
         '\n'

@@ -17,6 +17,7 @@ from khinfam.errors import (
     NoCoefficientAccess,
     RadiusOutOfRange,
     TruncationTooLarge,
+    WindowTooNarrow,
     ZeroInSector,
     ZeroMean,
 )
@@ -427,6 +428,18 @@ class TestDiagnostics:
     def test_max_term_linear(self, fams):
         idx, val = F.max_term(fams["bern"], 2.0)
         assert idx == 1 and abs(val.to_float() - 2.0) < 1e-12
+
+    def test_max_term_at_the_window_edge_is_refused(self):
+        # exp at t = 30 peaks at n = 29, 30; a window to 8 ends on a rising term
+        with pytest.raises(WindowTooNarrow):
+            F.max_term(make_family(parse_family("exp"), trunc=8), 30.0)
+        # a polynomial cut below its degree is cut too
+        with pytest.raises(WindowTooNarrow):
+            F.max_term(make_family(parse_family("poly:1,1,1,1"), trunc=2), 10.0)
+
+    def test_max_term_at_a_polynomial_degree_is_the_maximum(self):
+        idx, val = F.max_term(make_family(parse_family("binom:5"), trunc=5), 10.0)
+        assert idx == 5 and abs(val.log_abs - 5 * math.log(10.0)) < 1e-12
 
     def test_max_term_partition_matches_scan(self, fams):
         fam = fams["P"]

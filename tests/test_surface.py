@@ -20,8 +20,6 @@ KEPT = {
     "series.scale": "perfbench/make_refs.py checks exp(log f) = f / f0 with it",
     "series.log_series": "perfbench's exact pool times it as one of the series kernels",
     "large_powers.estimate_auto": "perfbench's saddle pool runs it",
-    "catalog.axis_asymptotic": "waits on one Mellin record per partition shape, which "
-                               "decides whether the closed forms read it or it moves to tests",
 }
 
 
