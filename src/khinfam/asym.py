@@ -20,11 +20,9 @@ from .errors import (
     ComplexEvalUnavailable,
     DomainError,
     MixedResidueClasses,
-    NoCoefficientAccess,
     ParameterDomain,
     QGcdNotOne,
     TargetAboveMeanSup,
-    WindowTooNarrow,
 )
 from .family import Family
 from .numerics import (
@@ -189,24 +187,20 @@ def moser_wyman(n: int) -> Estimate:
 def local_clt_sup(fam: Family, t: float) -> float:
     """sup over the window of |mass * sqrt(2 pi) sigma - Gaussian density term|.
 
-    The true statement takes the sup over all integers; a truncation can
-    only certify the window mean +- 10 sigma, whose top the oracle must reach.
+    The true statement takes the sup over all integers; this one takes it
+    over the window mean +- 10 sigma, whose coefficients it asks the oracle
+    for (WindowTooNarrow when the oracle's cap cuts the window).
     """
     fam.check_radius(t)
-    if fam.coeffs is None:
-        raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
     m = fam.mean(t)
     var = fam.variance(t)
     sigma = math.sqrt(var)
+    hi = int(m + 10.0 * sigma) + 1  # OverflowError, a DomainError, for an infinite mean
     lo = max(0, int(m - 10.0 * sigma))
-    hi = int(m + 10.0 * sigma) + 1
-    if hi > fam.coeffs.order:
-        raise WindowTooNarrow(
-            f"truncation {fam.coeffs.order} below required window top {hi}"
-        )
+    cs = fm._window(fam, t, hi)
     root_2pi = math.sqrt(2.0 * math.pi)
     best = 0.0
-    for n, log_p in enumerate(fm._log_masses(fam, t, lo, hi, fam.log_value(t)), lo):
+    for n, log_p in enumerate(fm._log_masses(cs, t, lo, hi, fam.log_value(t)), lo):
         gauss = math.exp(-((m - n) ** 2) / (2.0 * var))
         best = max(best, abs(math.exp(log_p) * root_2pi * sigma - gauss))
     return best

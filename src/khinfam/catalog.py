@@ -24,7 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -36,7 +36,7 @@ from .errors import (
     NoApproxAvailable,
     TruncationTooLarge,
 )
-from .family import Family
+from .family import Family, Oracle
 from .numerics import ZETA_NEG, lambert_w0, log_gamma, zeta_prime_neg, zeta_real
 
 MAX_TRUNC = 100_000
@@ -559,16 +559,17 @@ def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
 def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
     """Bind closed-form evaluators and the exact oracle into a Family.
 
-    The oracle, ``exact_coeffs(spec, trunc)``, is built on the first read of
-    ``coeffs`` and kept by the family. Every variant is named by its spec
-    key.
+    The oracle builds ``exact_coeffs(spec, n)`` on the first
+    ``coeffs_through(n)`` and keeps it, growing it on a later ask; ``trunc``
+    is its cap, the one order no build may pass. Every variant is named by
+    its spec key.
     """
     _validate(spec)
     _check_order(trunc)
     v = spec.variant
     key = spec.key()
     common = dict(
-        name=key, spec_key=key, oracle=cache(lambda: exact_coeffs(spec, trunc)),
+        name=key, spec_key=key, oracle=Oracle(lambda n: exact_coeffs(spec, n), trunc),
         usg=v in ("exp", "bell", "P", "Q") or (v == "Wab" and spec.a == 1),
     )
 

@@ -1,8 +1,8 @@
 """Command-line front end: family specs in, tables/CSV/JSON-lines out.
 
 Verbs: coeff, family, largepow, lagrange, diag, selftest; global flags
---trunc, --out and --seed; ``diag``'s cltsup and ``family``'s maxterm size
-their oracle from their window, not from --trunc alone. ``largepow`` hands
+--trunc, --out and --seed; each family is built once, with --trunc as its
+oracle's cap, and each reader asks for its own window. ``largepow`` hands
 its regime to ``large_powers.estimate``. A command builds the main parser
 and the subparser of its own verb only; help, a missing or unknown verb, or
 any other token before the verb builds every verb's, so every output is the
@@ -30,7 +30,7 @@ from . import catalog as C
 from . import family as F
 from . import lagrange as L
 from . import large_powers as LP
-from .errors import DomainError, InvalidSpec, KhinfamError, WindowTooNarrow
+from .errors import DomainError, InvalidSpec, KhinfamError
 from .numerics import LogNumber
 from .selftest import run_selftest
 from .series import DEFAULT_ORDER
@@ -147,14 +147,13 @@ def _exact_text(value: Fraction) -> str:
 
 def cmd_coeff(args, cfg: Config, stream) -> int:
     spec = C.parse_family(args.family)
+    fam = C.make_family(spec, trunc=cfg.trunc)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     n = args.n
-    fam = None
     rows: list[dict] = []
     exact_log: LogNumber | None = None
     if "exact" in methods:
-        coeffs = C.exact_coeffs(spec, n)
-        a_n = coeffs.coeff(n)
+        a_n = fam.coeffs_through(n).coeff(n)
         exact_log = LogNumber.from_fraction(a_n)
         ln_cell, val_cell = _log_cells(exact_log)
         rows.append(
@@ -165,8 +164,6 @@ def cmd_coeff(args, cfg: Config, stream) -> int:
         if method == "exact":
             continue
         if method in ("hayman", "bd", "baez-duarte"):
-            if fam is None:
-                fam = C.make_family(spec, trunc=min(cfg.trunc, 64))
             est = (A.hayman_estimate if method == "hayman" else A.baez_duarte_estimate)(fam, n)
         else:
             est = _closed_estimate(spec, method, n)
@@ -207,7 +204,7 @@ def _family_stat(fam, stat: str, t: float, cfg: Config) -> float | LogNumber | c
         idx, val = F.max_term(fam, t)
         return f"n={idx} ln={_fmt(val.log_abs)}"
     if name == "gap":
-        gs = F.gap_stats(fam)
+        gs = F.gap_stats(fam, t)
         return f"gap>={gs.window_gap} tail>={gs.tail_gap_estimate} q={gs.q_gcd}"
     if name == "qgcd":
         return float(fam.q_gcd)
@@ -215,21 +212,9 @@ def _family_stat(fam, stat: str, t: float, cfg: Config) -> float | LogNumber | c
 
 
 def cmd_family(args, cfg: Config, stream) -> int:
-    spec = C.parse_family(args.family)
+    fam = C.make_family(C.parse_family(args.family), trunc=cfg.trunc)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
-    trunc = min(cfg.trunc, 512)
-    for stat in stats:
-        name, _, arg = stat.partition(":")
-        if name == "mass" and arg:
-            trunc = max(trunc, min(C.MAX_TRUNC, int(arg)))
-    fam = C.make_family(spec, trunc=trunc)
     fam.check_radius(args.t)
-    if "maxterm" in stats:
-        # the oracle reaches past the window mean + 12 sigma, whatever --trunc says
-        need = int(fam.mean(args.t) + 12.0 * math.sqrt(fam.variance(args.t))) + 2
-        if need > C.MAX_TRUNC:
-            raise WindowTooNarrow(f"maxterm at t={args.t} needs truncation {need} > {C.MAX_TRUNC}")
-        fam = C.make_family(spec, trunc=max(trunc, need))
     rows = []
     for stat in stats:
         val = _family_stat(fam, stat, args.t, cfg)
@@ -280,12 +265,10 @@ def _parse_regime(text: str, q: LP.PowerCoeffQuery) -> LP.Regime:
 
 
 def cmd_largepow(args, cfg: Config, stream) -> int:
-    spec = C.parse_family(args.psi)
-    trunc = min(cfg.trunc, max(args.k, 8))
-    psi = C.make_family(spec, trunc=trunc)
+    psi = C.make_family(C.parse_family(args.psi), trunc=cfg.trunc)
     pre = None
     if args.h:
-        pre = C.make_family(C.parse_family(args.h), trunc=trunc)
+        pre = C.make_family(C.parse_family(args.h), trunc=cfg.trunc)
     q = LP.PowerCoeffQuery(psi, args.n, args.k, prefactor=pre)
     regime = _parse_regime(args.regime, q)
     result = LP.estimate(q, regime)
@@ -319,7 +302,10 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
     rows = []
     op = args.op
     if op in ("apex", "omm", "power", "func", "general", "sample"):
-        psi = C.make_family(C.parse_family(args.psi), trunc=min(cfg.trunc, 256))
+        psi = C.make_family(C.parse_family(args.psi), trunc=cfg.trunc)
+    h = None  # the outer series of func, the initial law of general
+    if args.h and op in ("func", "general"):
+        h = C.make_family(C.parse_family(args.h), trunc=cfg.trunc)
     if op == "apex":
         ap = L.apex(psi)
         rows.append({"op": "apex", "n": "", "ln": "", "value": f"{ap.kind} tau={_fmt(ap.tau)}"})
@@ -334,9 +320,8 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
         est = L.power_asym(psi, args.q, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "func":
-        if not args.h:
+        if h is None:
             raise InvalidSpec("func needs --h for the outer series")
-        h = C.make_family(C.parse_family(args.h), trunc=min(cfg.trunc, 256))
         est = L.func_asym(h, psi, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "bt":
@@ -355,9 +340,8 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
         est = L.poisson_poisson_asym(args.s, args.t, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "general":
-        init = C.make_family(C.parse_family(args.h), trunc=min(cfg.trunc, 256)) if args.h else None
-        spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, initial=init,
-                                monomial_j=None if init is not None else args.j)
+        spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, initial=h,
+                                monomial_j=None if h is not None else args.j)
         est = L.general_lagrangian_asym(spec, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "sample":
@@ -378,19 +362,11 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
 
 
 def cmd_diag(args, cfg: Config, stream) -> int:
-    spec = C.parse_family(args.family)
+    fam = C.make_family(C.parse_family(args.family), trunc=cfg.trunc)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
     radii = [float(x) for x in args.t.split(",")]
-    fam = C.make_family(spec, trunc=cfg.trunc)
     for t in radii:
         fam.check_radius(t)
-    if any(s.startswith("cltsup") for s in stats):
-        # one oracle to the top of every window, whatever --trunc says
-        need = {t: int(fam.mean(t) + 12.0 * math.sqrt(fam.variance(t))) + 2 for t in radii}
-        w = max(radii) if need[max(radii)] > C.MAX_TRUNC else max(radii, key=need.get)
-        if need[w] > C.MAX_TRUNC:  # refuse before building an oracle that large
-            raise WindowTooNarrow(f"cltsup at t={w} needs truncation {need[w]}, past {C.MAX_TRUNC}")
-        fam = C.make_family(spec, trunc=need[w])
     rows = []
     for t in radii:
         row: dict = {"t": _fmt(t)}
@@ -521,7 +497,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--trunc", type=int, default=DEFAULT_ORDER,
-                        help="coefficient truncation order")
+                        help="largest coefficient order an oracle may build")
     parser.add_argument("--out", choices=("table", "csv", "jsonl"), default="table")
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
     sub = parser.add_subparsers(dest="verb", required=True,

@@ -16,6 +16,7 @@ up to order 4 come from these cumulants.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .errors import (
     ComplexEvalUnavailable,
     DerivativeOrderUnavailable,
     DomainError,
+    IndexBeyondTruncation,
     NoCoefficientAccess,
     RadiusOutOfRange,
     WindowTooNarrow,
@@ -54,6 +56,23 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+class Oracle:
+    """Exact coefficients a_0..a_n, built by ``build(n)`` on the first ask and
+    kept; an ask past them rebuilds through n, or twice the kept order if
+    that is more, never past ``cap``, so a widening reader pays few builds."""
+
+    def __init__(self, build: Callable[[int], se.CoeffSeries], cap: int) -> None:
+        self.build = build
+        self.cap = cap
+        self.kept: se.CoeffSeries | None = None
+
+    def __call__(self, n: int) -> se.CoeffSeries:
+        if self.kept is None or self.kept.order < n:
+            grown = n if self.kept is None else max(n, min(self.cap, 2 * self.kept.order))
+            self.kept = self.build(grown)
+        return self.kept.truncate(n)
+
+
 @dataclass(frozen=True)
 class Family:
     """An evaluable generating function together with its family data.
@@ -73,13 +92,11 @@ class Family:
     replace ``log_value_circle`` too, or set it to None, to route them
     through g.
 
-    ``oracle`` is the one route to the exact coefficients: a function of no
-    arguments that returns the truncated series, or None when the family
-    has no coefficient access. ``coeffs`` calls it. ``make_family`` passes
-    one that builds on its first call and keeps the result;
-    ``family_from_coeffs`` one that returns its series.
-    ``dataclasses.replace`` hands the oracle on without calling it, and
-    ``replace(fam, oracle=None)`` drops it.
+    ``oracle`` is the one route to the exact coefficients, an ``Oracle``
+    whose cap no build may pass, or None when the family has no coefficient
+    access. A reader asks ``coeffs_through(n)`` for the window it needs;
+    ``coeffs`` reads through the cap. ``dataclasses.replace`` hands the
+    oracle on without calling it, and ``replace(fam, oracle=None)`` drops it.
     """
 
     name: str
@@ -96,11 +113,34 @@ class Family:
     boundary_variance: float | None = None
     spec_key: str | None = None
     meta: dict = field(default_factory=dict, compare=False)
-    oracle: Callable[[], se.CoeffSeries] | None = field(default=None, compare=False, repr=False)
+    oracle: Oracle | None = field(default=None, compare=False, repr=False)
 
     @property
     def coeffs(self) -> se.CoeffSeries | None:
-        return None if self.oracle is None else self.oracle()
+        return None if self.oracle is None else self.coeffs_through(self.oracle.cap)
+
+    @property
+    def has_coeffs(self) -> bool:
+        return self.oracle is not None
+
+    @property
+    def degree(self) -> float:
+        """The degree of a polynomial (entire, with a finite mean limit), else inf."""
+        return self.mean_sup if math.isinf(self.radius) else math.inf
+
+    def coeffs_through(self, n: int) -> se.CoeffSeries:
+        """a_0..a_n exactly; IndexBeyondTruncation past the oracle's cap, save
+        the zeros past a polynomial's degree within it."""
+        if self.oracle is None:
+            raise NoCoefficientAccess(f"{self.name} has no coefficient access")
+        if n < 0:
+            raise IndexBeyondTruncation(f"index {n} is negative")
+        if n <= self.oracle.cap:
+            return self.oracle(n)
+        if self.degree <= self.oracle.cap:
+            return self.oracle(int(self.degree)).pad(n)
+        cap = self.oracle.cap
+        raise IndexBeyondTruncation(f"{self.name} is truncated at order {cap} < {n} (--trunc)")
 
     def check_radius(self, t: float) -> None:
         if not math.isfinite(t):
@@ -132,18 +172,17 @@ def point(fam: Family, t: float) -> KhinchinPoint:
 def log_mass(fam: Family, t: float, n: int) -> LogNumber:
     """P(X_t = n) as a LogNumber; requires coefficient access."""
     fam.check_radius(t)
-    if fam.coeffs is None:
-        raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
-    if fam.coeffs.coeff(n) == 0:
+    cs = fam.coeffs_through(n)
+    if cs.coeff(n) == 0:
         return LogNumber.zero()
-    return LogNumber.from_log(next(_log_masses(fam, t, n, n, fam.log_value(t))))
+    return LogNumber.from_log(next(_log_masses(cs, t, n, n, fam.log_value(t))))
 
 
-def _log_masses(fam: Family, t: float, lo: int, hi: int, log_f: float) -> Iterator[float]:
+def _log_masses(cs: se.CoeffSeries, t: float, lo: int, hi: int, log_f: float) -> Iterator[float]:
     """ln P(X_t = n) = ln a_n + n ln t - ln f(t) for n = lo..hi, -inf where
-    a_n = 0, given log_f = ln f(t); ln t is taken once. The caller checks t
-    and the coefficient access."""
-    cs = fam.coeffs.coeffs
+    a_n = 0, from the coefficients cs (through at least hi), given log_f =
+    ln f(t); ln t is taken once. The caller checks t."""
+    cs = cs.coeffs
     log_t = math.log(t)
     for n in range(lo, hi + 1):
         c = cs[n]
@@ -156,25 +195,64 @@ def mass(fam: Family, t: float, n: int) -> float:
     return log_mass(fam, t, n).to_float()
 
 
-def mass_total(fam: Family, t: float) -> tuple[float, float]:
-    """Sum of the truncated masses plus a certified tail bound.
+# -- the law's window -----------------------------------------------------------
 
-    The tail uses the geometric majorant at the comparison radius t* = 2t
-    (entire f) or (t + R)/2: sum_{n>N} a_n t^n <= (t/t*)^{N+1} f(t*), so the
-    reported pair satisfies total + tail >= 1 >= total.
+# A window reader stops where its certified tail is at most this share of
+# what it has summed: the unit roundoff, below the last bit of the sum.
+_TAIL_SHARE = 2.0**-53
+
+
+def _law_top(fam: Family, t: float, k: int = 0, log_share: float = math.log(_TAIL_SHARE)) -> int:
+    """The least N with a certified bound on sum_{n > N} n^k P(X_t = n)
+    at most e^log_share (the sum is 0 past a polynomial's degree).
+
+    For t < t* < R and r = t/t*, a_n t^n <= f(t*) r^n, so the sum is at most
+    f(t*)/f(t) times the largest x^k r^x over x > N, at max(N + 1, k/ln(1/r));
+    the bound is the smaller at t* = 2t (entire f) or (t + R)/2 and at t e^u,
+    u sigma the deviation where a Gaussian tail reaches the unit roundoff,
+    when that is nearer. It does not grow with N.
     """
-    fam.check_radius(t)
-    if fam.coeffs is None:
-        raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
-    t_star = 2.0 * t if math.isinf(fam.radius) else 0.5 * (t + fam.radius)
-    if not t < t_star < fam.radius:
+    mid = 2.0 * t if math.isinf(fam.radius) else 0.5 * (t + fam.radius)
+    if not t < mid < fam.radius:
         raise RadiusOutOfRange(f"no comparison radius strictly between t = {t} and R = {fam.radius}")
-    log_f = fam.log_value(t)
-    n_top = fam.coeffs.order
-    total = math.fsum(math.exp(x) for x in _log_masses(fam, t, 0, n_top, log_f))
-    log_tail = (n_top + 1) * (math.log(t) - math.log(t_star)) + fam.log_value(t_star) - log_f
-    tail = math.exp(log_tail) if log_tail < 700.0 else math.inf
-    return total, tail
+    var = fam.variance(t)
+    gauss = t * math.exp(math.sqrt(-2.0 * math.log(_TAIL_SHARE) / var)) if var > 0.0 else mid
+    log_t, log_f = math.log(t), fam.log_value(t)
+    radii = [(math.log(s) - log_t, fam.log_value(s) - log_f)
+             for s in ([mid, gauss] if t < gauss < mid else [mid])]
+
+    def certified(n: int) -> bool:
+        peaks = [(max(n + 1.0, k / log_r), log_r, c) for log_r, c in radii]
+        bound = min(k * math.log(x) - x * log_r + c for x, log_r, c in peaks)
+        return n >= fam.degree or bound <= log_share
+
+    hi = 0
+    while not certified(hi):
+        if hi > 2**53:
+            raise WindowTooNarrow(f"no certified window of {fam.name} ends below 2^53")
+        hi = 2 * hi + 1
+    return bisect.bisect_left(range(hi + 1), True, key=certified)
+
+
+def _window(fam: Family, t: float, top: int | None = None) -> se.CoeffSeries:
+    """The coefficients through top, by default through the law's window at
+    t (``_law_top``: its certified tail mass is at most the unit roundoff);
+    WindowTooNarrow when the oracle's cap cuts the window."""
+    fam.check_radius(t)
+    if top is None:
+        top = _law_top(fam, t)
+    try:
+        return fam.coeffs_through(top)
+    except IndexBeyondTruncation as exc:
+        raise WindowTooNarrow(f"the window of {fam.name} at t={t} reaches {top}: {exc}") from None
+
+
+def mass_total(fam: Family, t: float) -> tuple[float, float]:
+    """Sum of the masses over the law's window at t, and the unit roundoff,
+    which bounds the rest: total + tail >= 1 >= total."""
+    cs = _window(fam, t)
+    total = math.fsum(math.exp(x) for x in _log_masses(cs, t, 0, cs.order, fam.log_value(t)))
+    return total, _TAIL_SHARE
 
 
 # -- moments -------------------------------------------------------------------
@@ -250,11 +328,11 @@ def central_moment(fam: Family, t: float, k: int) -> float:
         k3, k4 = fam.fulcrum34(math.log(t))
         return k3 if k == 3 else k4 + 3.0 * fam.variance(t) ** 2
     m = fam.mean(t)
-    return _direct_weighted_sum(fam, t, lambda n: (n - m) ** k)
+    return _direct_weighted_sum(fam, t, lambda n: (n - m) ** k, k)
 
 
 def _direct_moment_sum(fam: Family, t: float, k: int, factorial: bool) -> float:
-    if fam.coeffs is None:
+    if not fam.has_coeffs:
         raise DerivativeOrderUnavailable(
             f"order {k} needs coefficient access for {fam.name}"
         )
@@ -272,15 +350,27 @@ def _direct_moment_sum(fam: Family, t: float, k: int, factorial: bool) -> float:
         def w(n: float) -> float:
             return n**k
 
-    return _direct_weighted_sum(fam, t, w)
+    return _direct_weighted_sum(fam, t, w, k)
 
 
-def _direct_weighted_sum(fam: Family, t: float, weight: Callable[[float], float]) -> float:
-    if fam.coeffs is None:
-        raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
-    fam.check_radius(t)
-    terms = enumerate(_log_masses(fam, t, 0, fam.coeffs.order, fam.log_value(t)))
-    return math.fsum(weight(float(n)) * math.exp(x) for n, x in terms if x > -math.inf)
+def _direct_weighted_sum(fam: Family, t: float, weight: Callable[[float], float],
+                         k: int = 0) -> float:
+    """E[weight(X_t)] for |weight(n)| <= n^k past the law's window: the sum
+    over it, carried on until the certified rest (``_law_top``) is at most
+    the unit roundoff times the sum of the absolute terms."""
+    cs = _window(fam, t)
+    log_f = fam.log_value(t)
+
+    def terms(lo: int, cs: se.CoeffSeries) -> list[float]:
+        masses = enumerate(_log_masses(cs, t, lo, cs.order, log_f), lo)
+        return [weight(float(n)) * math.exp(x) for n, x in masses if x > -math.inf]
+
+    out = terms(0, cs)
+    size = max(math.fsum(abs(v) for v in out), 5e-324)
+    top = _law_top(fam, t, k, math.log(_TAIL_SHARE) + math.log(size))
+    if top > cs.order:
+        out += terms(cs.order + 1, _window(fam, t, top))
+    return math.fsum(out)
 
 
 # -- characteristic and moment generating functions ----------------------------
@@ -374,22 +464,21 @@ class GapStats:
     provisional: bool
 
 
-def gap_stats(fam: Family) -> GapStats:
-    """Index-gap statistics over the truncated coefficient window.
+def gap_stats(fam: Family, t: float) -> GapStats:
+    """Index-gap statistics over the law's window at t (see ``_window``).
 
     Both gaps are window statistics, hence lower estimates of the true
     sup/limsup; the q estimate is provisional when fewer than 8 nonzero
     coefficients are visible.
     """
-    if fam.coeffs is None:
-        raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
-    nz = fam.coeffs.nonzero_indices()
+    cs = _window(fam, t)
+    nz = cs.nonzero_indices()
     if len(nz) < 2:
         return GapStats(0, 0, 1, True)
     gaps = [b - a for a, b in zip(nz, nz[1:])]
     half = len(gaps) // 2
     tail_gap = max(gaps[half:]) if gaps[half:] else max(gaps)
-    return GapStats(max(gaps), tail_gap, se.support_gcd(fam.coeffs), len(nz) < 8)
+    return GapStats(max(gaps), tail_gap, se.support_gcd(cs), len(nz) < 8)
 
 
 def zero_free_halfwidth(fam: Family, t: float) -> float:
@@ -419,24 +508,18 @@ def zero_free_halfwidth(fam: Family, t: float) -> float:
 
 
 def max_term(fam: Family, t: float) -> tuple[int, LogNumber]:
-    """Largest term max_n a_n t^n of the truncated series, as (index, value);
-    WindowTooNarrow when that is the window's last index, the truncation
-    edge, unless it is a polynomial's degree (``mean_sup``)."""
-    if fam.coeffs is None:
-        raise NoCoefficientAccess(f"{fam.name} has no coefficient access")
+    """Largest term max_n a_n t^n, as (index, value), the first on a tie: a
+    scan to the mean, carried on until the certified bound of ``_law_top``
+    on the sum of the later terms is below the best found (WindowTooNarrow
+    when the oracle's cap cuts the scan)."""
     fam.check_radius(t)
-    log_t = math.log(t)
-    best_n, best = -1, -math.inf
-    for n, c in enumerate(fam.coeffs.coeffs):
-        if c > 0:
-            v = log_of_fraction(c) + n * log_t
-            if v > best:
-                best_n, best = n, v
-    if best_n < 0:
-        raise NoCoefficientAccess("series has no positive coefficients")
-    if best_n == fam.coeffs.order and best_n < fam.mean_sup:
-        raise WindowTooNarrow(f"the largest term of {fam.name} is at the window's edge {best_n}")
-    return best_n, LogNumber.from_log(best)
+    cs = _window(fam, t, int(fam.mean(t)) + 1)
+    logs = list(_log_masses(cs, t, 0, cs.order, 0.0))  # ln a_n t^n, -inf where a_n = 0
+    top = _law_top(fam, t, log_share=max(logs) - fam.log_value(t))
+    if top > cs.order:
+        logs += _log_masses(_window(fam, t, top), t, cs.order + 1, top, 0.0)
+    best = max(logs)
+    return logs.index(best), LogNumber.from_log(best)
 
 
 # -- building families from raw coefficients -----------------------------------
@@ -512,7 +595,7 @@ def family_from_coeffs(
         mean=overflow_named(mean_fn, "mean"),
         variance=overflow_named(variance_fn, "variance"),
         log_value_complex=log_complex_dense,
-        oracle=lambda: coeffs,
+        oracle=Oracle(lambda n: coeffs, coeffs.order),
         q_gcd=se.support_gcd(coeffs),
         fulcrum34=overflow_named(fulcrum34_fn, "fulcrum derivatives"),
     )

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import family as fm
 from . import series as se
 from .asym import Estimate, lattice_lead, saddle_log, saddle_solve
 from .errors import (
@@ -57,15 +58,16 @@ def apex(psi: Family) -> Apex:
     if psi.mean_sup == 1.0:
         if math.isinf(psi.radius):
             # degree-one polynomial a + b z
-            if psi.coeffs is None or psi.coeffs.nonzero_indices() != [0, 1]:
+            head = psi.coeffs_through(1) if psi.has_coeffs else None
+            if head is None or head.nonzero_indices() != [0, 1]:
                 raise MeanSupBelowOne(
                     f"{psi.name}: mean limit 1 at infinite radius is the a+bz case only"
                 )
             return Apex(
                 "linear",
                 math.inf,
-                linear_a=psi.coeffs.coeff(0),
-                linear_b=psi.coeffs.coeff(1),
+                linear_a=head.coeff(0),
+                linear_b=head.coeff(1),
             )
         if psi.boundary_variance is None or not math.isfinite(psi.boundary_variance):
             raise MeanSupBelowOne(
@@ -338,25 +340,21 @@ class SampleResult:
 
 
 def _tilted_pmf_table(fam: Family, t: float) -> list[float]:
-    """Cumulative inverse-sampling table of the tilted law at radius t."""
+    """Cumulative inverse-sampling table of the tilted law at radius t, to
+    the first index where the mass left is below 1e-12 (or a polynomial's
+    degree); past the coefficients it has, it asks for twice as many."""
     fam.check_radius(t)
-    if fam.coeffs is None:
+    if not fam.has_coeffs:
         raise ZeroCoefficient(f"{fam.name} needs coefficients to sample from")
     log_f = fam.log_value(t)
-    log_t = math.log(t)
-    probs: list[float] = []
-    acc = 0.0
-    for m, c in enumerate(fam.coeffs.coeffs):
-        p = math.exp(log_of_fraction(c) + m * log_t - log_f) if c > 0 else 0.0
-        probs.append(p)
-        acc += p
-        if 1.0 - acc < 1e-12:
-            break
-    cum = []
-    run = 0.0
-    for p in probs:
-        run += p
-        cum.append(run)
+    cum: list[float] = []
+    acc, top = 0.0, -1
+    while 1.0 - acc >= 1e-12 and len(cum) <= fam.degree:
+        if len(cum) > top:
+            top = 2 * len(cum) + 1
+            masses = fm._log_masses(fam.coeffs_through(top), t, len(cum), top, log_f)
+        acc += math.exp(next(masses))
+        cum.append(acc)
     cum[-1] = max(cum[-1], 1.0)
     return cum
 

@@ -2,11 +2,11 @@
 
 Every estimator but the exact fixed-k polynomial returns a log-space value.
 The exact oracle, ``exact_power_coeff``, gives coefficient k of h*psi^n (or
-psi^n) in exact rationals from psi and h truncated at k. A polynomial psi of
-degree d is powered by Miller's recurrence in integers
-(``series.miller_power_coeff``, O(k d)); a series psi by binary
+psi^n) in exact rationals from psi and h through index k, refused past
+their cap. A polynomial psi of degree d is powered by Miller's recurrence in
+integers (``series.miller_power_coeff``, O(k d)); a series psi by binary
 exponentiation (``series.power_coeff``), whose last step is one O(k) dot
-product. A shorter truncation is refused.
+product.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     BoundaryVarianceInfinite,
     BudgetExceeded,
     FirstCoefficientZero,
-    IndexBeyondTruncation,
     KTooLarge,
     LAboveMeanSup,
     NoApplicableRegime,
@@ -70,36 +69,23 @@ def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
 
     Refused, in this order: psi without coefficients, a binary-powering
     cost estimate over CONVOLUTION_BUDGET, a prefactor without
-    coefficients, a truncation below k. A polynomial psi (entire, with its
-    degree as a finite mean limit) is powered by Miller's recurrence, any
-    other psi by binary exponentiation.
+    coefficients, a k past the cap of either oracle (``coeffs_through``).
+    A polynomial psi (finite ``degree``) is powered by Miller's recurrence,
+    any other psi by binary exponentiation.
     """
     psi, n, k, h = q.psi, q.n, q.k, q.prefactor
     # the oracles are built only past every refusal
-    if psi.oracle is None:
+    if not psi.has_coeffs:
         raise NoCoefficientAccess(f"{psi.name} carries no coefficients")
     cost = (k + 1) ** 2 * (2 * max(1, n.bit_length()))
     if cost > CONVOLUTION_BUDGET:
         raise BudgetExceeded(f"estimated {cost} coefficient-multiplies exceeds the budget")
-    if h is not None and h.oracle is None:
+    if h is not None and not h.has_coeffs:
         raise NoCoefficientAccess("prefactor carries no coefficients")
-    a = _coeffs_through(psi, k)
-    hc = None if h is None else _coeffs_through(h, k)
-    power = se.miller_power_coeff if _is_polynomial(psi) else se.power_coeff
+    a = psi.coeffs_through(k)
+    hc = None if h is None else h.coeffs_through(k)
+    power = se.miller_power_coeff if math.isfinite(psi.degree) else se.power_coeff
     return power(a, n, k, hc)
-
-
-def _is_polynomial(fam: Family) -> bool:
-    return math.isinf(fam.radius) and math.isfinite(fam.mean_sup)
-
-
-def _coeffs_through(fam: Family, k: int) -> se.CoeffSeries:
-    """fam's coefficients, refused if truncated before index k and fam may
-    reach it: an entire fam has degree mean_sup (finite for a polynomial)."""
-    coeffs, degree = fam.coeffs, fam.mean_sup if _is_polynomial(fam) else math.inf
-    if coeffs.order < min(k, degree):
-        raise IndexBeyondTruncation(f"{fam.name} is truncated at order {coeffs.order} < {k}")
-    return coeffs
 
 
 def _estimate(
@@ -182,13 +168,14 @@ def estimate_small_k_refined(q: PowerCoeffQuery, j_terms: int) -> Estimate:
     _require_b1(psi)
     if j_terms < 1:
         raise ValueError("need at least one correction term")
-    if psi.coeffs is None:
+    if not psi.has_coeffs:
         raise FirstCoefficientZero("refined small-k needs coefficient access")
-    b0 = float(psi.coeffs.coeff(0))
-    b1 = float(psi.coeffs.coeff(1))
+    head = psi.coeffs_through(j_terms)
+    b0 = float(head.coeff(0))
+    b1 = float(head.coeff(1))
     correction = 0.0
     if j_terms >= 2:
-        bs = series_b_coefficients(psi.coeffs, j_terms)
+        bs = series_b_coefficients(head, j_terms)
         correction = math.fsum(
             float(bs[j - 1]) / (j - 1) * k**j / float(n) ** (j - 1)
             for j in range(2, j_terms + 1)
@@ -238,7 +225,7 @@ def fixed_k_polynomial(psi: se.CoeffSeries, k: int) -> FixedKPolynomial:
     if k > FIXED_K_MAX:
         raise KTooLarge(f"fixed-k polynomial is guarded at k <= {FIXED_K_MAX}")
     head = psi.truncate(k)
-    u = se.CoeffSeries((Fraction(0),) + head.coeffs[1:])
+    u = se.CoeffSeries.from_list([0, *(head.coeff(i) for i in range(1, k + 1))])
     c = [Fraction(int(k == 0))]
     power = se.CoeffSeries.from_list([1], order=k)
     for _ in range(k):
@@ -273,9 +260,9 @@ def estimate_with_prefactor(q: PowerCoeffQuery, regime: Regime) -> Estimate:
         ln = est.value.log_abs + h.log_value(tau)
     elif regime.kind == "small_k":
         est = estimate_small_k(bare)
-        if h.coeffs is None:
+        if not h.has_coeffs:
             raise PrefactorRadiusTooSmall("prefactor needs coefficients for h(0)")
-        ln = est.value.log_abs + log_of_fraction(h.coeffs.coeff(0))
+        ln = est.value.log_abs + log_of_fraction(h.coeffs_through(0).coeff(0))
     else:
         raise RegimeMismatch(f"prefactor estimates cover comparable/small_k, not {regime.kind}")
     meta = dict(est.meta)
@@ -326,9 +313,9 @@ def estimate(q: PowerCoeffQuery, regime: Regime) -> Estimate | FixedKPolynomial:
     if kind == "small_k_refined":
         return estimate_small_k_refined(q, 2 if regime.j is None else regime.j)
     if kind == "fixed_k":
-        if q.psi.coeffs is None:
+        if not q.psi.has_coeffs:
             raise NoApplicableRegime("fixed-k route needs coefficients")
-        return fixed_k_polynomial(_coeffs_through(q.psi, q.k), q.k)
+        return fixed_k_polynomial(q.psi.coeffs_through(q.k), q.k)
     if kind == "large_k":
         return estimate_large_k(q)
     raise RegimeMismatch(f"unknown regime {kind!r}")
@@ -341,8 +328,8 @@ def estimate_auto(q: PowerCoeffQuery) -> tuple[Regime, Estimate | FixedKPolynomi
 
 
 def _has_b1(psi: Family) -> bool:
-    if psi.coeffs is not None:
-        return psi.coeffs.order >= 1 and psi.coeffs.coeff(1) > 0
+    if psi.has_coeffs:
+        return psi.coeffs_through(1).coeff(1) > 0
     return psi.q_gcd == 1
 
 

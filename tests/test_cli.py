@@ -10,6 +10,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -56,6 +57,15 @@ class TestCoeffVerb:
         rows = [json.loads(line) for line in out.splitlines()]
         mw = next(r for r in rows if r["method"] == "moser-wyman")
         assert abs(float(mw["ratio"]) - 1.0) < 0.02
+
+    def test_exact_column_is_capped_by_trunc(self, capsys):
+        # p(1000) needs the oracle through index 1000; a cap of 8 refuses it
+        assert cli.main(shlex.split("--trunc 8 coeff --family P --n 1000 --method exact")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: IndexBeyondTruncation: P is truncated at order 8")
+        code, out = run(shlex.split("--trunc 1000 coeff --family P --n 1000 --method exact"))
+        assert code == 0 and out.splitlines()[1].split()[3] == "2.4061467864e+31"
 
     def test_closed_method_dispatch(self):
         code, out = run(["--out", "jsonl", "coeff", "--family", "Q", "--n", "50",
@@ -201,12 +211,13 @@ class TestDiagVerb:
         assert code == 3 and out == ""
         assert err.startswith("error: WindowTooNarrow: ")
 
-    # int(m + 12 sigma) + 2, the largest over the radii: exp at t = 1000, bell
-    # at 2, and binom:4 at t = 1, whose window is wider than at t = 100
+    # each radius asks for its window top int(m + 10 sigma) + 1, and the
+    # oracle builds when an ask passes what it keeps: exp at t = 10, 100 and
+    # 1000; bell at 2; binom:4 at t = 1, whose window holds t = 100's
     @pytest.mark.parametrize("line,order", [
-        ("diag --family exp --t 10,100,1000 --stats cltsup,sgint", 1381),
-        ("diag --family bell --t 2 --stats cltsup", 96),
-        ("diag --family binom:4 --t 1,100 --stats cltsup", 16),
+        ("diag --family exp --t 10,100,1000 --stats cltsup,sgint", [42, 201, 1317]),
+        ("diag --family bell --t 2 --stats cltsup", [82]),
+        ("diag --family binom:4 --t 1,100 --stats cltsup", [13]),
     ])
     def test_cltsup_builds_its_oracle_to_the_widest_window(self, line, order, monkeypatch,
                                                           capsys):
@@ -219,7 +230,7 @@ class TestDiagVerb:
 
         monkeypatch.setattr(cli.C, "exact_coeffs", spy)
         assert cli.main(shlex.split(line)) == 0
-        assert built == [order]
+        assert built == order
         assert capsys.readouterr().out == DIAG_STDOUT[line][1]
 
     @pytest.mark.parametrize("trunc", ["8", "16", "100000"])
@@ -419,10 +430,9 @@ def test_parametric_closed_form_of_another_variant_is_refused(line, capsys):
 
 
 @pytest.mark.parametrize("line, want", [
-    # each printed the truncation edge, n=512 or n=8, with exit 0
+    # each printed the truncation edge, n=512, with exit 0
     ("family --family P --t 0.95 --stats maxterm", "n=586 ln=23.709324637"),
     ("family --family exp --t 600 --stats maxterm", "n=599 ln=595.88245775"),  # ties n=600
-    ("--trunc 8 family --family exp --t 30 --stats maxterm", "n=30 ln=27.377685101"),  # ties n=29
 ])
 def test_maxterm_is_the_largest_term_not_the_window_edge(line, want):
     [row] = _csv_rows(line)
@@ -432,6 +442,80 @@ def test_maxterm_is_the_largest_term_not_the_window_edge(line, want):
 def test_maxterm_past_the_truncation_guard_is_refused(capsys):
     assert cli.main(shlex.split("family --family exp --t 1e5 --stats maxterm")) == 3
     assert capsys.readouterr().err.startswith("error: WindowTooNarrow: ")
+
+
+@pytest.mark.parametrize("line", [
+    # exp at t = 30 peaks at n = 29, 30; the scan to the mean, 31, passes a
+    # cap of 8. This printed n=8, then n=30 once the window outgrew --trunc
+    "--trunc 8 family --family exp --t 30 --stats maxterm",
+])
+def test_maxterm_window_past_trunc_is_refused(line, capsys):
+    assert cli.main(shlex.split(line)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: WindowTooNarrow: the window of exp at t=30.0 reaches 31")
+    assert "--trunc" in err
+
+
+# Sums past the fourth moment read the law's window; these summed a window
+# of 512 and printed 4.26e9, 1.81e14 and 1.02e11 with exit 0.
+def test_high_moment_of_exp_far_out_is_right():
+    # E[X^5] of Poisson(600) = sum_j S(5, j) 600^j
+    [row] = _csv_rows("family --family exp --t 600 --stats moment:5")
+    assert row[2] == f"{79_061_405_400_600:.12g}"
+
+
+def test_high_moments_of_geom_near_the_radius_are_right_or_refused(capsys):
+    line = "family --family geom --t 0.99 --stats moment:6,cmoment:5"
+    # the default cap, 4096, cuts the window the sixth moment needs
+    assert cli.main(shlex.split(line)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: WindowTooNarrow: ") and "--trunc" in err
+    rows = _csv_rows("--trunc 100000 " + line)
+    assert [r[2] for r in rows] == ["6.95133906014e+14", "429089750100"]
+
+
+def test_factorial_moment_past_the_cap_is_refused_not_truncated(capsys):
+    # 120 * 999^5 = 1.194e17; the window of 512 gave 1.9e12
+    code = cli.main(shlex.split("family --family geom --t 0.999 --stats fmoment:5"))
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert float(out.split()[-1]) == pytest.approx(120 * 999**5, rel=1e-10)
+    else:
+        assert code == 3 and out == "" and err.startswith("error: WindowTooNarrow: ")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("line, order", [
+    # these built their oracles to m + 12 sigma, whatever the cap, in 100 s and 35 s
+    ("family --family Wab:1,1 --t 0.95 --stats maxterm", 17813),
+    ("family --family Q --t 0.99 --stats maxterm", 8143),
+])
+def test_maxterm_past_the_default_cap_is_refused_at_once(line, order, capsys):
+    start = time.perf_counter()
+    with _deadline(10.0):
+        code = cli.main(shlex.split(line))
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: WindowTooNarrow: ")
+    assert f"reaches {order}" in err and "--trunc" in err
+    assert elapsed < 2.0
 
 
 # Finite statistics of binom and bernoulli at t where a (1+t)^k form or n t
@@ -906,7 +990,7 @@ HELP_STDOUT = {
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
-        '  --trunc TRUNC         coefficient truncation order\n'
+        '  --trunc TRUNC         largest coefficient order an oracle may build\n'
         '  --out {table,csv,jsonl}\n'
         '  --seed SEED           sampler seed\n'
         '\n'

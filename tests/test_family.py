@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from khinfam import series as S
 from khinfam.catalog import exact_coeffs, make_family, parse_family
 from khinfam.errors import (
     ComplexEvalUnavailable,
+    IndexBeyondTruncation,
     NoCoefficientAccess,
     RadiusOutOfRange,
     TruncationTooLarge,
@@ -21,6 +23,7 @@ from khinfam.errors import (
     ZeroInSector,
     ZeroMean,
 )
+from khinfam.numerics import log_of_fraction
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +133,7 @@ class TestMoments:
         for name, t in (("exp", 2.0), ("geom", 0.4), ("bell", 1.2), ("P", 0.4)):
             fam = fams[name]
             for k in (1, 2, 3, 4):
-                direct = F._direct_weighted_sum(fam, t, lambda x: x**k)
+                direct = F._direct_weighted_sum(fam, t, lambda x: x**k, k)
                 assert abs(F.moment(fam, t, k) - direct) <= 1e-8 * max(1.0, direct)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -189,7 +192,7 @@ class TestMoments:
         assert F.central_moment(fam, t, 4) == k4 + 3.0 * fam.variance(t) ** 2
 
     def test_high_order_falls_back_to_coefficients(self, fams):
-        direct = F._direct_weighted_sum(fams["exp"], 1.0, lambda x: x**5)
+        direct = F._direct_weighted_sum(fams["exp"], 1.0, lambda x: x**5, 5)
         assert abs(F.moment(fams["exp"], 1.0, 5) - direct) < 1e-12
 
     def test_high_order_without_coefficients_rejected(self, fams):
@@ -213,7 +216,7 @@ class TestFactorialMoments:
         assert abs(F.factorial_moment(fams["binom5"], t, 1) - want) < 1e-12
 
     def test_partition_against_direct_sum(self, fams):
-        direct = F._direct_weighted_sum(fams["P"], 0.5, lambda n: n * (n - 1))
+        direct = F._direct_weighted_sum(fams["P"], 0.5, lambda n: n * (n - 1), 2)
         assert abs(F.factorial_moment(fams["P"], 0.5, 2) - direct) <= 1e-8 * direct
 
 
@@ -229,7 +232,7 @@ class TestCentralMoments:
 
     def test_poisson_fourth_central_moment(self, fams):
         # direct mass-weighted oracle gives lambda + 3 lambda^2 = 4 at t = 1
-        direct = F._direct_weighted_sum(fams["exp"], 1.0, lambda n: (n - 1.0) ** 4)
+        direct = F._direct_weighted_sum(fams["exp"], 1.0, lambda n: (n - 1.0) ** 4, 4)
         assert abs(direct - 4.0) < 1e-10
         assert abs(F.central_moment(fams["exp"], 1.0, 4) - direct) < 1e-8
 
@@ -379,12 +382,12 @@ class TestDiagnostics:
             F.clan_ratio(degenerate, 1.0)
 
     def test_gap_stats(self, fams):
-        gs = F.gap_stats(fams["exp"])
+        gs = F.gap_stats(fams["exp"], 3.0)
         assert gs.window_gap == 1 and gs.q_gcd == 1 and not gs.provisional
 
     def test_gap_even_support(self):
         fam = make_family(parse_family("expof:poly:0,0,1"), trunc=64)
-        gs = F.gap_stats(fam)
+        gs = F.gap_stats(fam, 1.0)
         assert gs.q_gcd == 2
         assert gs.window_gap == 2
 
@@ -394,7 +397,7 @@ class TestDiagnostics:
         for k in range(7):
             coeffs[2**k] = 1
         fam = F.family_from_coeffs(S.CoeffSeries.from_list(coeffs))
-        gs = F.gap_stats(fam)
+        gs = F.gap_stats(fam, 1.0)
         assert gs.window_gap == 32
 
     def test_zero_free_halfwidth(self, fams):
@@ -493,6 +496,80 @@ ALL_VARIANTS = ["exp", "bernoulli", "binom:4", "geom", "negbinom:3", "poly:1,1/2
                 "canprod:1,2,4", "setsoflists"]
 
 
+class TestLawWindow:
+    """Readers past the cumulants sum the law's window and its certified tail."""
+
+    def test_fifth_moment_of_exp_far_out(self):
+        # E[X^5] of Poisson(600) = sum_j S(5, j) 600^j; a window of 512 gave 4.26e9
+        fam = make_family(parse_family("exp"), trunc=4096)
+        assert F.moment(fam, 600.0, 5) == pytest.approx(79_061_405_400_600, rel=1e-10)
+
+    def test_high_moments_of_geom_near_the_radius(self):
+        # X_t is geometric: E[(X)_j] = j! q^j with q = t/(1 - t); a window of
+        # 512 gave 1.81e14 and 1.02e11
+        t = Fraction(99, 100)
+        q = t / (1 - t)
+        raw = [sum(F.stirling2(k, j) * math.factorial(j) * q**j for j in range(k + 1))
+               for k in range(7)]
+        cmoment5 = sum(math.comb(5, i) * raw[i] * (-q) ** (5 - i) for i in range(6))
+        fam = make_family(parse_family("geom"), trunc=catalog.MAX_TRUNC)
+        assert F.moment(fam, 0.99, 6) == pytest.approx(float(raw[6]), rel=1e-10)
+        assert F.central_moment(fam, 0.99, 5) == pytest.approx(float(cmoment5), rel=1e-10)
+
+    def test_a_window_past_the_cap_is_refused(self):
+        with pytest.raises(WindowTooNarrow, match="reaches"):
+            F.moment(make_family(parse_family("geom"), trunc=4096), 0.99, 6)
+        with pytest.raises(WindowTooNarrow):
+            F.factorial_moment(make_family(parse_family("geom"), trunc=4096), 0.999, 5)
+
+    def test_mass_total_certifies_the_unit_roundoff(self, fams):
+        for name, t in (("exp", 20.0), ("geom", 0.4), ("P", 0.5)):
+            total, tail = F.mass_total(fams[name], t)
+            assert tail <= 2.0**-53
+            assert abs(total - 1.0) <= 1e-13
+
+    def test_gap_window_is_the_law_window(self):
+        # poly:1,0,3 has the nonzero indices 0 and 2 only, at every radius
+        fam = make_family(parse_family("poly:1,0,3"), trunc=2)
+        assert F.gap_stats(fam, 0.5) == F.GapStats(2, 2, 2, True)
+        # the window at 3 of exp, which has no gap, is 0..57
+        assert F.gap_stats(make_family(parse_family("exp"), trunc=57), 3.0).window_gap == 1
+        with pytest.raises(WindowTooNarrow, match="reaches 57"):
+            F.gap_stats(make_family(parse_family("exp"), trunc=56), 3.0)
+
+
+# Three radii per catalog variant. binom:2000 peaks at n = 666, 1000 and
+# 1500, past any fixed order a scan might stop at.
+MAX_TERM_RADII = {
+    "exp": (1.0, 10.0, 60.0), "bernoulli": (0.5, 2.0, 10.0), "binom:2000": (0.5, 1.0, 3.0),
+    "geom": (0.1, 0.5, 0.9), "negbinom:3": (0.6, 0.9, 0.95), "poly:1,1/2,3": (0.5, 1.0, 4.0),
+    "bell": (1.0, 1.5, 2.0), "P": (0.8, 0.85, 0.9), "Q": (0.7, 0.8, 0.85),
+    "Pab:2,1": (0.7, 0.8, 0.85), "Wab:1,1": (0.5, 0.6, 0.7),
+    "expof:poly:0,1,1": (0.5, 2.0, 5.0), "canprod:1,2,3": (0.5, 2.0, 10.0),
+    "setsoflists": (0.5, 0.7, 0.8),
+}
+
+
+@pytest.mark.parametrize("text,t", [(k, t) for k, ts in MAX_TERM_RADII.items() for t in ts])
+def test_max_term_matches_a_plain_scan_far_past_the_window(text, t):
+    spec = parse_family(text)
+    fam = make_family(spec, trunc=catalog.MAX_TRUNC)
+    top = int(10.0 * (fam.mean(t) + 12.0 * math.sqrt(fam.variance(t))))
+    best_n, best = -1, -math.inf
+    for n, c in enumerate(exact_coeffs(spec, top).coeffs):
+        if c > 0 and log_of_fraction(c) + n * math.log(t) > best:
+            best_n, best = n, log_of_fraction(c) + n * math.log(t)
+    idx, val = F.max_term(fam, t)
+    assert (idx, val.log_abs) == (best_n, best)
+
+
+def test_max_term_scans_past_the_mean_until_the_rest_is_certified_below():
+    # 1 + 5 z^20 at t = 1: the mean is 16.7, the largest term 5 at n = 20
+    fam = make_family(parse_family("poly:1" + ",0" * 19 + ",5"), trunc=20)
+    idx, val = F.max_term(fam, 1.0)
+    assert idx == 20 and val.log_abs == math.log(5)
+
+
 class TestLazyOracle:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -542,7 +619,27 @@ class TestLazyOracle:
     def test_replace_with_a_series(self):
         fam = make_family(parse_family("exp"), trunc=16)
         series = S.CoeffSeries.from_list([1, 2, 3])
-        assert dataclasses.replace(fam, oracle=lambda: series).coeffs is series
+        assert dataclasses.replace(fam, oracle=F.Oracle(lambda n: series, 2)).coeffs is series
+
+    def test_an_ask_past_what_is_kept_rebuilds_at_least_twice_as_far(self, builds):
+        fam = make_family(parse_family("P"), trunc=100)
+        for n in (10, 10, 11, 15, 70, 80):
+            assert fam.coeffs_through(n) == exact_coeffs(parse_family("P"), n)
+        # 11 passes 10: twice 10; 70 passes twice 20; twice 70 passes the cap
+        assert [n for _, n in builds] == [10, 20, 70, 100]
+        with pytest.raises(IndexBeyondTruncation, match="P is truncated at order 100 < 101"):
+            fam.coeffs_through(101)
+        with pytest.raises(IndexBeyondTruncation):
+            fam.coeffs_through(-1)
+        assert len(builds) == 4
+
+    def test_zeros_past_a_polynomial_degree_are_never_refused(self, builds):
+        within = make_family(parse_family("binom:3"), trunc=5)
+        assert within.coeffs_through(50) == S.CoeffSeries.from_list([1, 3, 3, 1], order=50)
+        assert builds == [("binom:3", 3)]
+        with pytest.raises(IndexBeyondTruncation, match="binom:3 is truncated at order 2 < 3"):
+            make_family(parse_family("binom:3"), trunc=2).coeffs_through(3)
+        assert len(builds) == 1
 
     def test_truncation_checked_up_front(self):
         with pytest.raises(TruncationTooLarge):
