@@ -812,16 +812,13 @@ class ApproxMoments:
     """Closed-form approximations of the mean and deviation laws.
 
     ``m_tilde``/``sigma_tilde`` are functions of s (t = e^{-s});
-    ``s_for_mean(n)`` inverts m_tilde in closed form, and ``tau_for(n)``
-    returns the corresponding radius e^{-s_n}.
+    ``s_for_mean(n)`` inverts m_tilde in closed form, so the closed saddle
+    of n is the radius e^{-s_n}.
     """
 
     m_tilde: Callable[[float], float]
     sigma_tilde: Callable[[float], float]
     s_for_mean: Callable[[float], float]
-
-    def tau_for(self, n: float) -> float:
-        return math.exp(-self.s_for_mean(n))
 
 
 def approx_moments(spec: FamilySpec) -> ApproxMoments:

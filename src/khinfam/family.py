@@ -153,19 +153,6 @@ class Family:
             raise RadiusOutOfRange(f"t={t} on the boundary needs a finite mean limit")
 
 
-@dataclass(frozen=True)
-class KhinchinPoint:
-    t: float
-    f_t: float
-    m_t: float
-    var_t: float
-
-
-def point(fam: Family, t: float) -> KhinchinPoint:
-    fam.check_radius(t)
-    return KhinchinPoint(t, math.exp(fam.log_value(t)), fam.mean(t), fam.variance(t))
-
-
 # -- mass and normalization ----------------------------------------------------
 
 

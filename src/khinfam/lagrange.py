@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,17 +100,6 @@ class DecayCertificate:
 
     radius: float
     log_psi_at_radius: float
-
-    def scaled(self, n: int, a_n: Fraction) -> float:
-        if a_n == 0:
-            return 0.0
-        ln = (
-            log_of_fraction(abs(a_n))
-            + (n - 1) * math.log(self.radius)
-            - n * self.log_psi_at_radius
-            + 1.5 * math.log(n)
-        )
-        return math.exp(ln)
 
 
 def omm_estimate(psi: Family, n: int) -> Estimate | DecayCertificate:
@@ -381,26 +371,16 @@ def gw_sample(
     if spec.initial is not None:
         init_cum = _tilted_pmf_table(spec.initial, spec.s)
 
-    def draw(cum: list[float]) -> int:
-        u = rng.random()
-        lo, hi = 0, len(cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] >= u:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
+    # a draw is the first index whose cumulative mass reaches u; cum[-1] >= 1 > u
     counts: dict[int, int] = {}
     censored = 0
     for _ in range(trials):
-        generation = spec.monomial_j if init_cum is None else draw(init_cum)
+        generation = spec.monomial_j if init_cum is None else bisect_left(init_cum, rng.random())
         total = generation
         while generation > 0 and total <= cap:
             children = 0
             for _ in range(generation):
-                children += draw(offspring_cum)
+                children += bisect_left(offspring_cum, rng.random())
             total += children
             generation = children
         if generation > 0:

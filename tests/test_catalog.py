@@ -269,20 +269,12 @@ class TestClosedEvaluations:
             fam = C.make_family(C.parse_family(text), trunc=48)
             assert fam.q_gcd == S.support_gcd(fam.coeffs), text
 
-    def test_point_bundle(self):
-        from khinfam.family import point
-
-        fam = C.make_family(C.parse_family("exp"), 8)
-        pt = point(fam, 2.0)
-        assert (pt.t, pt.m_t, pt.var_t) == (2.0, 2.0, 2.0)
-        assert abs(pt.f_t - math.exp(2.0)) < 1e-12
-
 
 class TestApproxMoments:
     def test_partition_plugin_values(self):
         ap = C.approx_moments(C.parse_family("P"))
         assert abs(ap.m_tilde(0.1) - Z2 / 0.01) < 1e-9
-        assert abs(ap.tau_for(100) - math.exp(-math.pi / math.sqrt(600))) < 1e-12
+        assert abs(math.exp(-ap.s_for_mean(100)) - math.exp(-math.pi / math.sqrt(600))) < 1e-12
 
     def test_distinct_plugin_values(self):
         ap = C.approx_moments(C.parse_family("Q"))
@@ -297,7 +289,7 @@ class TestApproxMoments:
 
     def test_bell_uses_exact_mean_inverse(self):
         ap = C.approx_moments(C.parse_family("bell"))
-        assert abs(ap.tau_for(10.0) - lambert_w0(10.0)) < 1e-12
+        assert abs(math.exp(-ap.s_for_mean(10.0)) - lambert_w0(10.0)) < 1e-12
 
     def test_admissibility_residual_shrinks(self):
         for text in ("P", "Q", "Pab:3,2", "Wab:1,1", "Wab:1,2"):

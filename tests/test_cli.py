@@ -35,15 +35,6 @@ class TestCoeffVerb:
         assert code == 0
         assert out.splitlines()[1].split()[3] == f"1/{math.factorial(200)}"
 
-    def test_partition_pipeline(self):
-        code, out = run(["coeff", "--family", "P", "--n", "100",
-                         "--method", "exact,hayman,hr"])
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].split()[:2] == ["method", "n"]
-        assert "190569292" in out
-        assert "hayman" in out and "hr" in out
-
     def test_ratio_column_is_exact_over_estimate(self):
         code, out = run(["--out", "jsonl", "coeff", "--family", "exp", "--n", "10",
                          "--method", "exact,hayman"])
@@ -550,289 +541,14 @@ def test_partition_sums_end_below_the_float_range_of_their_criterion(capsys):
     assert elapsed < 1.0
 
 
-# -- saddle estimates, pinned to the byte ------------------------------------------
+# -- stdout of lines outside the benchmark pool, pinned to the byte -------------
 #
-# Every benchmark cli line whose numbers come from the Gaussian saddle body
-# (asym.saddle_log): the coeff rows of hayman and baez-duarte, the saddle
-# largepow regimes, and lagrange omm, power, func and general. Each maps to
-# its exit code and stdout before the estimators shared the body; a moved
-# last printed digit fails here.
-SADDLE_STDOUT = {
-    '--out csv coeff --family P --n 120 --method exact,hayman,hr': (
-        0,
-        'method,n,ln,value,ratio\n'
-        'exact,120,ln=21.3353925103,1844349560,\n'
-        'hayman,120,ln=21.349310634,1870198915.28,0.986178285599\n'
-        'hr,120,ln=21.3761666759,1921105571.83,0.960045916813\n'
-    ),
-    '--out jsonl coeff --family Q --n 150 --method exact,hayman,bd': (
-        0,
-        '{"method": "exact", "n": 150, "ln": "16.7810936791", "value": "19406016", "ratio": ""}\n'
-        '{"method": "hayman", "n": 150, "ln": "16.7983676037", "value": "19744146.0664", "ratio": "0.982874414258"}\n'
-        '{"method": "baez-duarte", "n": 150, "ln": "16.7985761223", "value": "19748263.518", "ratio": "0.982669487994"}\n'
-    ),
-    'coeff --family P --n 100 --method exact,hayman,hr': (
-        0,
-        'method  n    ln             value          ratio         \n'
-        'exact   100  19.0655264239  190569292                    \n'
-        'hayman  100  19.0808339273  193508873.501  0.98480906096 \n'
-        'hr      100  19.1102259118  199280893.35   0.956284813846\n'
-    ),
-    'coeff --family P --n 1000 --method hayman,bd,hr': (
-        0,
-        'method       n     ln             value              ratio\n'
-        'hayman       1000  72.2628548059  2.4174588419e+31        \n'
-        'baez-duarte  1000  72.2705278273  2.43607940172e+31       \n'
-        'hr           1000  72.272217735   2.44019963168e+31       \n'
-    ),
-    'coeff --family P --n 250 --method exact,hayman,bd,hr': (
-        0,
-        'method       n    ln             value              ratio         \n'
-        'exact        250  33.0725447228  2.30793554365e+14                \n'
-        'hayman       250  33.0820630176  2.33000803415e+14  0.990526860775\n'
-        'baez-duarte  250  33.0973455209  2.36588987327e+14  0.97550421502 \n'
-        'hr           250  33.1007253364  2.37389967288e+14  0.972212756087\n'
-    ),
-    'coeff --family Pab:2,1 --n 150 --method exact,hayman,bd,ingham': (
-        0,
-        'method       n    ln             value          ratio         \n'
-        'exact        150  16.7810936791  19406016                     \n'
-        'hayman       150  16.7983676037  19744146.0664  0.982874414258\n'
-        'baez-duarte  150  16.7985761223  19748263.518   0.982669487994\n'
-        'ingham       150  16.7954907869  19687427.4002  0.9857060349  \n'
-    ),
-    'coeff --family Pab:2,2 --n 10 --method hayman': (
-        0,
-        'method  n   ln             value          ratio\n'
-        'hayman  10  2.06391224106  7.87672525767       \n'
-    ),
-    'coeff --family Pab:3,2 --n 90 --method exact,hayman,closed': (
-        0,
-        'method  n   ln             value          ratio         \n'
-        'exact   90  8.36543963619  4296                         \n'
-        'hayman  90  8.39124904102  4408.32043001  0.974520810865\n'
-        'ingham  90  8.40128574131  4452.78820249  0.964788758108\n'
-    ),
-    'coeff --family Q --n 200 --method exact,hayman,distinct': (
-        0,
-        'method    n    ln             value          ratio         \n'
-        'exact     200  20.0039137802  487067746                    \n'
-        'hayman    200  20.018826751   494385804.431  0.985197676864\n'
-        'distinct  200  20.016311145   493143687.56   0.987679165904\n'
-    ),
-    'coeff --family Q --n 500 --method hayman,bd,distinct': (
-        0,
-        'method       n    ln             value              ratio\n'
-        'hayman       500  34.2375106278  7.39881110558e+14       \n'
-        'baez-duarte  500  34.2375731604  7.39927378696e+14       \n'
-        'distinct     500  34.2358832526  7.38678025604e+14       \n'
-    ),
-    'coeff --family Wab:1,0 --n 70 --method exact,hayman,colored': (
-        0,
-        'method   n   ln             value         ratio         \n'
-        'exact    70  15.223558583   4087968                     \n'
-        'hayman   70  15.2420105515  4164099.2827  0.981717226817\n'
-        'colored  70  15.2770677512  4312669.9627  0.947897250509\n'
-    ),
-    'coeff --family Wab:1,1 --n 80 --method exact,hayman,closed': (
-        0,
-        'method   n   ln             value              ratio         \n'
-        'exact    80  32.7888209618  1.73781688195e+14                \n'
-        'hayman   80  32.8001526335  1.75762124859e+14  0.988732289932\n'
-        'colored  80  32.8019053335  1.76070453255e+14  0.987000856658\n'
-    ),
-    'coeff --family Wab:1,2 --n 40 --method exact,hayman,closed': (
-        0,
-        'method   n   ln             value              ratio         \n'
-        'exact    40  30.1278456723  1.21438704932e+13                \n'
-        'hayman   40  30.14241677    1.23221154756e+13  0.98553454699 \n'
-        'colored  40  30.1398370566  1.22903689153e+13  0.988080225814\n'
-    ),
-    'coeff --family bell --n 120 --method exact,hayman,closed': (
-        0,
-        'method       n    ln              value              ratio         \n'
-        'exact        120  -122.303164882  7.66320374671e-54                \n'
-        'hayman       120  -122.299686993  7.68990191719e-54  0.996528152015\n'
-        'moser-wyman  120  -122.299686993  7.68990191719e-54  0.996528152015\n'
-    ),
-    'coeff --family bell --n 50 --method exact,hayman,mw': (
-        0,
-        'method       n   ln              value              ratio         \n'
-        'exact        50  -39.6371746192  6.1065200116e-18                 \n'
-        'hayman       50  -39.6299625708  6.15071972272e-18  0.992813896079\n'
-        'moser-wyman  50  -39.6299625708  6.15071972272e-18  0.992813896079\n'
-    ),
-    'coeff --family exp --n 30 --method exact,hayman': (
-        0,
-        'method  n   ln              value              ratio        \n'
-        'exact   30  -74.6582363488  3.76998762882e-33               \n'
-        'hayman  30  -74.6554586739  3.78047398604e-33  0.99722617924\n'
-    ),
-    'coeff --family exp --n 300 --method exact,hayman,bd': (
-        3,
-        ''
-    ),
-    'coeff --family expof:poly:0,1,1 --n 25 --method exact,hayman': (
-        0,
-        'method  n   ln              value              ratio         \n'
-        'exact   25  -18.506261586   9.17978928757e-09                \n'
-        'hayman  25  -18.4990010544  9.24668198253e-09  0.992765762347\n'
-    ),
-    'coeff --family geom --n 500 --method exact,hayman': (
-        0,
-        'method  n    ln               value          ratio         \n'
-        'exact   500  0                1                            \n'
-        'hayman  500  0.0810617994239  1.08443791213  0.922136702167\n'
-    ),
-    'coeff --family negbinom:3 --n 40 --method exact,hayman': (
-        0,
-        'method  n   ln             value          ratio         \n'
-        'exact   40  6.75809450443  861                          \n'
-        'hayman  40  6.78591777049  885.292209278  0.972560236017\n'
-    ),
-    'coeff --family setsoflists --n 30 --method exact,hayman': (
-        0,
-        'method  n   ln             value          ratio         \n'
-        'exact   30  6.61527511882  746.410053546                \n'
-        'hayman  30  6.65116184338  773.682701676  0.964749569725\n'
-    ),
-    'largepow --psi bell --n 30 --k 60 --regime auto': (
-        0,
-        'regime      n   k   ln             value              exact_ln       exact              ratio         \n'
-        'comparable  30  60  46.6656146067  1.84764664746e+20  46.6628336302  1.84251552365e+20  0.997222886845\n'
-    ),
-    'largepow --psi binom:2 --n 150 --k 120 --regime auto': (
-        0,
-        'regime      n    k    ln            value              exact_ln       exact              ratio        \n'
-        'comparable  150  120  198.84622851  2.27939603872e+86  198.845348882  2.27739190052e+86  0.99912075911\n'
-    ),
-    'largepow --psi binom:3 --n 200 --k 150 --regime auto': (
-        0,
-        'regime      n    k    ln             value               exact_ln       exact               ratio         \n'
-        'comparable  200  150  334.120671627  1.27868619815e+145  334.120069776  1.27791685111e+145  0.999398330065\n'
-    ),
-    'largepow --psi binom:4 --n 100 --k 150 --regime auto': (
-        0,
-        'regime      n    k    ln             value               exact_ln       exact               ratio         \n'
-        'comparable  100  150  261.436040898  3.46920475075e+113  261.435360343  3.46684457071e+113  0.999319676927\n'
-    ),
-    'largepow --psi exp --n 500 --k 12 --regime smallk': (
-        0,
-        'regime   n    k   ln             value              exact_ln       exact              ratio         \n'
-        'small_k  500  12  54.5950255255  5.13237434119e+23  54.5880826854  5.09686449899e+23  0.993081205726\n'
-    ),
-    'largepow --psi exp --n 60 --k 80 --regime auto': (
-        0,
-        'regime      n   k   ln             value              exact_ln       exact              ratio         \n'
-        'comparable  60  80  53.8754823533  2.49933629456e+23  53.8744406921  2.49673418831e+23  0.998958881099\n'
-    ),
-    'largepow --psi geom --n 40 --k 100 --regime auto': (
-        0,
-        'regime      n   k    ln             value              exact_ln       exact              ratio         \n'
-        'comparable  40  100  79.9098372915  5.06292373511e+34  79.9075159081  5.05118437898e+34  0.997681308916\n'
-    ),
-    'largepow --psi poly:1,1 --n 100 --k 60 --regime comparable:0.1,0.9': (
-        0,
-        'regime      n    k   ln             value             exact_ln       exact              ratio         \n'
-        'comparable  100  60  64.7932012525  1.3782556098e+28  64.7905624171  1.37462341458e+28  0.997364643253\n'
-    ),
-    'largepow --psi poly:1,1 --n 1000 --k 500 --regime auto': (
-        0,
-        'regime      n     k    ln             value               exact_ln       exact               ratio         \n'
-        'comparable  1000  500  689.467511568  2.70355821442e+299  689.467261568  2.70288240945e+299  0.999750031289\n'
-    ),
-    'largepow --psi poly:1,1 --n 200 --k 100 --regime auto': (
-        0,
-        'regime      n    k    ln             value              exact_ln       exact              ratio         \n'
-        'comparable  200  100  135.754486076  9.06617705978e+58  135.753236081  9.05485146561e+58  0.998750786126\n'
-    ),
-    'largepow --psi poly:1,1 --n 400 --k 200 --regime auto': (
-        0,
-        'regime      n    k    ln             value               exact_ln       exact               ratio         \n'
-        'comparable  400  200  274.037348598  1.03016865493e+119  274.036723598  1.02952500135e+119  0.999375195922\n'
-    ),
-    'largepow --psi poly:1,1,1 --n 200 --k 120 --regime auto': (
-        0,
-        'regime      n    k    ln             value              exact_ln       exact              ratio         \n'
-        'comparable  200  120  191.681341349  1.76257997495e+83  191.680207323  1.76058229703e+83  0.998866617149\n'
-    ),
-    'largepow --psi poly:1,2,1 --n 150 --k 120 --regime auto': (
-        0,
-        'regime      n    k    ln            value              exact_ln       exact              ratio        \n'
-        'comparable  150  120  198.84622851  2.27939603872e+86  198.845348882  2.27739190052e+86  0.99912075911\n'
-    ),
-    '--out csv lagrange --op omm --psi Q --n 50': (
-        0,
-        'op,n,ln,value\n'
-        'omm,50,ln=67.1297802807,1.42591339002e+29\n'
-    ),
-    'lagrange --op func --psi exp --h exp --n 25': (
-        0,
-        'op             n   ln             value        \n'
-        'lagrange-func  25  20.2527477295  624678533.821\n'
-    ),
-    'lagrange --op func --psi geom --h bell --n 40': (
-        0,
-        'op             n   ln             value            \n'
-        'lagrange-func  40  49.1085172303  2.12597448281e+21\n'
-    ),
-    'lagrange --op general --psi exp --t 0.5 --s 1 --j 2 --n 50': (
-        0,
-        'op          n   ln              value            \n'
-        'lagrangian  50  -14.3648905277  5.77307647668e-07\n'
-    ),
-    'lagrange --op general --psi geom --t 0.4 --s 1 --h exp --n 30': (
-        0,
-        'op          n   ln              value            \n'
-        'lagrangian  30  -7.11882448027  0.000809718031411\n'
-    ),
-    'lagrange --op omm --psi P --n 30': (
-        0,
-        'op   n   ln             value           \n'
-        'omm  30  42.8345486402  4.0068963588e+18\n'
-    ),
-    'lagrange --op omm --psi bell --n 30': (
-        0,
-        'op   n   ln             value            \n'
-        'omm  30  33.0984786459  2.36857224176e+14\n'
-    ),
-    'lagrange --op omm --psi binom:2 --n 25': (
-        0,
-        'op   n   ln             value            \n'
-        'omm  25  29.2566803478  5.08176799646e+12\n'
-    ),
-    'lagrange --op omm --psi exp --n 20': (
-        0,
-        'op   n   ln             value        \n'
-        'omm  20  14.5874630565  2163987.31362\n'
-    ),
-    'lagrange --op omm --psi geom --n 40': (
-        0,
-        'op   n   ln             value            \n'
-        'omm  40  47.9597959596  6.74023034192e+20\n'
-    ),
-    'lagrange --op power --psi exp --q 2 --n 30': (
-        0,
-        'op              n   ln             value      \n'
-        'lagrange-power  30  24.6724125749  51891071256\n'
-    ),
-    'lagrange --op power --psi geom --q 3 --n 60': (
-        0,
-        'op              n   ln             value            \n'
-        'lagrange-power  60  74.7898034474  3.02551241811e+32\n'
-    ),
-}
-
-
-@pytest.mark.parametrize("line", SADDLE_STDOUT)
-def test_saddle_stdout_is_pinned(line, capsys):
-    code = cli.main(shlex.split(line))
-    assert (code, capsys.readouterr().out) == SADDLE_STDOUT[line]
-
-
-# Lines outside the benchmark pool where the partition sums for ln f, m and
-# sigma^2 run longest (10^4 to 10^5 terms a sum), each mapped to its exit
-# code and stdout before those loops ran over the part range.
+# tests/test_pool_refs.py replays every cli-pool line against
+# perfbench/refs/cli.json (exit code, stdout bytes, error name), so the
+# tables below pin only lines the pool does not run.
+#
+# The partition sums for ln f, m and sigma^2 at their longest (10^4 to 10^5
+# terms a sum), each line mapped to its exit code and stdout.
 LONG_SUM_STDOUT = {
     'coeff --family P --n 100000 --method hayman,bd,hr': (
         0,
@@ -874,41 +590,12 @@ def test_long_partition_sums_stdout_is_pinned(line, capsys):
     assert (code, capsys.readouterr().out) == LONG_SUM_STDOUT[line]
 
 
-# Exit code and stdout of the cli-pool lines that print or read a partition
-# oracle: the exact rows of Q and P, and criterion 4, whose ratios read the Q
-# and Wab:1,1 oracles at order 500.
-ORACLE_STDOUT = {
-    'coeff --family Q --n 60 --method exact,closed': (
-        0,
-        'method    n   ln             value          ratio        \n'
-        'exact     60  9.29468152041  10880                       \n'
-        'distinct  60  9.31792360713  11135.8354618  0.97702593014\n'
-    ),
-    'coeff --family P --n 80 --method exact,wright': (
-        0,
-        'method        n   ln             value              ratio            \n'
-        'exact         80  16.5752974351  15796476                            \n'
-        'wright_plane  80  32.8019053335  1.76070453255e+14  8.97167906822e-08\n'
-    ),
-    'selftest --criteria 4': (
-        0,
-        "PASS criterion 4: distinct and plane partition closed forms (distinct "
-        "['1.0262', '1.0180', '1.0125', '1.0078']; plane ['1.0181', '1.0113', "
-        "'1.0071', '1.0038']; distinct band; plane band)\n"
-        '1/1 criteria passed\n'
-    ),
-}
-
-
-@pytest.mark.parametrize("line", ORACLE_STDOUT)
-def test_oracle_stdout_is_pinned(line, capsys):
-    code = cli.main(shlex.split(line))
-    assert (code, capsys.readouterr().out) == ORACLE_STDOUT[line]
-
-
-# Exit code and stdout of the diag lines that read an exact oracle through
-# cltsup: the README's line, the cli pool's five, and three whose oracle at
-# --trunc's default 4,096 took seconds (bell 11.5 s, setsoflists 4.4 s).
+# Exit code and stdout of diag lines that read an exact oracle through
+# cltsup. The README's line is a pool line too; it stays because the cltsup
+# spy tests above compare against it, as they do against bell at 2 and
+# binom:4, whose output --trunc must not change. bell at 2, P at 0.95 and
+# setsoflists at 0.5 are the lines whose oracle, built to a fixed order of
+# 4,096, took seconds (bell 11.5 s, setsoflists 4.4 s).
 DIAG_STDOUT = {
     'diag --family exp --t 10,100,1000 --stats cltsup,sgint': (
         0,
@@ -927,29 +614,6 @@ DIAG_STDOUT = {
         't    cltsup         \n'
         '1    0.0600143970134\n'
         '100  0.503204514327 \n'
-    ),
-    '--trunc 256 diag --family bell --t 2,3 --stats cltsup,gratio': (
-        0,
-        't  cltsup           gratio        \n'
-        '2  0.150297381399   0.550682560835\n'
-        '3  0.0766340076272  0.305957612812\n'
-    ),
-    '--trunc 128 diag --family geom --t 0.3,0.5 --stats cltsup,gratio': (
-        0,
-        't    cltsup          gratio       \n'
-        '0.3  0.512228872871  2.37346441586\n'
-        '0.5  0.993653067834  2.12132034356\n'
-    ),
-    '--trunc 1024 diag --family exp --t 30 --stats cltsup': (
-        0,
-        't   cltsup         \n'
-        '30  0.0438193191781\n'
-    ),
-    '--trunc 2048 diag --family exp --t 100,200 --stats cltsup,gratio': (
-        0,
-        't    cltsup           gratio         \n'
-        '100  0.0235323599522  0.1            \n'
-        '200  0.0165437415899  0.0707106781187\n'
     ),
     'diag --family P --t 0.95 --stats cltsup': (
         0,

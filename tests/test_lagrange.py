@@ -110,7 +110,8 @@ class TestOtterMeirMoon:
 
     def test_subcritical_decay_certificate(self):
         # offspring 1 + sum z^n/n^4 has mean limit below one at the radius;
-        # the certificate's scaled sequence must vanish along n
+        # the certificate's scaled sequence A_n R^(n-1) psi(R)^(-n) n^(3/2)
+        # must vanish along n
         from khinfam.numerics import zeta_real
 
         coeffs = S.CoeffSeries.from_list(
@@ -124,8 +125,9 @@ class TestOtterMeirMoon:
         cert = L.omm_estimate(fam, 10)
         assert isinstance(cert, L.DecayCertificate)
         a = S.lagrange_invert(coeffs, 48)
-        scaled = [cert.scaled(n, a.coeff(n)) for n in (8, 16, 32, 48)]
-        assert all(x > y for x, y in zip(scaled, scaled[1:]))
+        ln_scaled = [LogNumber.from_fraction(a.coeff(n)).log_abs + (n - 1) * math.log(cert.radius)
+                     - n * cert.log_psi_at_radius + 1.5 * math.log(n) for n in (8, 16, 32, 48)]
+        assert all(x > y for x, y in zip(ln_scaled, ln_scaled[1:]))
 
     def test_radius_of_solution(self, geom):
         # |A_n|^{1/n} climbs to psi(tau)/tau = 4; within five percent only
