@@ -116,10 +116,9 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
     No root finding: tau_n comes from inverting the approximate mean law in
     closed form; the series value f(tau_n) is still the true one.
     """
-    if fam.spec_key is None:
+    if fam.spec is None:
         raise cat.NoApproxAvailable(f"{fam.name} has no registered approximate laws")
-    spec = cat.parse_family(fam.spec_key)
-    approx = cat.approx_moments(spec)
+    approx = cat.approx_moments(fam.spec)
     lead = lattice_lead(fam.q_gcd, n, QGcdNotOne)
     s_n = approx.s_for_mean(float(n))
     tau = math.exp(-s_n)
@@ -130,25 +129,38 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
 
 # -- closed-form partition asymptotics -------------------------------------------
 
+# The closed forms, by the name ``coeff --method`` takes: the estimate's
+# method and the family whose counts it estimates, where Pab:a,b and Wab:a,b
+# take the caller's a and b. ``closed`` picks the one whose family is the
+# spec's variant; mw is Moser-Wyman's, the one that reads no Mellin record.
+CLOSED_FORMS = {
+    "hr": ("hr", "P"),
+    "distinct": ("distinct", "Q"),
+    "wright": ("wright_plane", "Wab:1,1"),
+    "ingham": ("ingham", "Pab:a,b"),
+    "colored": ("colored", "Wab:a,b"),
+    "mw": ("moser-wyman", "bell"),
+}
+
 
 def closed_partition_asym(kind: str, n: int, a: int | None = None, b: int | None = None) -> Estimate:
-    """Meinardus' asymptotic of the n-th count of a partition product: kind
-    'hr' (P), 'distinct' (Q), 'ingham' (Pab:a,b), 'wright_plane' (Wab:1,1)
-    or 'colored' (Wab:a,b, a = 1 by default). It reads the Mellin record of
+    """Meinardus' asymptotic of the n-th count of a partition product, for
+    the estimate method ``kind`` of a partition family in ``CLOSED_FORMS``
+    (Wab's a is 1 by default). It reads the Mellin record of
     the shape with g divided out at n/g, and refuses an n off the multiples
     of g (QGcdNotOne): ln a_n ~ D'(0) - ln(2 pi (1+alpha))/2 + (1 - 2 D(0))
     / (2 + 2 alpha) ln K + (D(0) - 1 - alpha/2) / (1 + alpha) ln n
     + (1 + 1/alpha) K^(1/(1+alpha)) n^(alpha/(1+alpha))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind == "ingham":
-        spec = cat.FamilySpec("Pab", a=a, b=b)
-    elif kind == "colored":
-        spec = cat.FamilySpec("Wab", a=1 if a is None else a, b=b)
-    elif kind in ("hr", "distinct", "wright_plane"):
-        spec = cat.parse_family({"hr": "P", "distinct": "Q", "wright_plane": "Wab:1,1"}[kind])
-    else:
+    family = next((f for m, f in CLOSED_FORMS.values() if m == kind and f != "bell"), None)
+    if family is None:
         raise ValueError(f"unknown closed form {kind!r}")
+    variant, _, params = family.partition(":")
+    if params == "a,b":
+        spec = cat.FamilySpec(variant, a=1 if a is None and variant == "Wab" else a, b=b)
+    else:
+        spec = cat.parse_family(family)
     full = cat.mellin(spec)
     if not on_lattice(full.g, n):
         raise QGcdNotOne(f"{spec.key()} has no part count at {n}: gcd {full.g} does not divide it")

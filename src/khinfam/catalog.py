@@ -36,7 +36,7 @@ from .errors import (
     NoApproxAvailable,
     TruncationTooLarge,
 )
-from .family import Family, Oracle
+from .family import Family, Oracle, family_from_coeffs
 from .numerics import ZETA_NEG, lambert_w0, log_gamma, zeta_prime_neg, zeta_real
 
 MAX_TRUNC = 100_000
@@ -45,14 +45,19 @@ _REL_TERM = 1e-16
 _REL_TAIL = 1e-14
 
 
+# each variant and its parameter, as the grammar writes it
+_VARIANTS = {
+    "exp": "", "bernoulli": "", "binom": ":N", "geom": "", "negbinom": ":N",
+    "poly": ":a0,a1,...", "bell": "", "P": "", "Q": "", "Pab": ":a,b", "Wab": ":a,b",
+    "expof": ":poly:...", "canprod": ":b1,b2,...", "setsoflists": "",
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parsed description of a catalog family.
-
-    Variants: exp, bernoulli, binom (n), geom, negbinom (n), poly (coeffs),
-    bell, P, Q, Pab (a, b), Wab (a, b), expof (inner poly spec), canprod
-    (zeros), setsoflists.
-    """
+    """Parsed description of a catalog family (see ``_VARIANTS``), checked
+    when it is made. ``coeffs`` holds a poly's coefficients, and those of
+    the poly g of expof, e^g."""
 
     variant: str
     n: int | None = None
@@ -60,10 +65,30 @@ class FamilySpec:
     b: int | None = None
     coeffs: tuple[Fraction, ...] | None = None
     zeros: tuple[Fraction, ...] | None = None
-    inner: "FamilySpec | None" = None
+
+    def __post_init__(self) -> None:
+        v = self.variant
+        if v not in _VARIANTS:
+            raise InvalidSpec(f"unknown variant {v}")
+        if v in ("binom", "negbinom") and (self.n is None or self.n < 1):
+            raise InvalidSpec(f"{v} needs an integer parameter >= 1")
+        if v == "Pab" and (self.a is None or self.a < 1 or self.b is None or self.b < 1):
+            raise InvalidSpec("Pab needs integers a, b >= 1")
+        if v == "Wab" and (self.a is None or self.a < 1 or self.b is None or self.b < 0):
+            raise InvalidSpec("Wab needs integers a >= 1, b >= 0")
+        cs = self.coeffs or ()
+        if v == "poly" and (len(cs) < 2 or cs[0] <= 0 or any(c < 0 for c in cs)
+                            or all(c == 0 for c in cs[1:])):
+            raise InvalidSpec("poly needs a0 > 0, coefficients >= 0 and degree >= 1")
+        if v == "expof" and (not cs or cs[0] != 0 or any(c < 0 for c in cs)
+                             or all(c == 0 for c in cs)):
+            raise InvalidSpec("expof inner series needs g(0) = 0 and g nonzero, g >= 0")
+        zs = self.zeros or ()
+        if v == "canprod" and (not zs or any(z <= 0 for z in zs) or list(zs) != sorted(zs)):
+            raise InvalidSpec("canprod needs a positive increasing zero list")
 
     def key(self) -> str:
-        parts = [self.variant]
+        parts = [self.variant] + (["poly"] if self.variant == "expof" else [])
         if self.n is not None:
             parts.append(str(self.n))
         if self.a is not None:
@@ -72,8 +97,6 @@ class FamilySpec:
             parts.append(",".join(str(c) for c in self.coeffs))
         if self.zeros is not None:
             parts.append(",".join(str(z) for z in self.zeros))
-        if self.inner is not None:
-            parts.append(self.inner.key())
         return ":".join(parts)
 
 
@@ -81,51 +104,32 @@ def parse_family(text: str) -> FamilySpec:
     """Parse the textual grammar shared with the CLI."""
     text = text.strip()
     head, _, rest = text.partition(":")
+    if head not in _VARIANTS:
+        grammar = " | ".join(v + param for v, param in _VARIANTS.items())
+        raise InvalidSpec(f"unknown family {text!r}; grammar: {grammar}")
+    param = _VARIANTS[head]
     try:
-        if head == "exp":
-            return FamilySpec("exp")
-        if head == "bernoulli":
-            return FamilySpec("bernoulli")
-        if head == "geom":
-            return FamilySpec("geom")
-        if head == "bell":
-            return FamilySpec("bell")
-        if head == "P":
-            return FamilySpec("P")
-        if head == "Q":
-            return FamilySpec("Q")
-        if head == "setsoflists":
-            return FamilySpec("setsoflists")
-        if head == "binom":
-            return FamilySpec("binom", n=int(rest))
-        if head == "negbinom":
-            return FamilySpec("negbinom", n=int(rest))
-        if head == "poly":
-            return FamilySpec("poly", coeffs=tuple(_parse_rat(v) for v in rest.split(",")))
-        if head == "Pab":
+        if not param:
+            return FamilySpec(head)
+        if param == ":N":
+            return FamilySpec(head, n=int(rest))
+        if param == ":a,b":
             a, b = (int(v) for v in rest.split(","))
-            return FamilySpec("Pab", a=a, b=b)
-        if head == "Wab":
-            a, b = (int(v) for v in rest.split(","))
-            return FamilySpec("Wab", a=a, b=b)
-        if head == "expof":
-            return FamilySpec("expof", inner=parse_family(rest))
-        if head == "canprod":
+            return FamilySpec(head, a=a, b=b)
+        if param == ":b1,b2,...":
             texts = rest.split(",")
             zeros = tuple(_parse_rat(v) for v in texts)
-            for text, z in zip(texts, zeros):
+            for t, z in zip(texts, zeros):
                 if z > 0 and not _fits_float(1 / z):
-                    raise InvalidSpec(f"1/{text.strip()} does not fit a float")
-            return FamilySpec("canprod", zeros=zeros)
-    except InvalidSpec:
-        raise
+                    raise InvalidSpec(f"1/{t.strip()} does not fit a float")
+            return FamilySpec(head, zeros=zeros)
+        if param == ":poly:...":
+            inner, _, rest = rest.partition(":")
+            if inner != "poly":
+                raise InvalidSpec("expof currently takes a poly inner spec")
+        return FamilySpec(head, coeffs=tuple(_parse_rat(v) for v in rest.split(",")))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(f"cannot parse family {text!r}: {exc}") from exc
-    raise InvalidSpec(
-        f"unknown family {text!r}; grammar: exp | bernoulli | binom:N | geom | "
-        "negbinom:N | poly:a0,a1,... | bell | P | Q | Pab:a,b | Wab:a,b | "
-        "expof:poly:... | canprod:b1,b2,... | setsoflists"
-    )
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -141,30 +145,6 @@ def _fits_float(value: Fraction) -> bool:
     except OverflowError:
         return False
     return True
-
-
-def _validate(spec: FamilySpec) -> None:
-    v = spec.variant
-    if v in ("binom", "negbinom") and (spec.n is None or spec.n < 1):
-        raise InvalidSpec(f"{v} needs an integer parameter >= 1")
-    if v == "Pab" and (spec.a is None or spec.a < 1 or spec.b is None or spec.b < 1):
-        raise InvalidSpec("Pab needs integers a, b >= 1")
-    if v == "Wab" and (spec.a is None or spec.a < 1 or spec.b is None or spec.b < 0):
-        raise InvalidSpec("Wab needs integers a >= 1, b >= 0")
-    if v == "poly":
-        cs = spec.coeffs or ()
-        if len(cs) < 2 or cs[0] <= 0 or any(c < 0 for c in cs) or all(c == 0 for c in cs[1:]):
-            raise InvalidSpec("poly needs a0 > 0, coefficients >= 0 and degree >= 1")
-    if v == "expof":
-        if spec.inner is None or spec.inner.variant != "poly":
-            raise InvalidSpec("expof currently takes a poly inner spec")
-        inner = spec.inner.coeffs or ()
-        if not inner or inner[0] != 0 or any(c < 0 for c in inner) or all(c == 0 for c in inner):
-            raise InvalidSpec("expof inner series needs g(0) = 0 and g nonzero, g >= 0")
-    if v == "canprod":
-        zs = spec.zeros or ()
-        if not zs or any(z <= 0 for z in zs) or list(zs) != sorted(zs):
-            raise InvalidSpec("canprod needs a positive increasing zero list")
 
 
 # -- partition-product sums ------------------------------------------------------
@@ -518,7 +498,6 @@ def bell_numbers(n_max: int) -> list[int]:
 @lru_cache(maxsize=128)
 def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
     """Exact coefficients a_0..a_{n_max} of the catalog family."""
-    _validate(spec)
     _check_order(n_max)
     v = spec.variant
     if v == "exp":
@@ -543,14 +522,12 @@ def exact_coeffs(spec: FamilySpec, n_max: int) -> se.CoeffSeries:
         parts = _part_pairs(*_parts_shape(spec), n_max)
         return se.CoeffSeries.from_list(product_expansion(parts, n_max))
     if v == "expof":
-        g = se.CoeffSeries.from_list(spec.inner.coeffs, order=n_max)
+        g = se.CoeffSeries.from_list(spec.coeffs, order=n_max)
         exp_g, _ = se.exp_series(g)
         return exp_g
     if v == "canprod":
         return _canprod_poly(spec.zeros, n_max)
-    if v == "setsoflists":
-        return _egf(sets_of_lists_numbers(n_max))
-    raise InvalidSpec(f"unknown variant {v}")
+    return _egf(sets_of_lists_numbers(n_max))  # setsoflists
 
 
 # -- family construction ---------------------------------------------------------
@@ -562,14 +539,12 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
     The oracle builds ``exact_coeffs(spec, n)`` on the first
     ``coeffs_through(n)`` and keeps it, growing it on a later ask; ``trunc``
     is its cap, the one order no build may pass. Every variant is named by
-    its spec key.
+    its spec key and carries its spec.
     """
-    _validate(spec)
     _check_order(trunc)
     v = spec.variant
-    key = spec.key()
     common = dict(
-        name=key, spec_key=key, oracle=Oracle(lambda n: exact_coeffs(spec, n), trunc),
+        name=spec.key(), spec=spec, oracle=Oracle(lambda n: exact_coeffs(spec, n), trunc),
         usg=v in ("exp", "bell", "P", "Q") or (v == "Wab" and spec.a == 1),
     )
 
@@ -610,12 +585,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             poly = _canprod_poly(spec.zeros, len(spec.zeros))
         else:
             poly = se.CoeffSeries.from_list(spec.coeffs)
-        from .family import family_from_coeffs
-
-        return dataclasses.replace(
-            family_from_coeffs(poly, name=key), **common,
-            meta={"truncated_product": v == "canprod"},
-        )
+        return dataclasses.replace(family_from_coeffs(poly, name=common["name"]), **common)
 
     if v == "bell":
         def f34(s: float) -> tuple[float, float]:
@@ -633,7 +603,7 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
         )
 
     if v == "expof":
-        return _exp_poly_family(se.CoeffSeries.from_list(spec.inner.coeffs), common)
+        return _exp_poly_family(se.CoeffSeries.from_list(spec.coeffs), common)
 
     if v == "setsoflists":
         def f34(s: float) -> tuple[float, float]:
@@ -738,11 +708,16 @@ def _exp_poly_family(g: se.CoeffSeries, common: dict) -> Family:
         f4 = math.fsum(n**4 * c * t**n for n, c in enumerate(gf) if c)
         return f3, f4
 
+    def mean(t: float) -> float:
+        return t * g_deriv(t, 1)
+
     return Family(
         **common, radius=math.inf, mean_sup=math.inf,
         log_value=g_at,
-        mean=lambda t: t * g_deriv(t, 1),
-        variance=lambda t: t * g_deriv(t, 1) + t * t * g_deriv(t, 2),
+        mean=mean,
+        # sigma^2 = m + t^2 g''(t); a g of degree 1 is Poisson, sigma^2 = m,
+        # where t * t * 0.0 would be nan once t * t is inf
+        variance=(lambda t: mean(t) + t * t * g_deriv(t, 2)) if any(gf[2:]) else mean,
         log_value_complex=g_complex,
         q_gcd=se.support_gcd(g),
         fulcrum34=f34,
@@ -801,7 +776,6 @@ class Mellin:
 
 def mellin(spec: FamilySpec) -> Mellin:
     """The Mellin record of a partition product P, Q, Pab or Wab."""
-    _validate(spec)
     if spec.variant not in ("P", "Q", "Pab", "Wab"):
         raise NoApproxAvailable(f"{spec.variant} is not a partition product")
     return Mellin(*_parts_shape(spec))

@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -41,19 +40,6 @@ COLUMN_ORDER_NOTE = (
     "lagrange -> op,n,ln,value[,extra]; diag -> t followed by the requested stats. "
     "CSV renders log columns as ln=<digits> and decimals with 12 significant digits."
 )
-
-
-@dataclass
-class Config:
-    trunc: int = DEFAULT_ORDER
-    out: str = "table"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.trunc < 1:
-            raise InvalidSpec(f"truncation {self.trunc} must be >= 1")
-        if self.trunc > C.MAX_TRUNC:
-            raise InvalidSpec(f"truncation {self.trunc} exceeds {C.MAX_TRUNC}")
 
 
 # -- formatting -----------------------------------------------------------------
@@ -113,25 +99,21 @@ def emit_rows(rows: list[dict], columns: list[str], fmt: str, stream) -> None:
 # -- coeff verb -----------------------------------------------------------------
 
 
-_CLOSED_BY_VARIANT = {"P": "hr", "Q": "distinct", "Pab": "ingham", "Wab": "colored", "bell": "mw"}
-_CLOSED_KINDS = {"hr": "hr", "distinct": "distinct", "ingham": "ingham", "wright": "wright_plane",
-                 "colored": "colored"}
-# the closed forms that read a and b from the family, and the variant they read
-_PARAMETRIC = {"ingham": "Pab", "colored": "Wab"}
-
-
 def _closed_estimate(spec: C.FamilySpec, method: str, n: int) -> A.Estimate:
+    """The closed form ``method`` of ``asym.CLOSED_FORMS`` at n."""
     if method == "closed":
-        if spec.variant not in _CLOSED_BY_VARIANT:
+        method = next((m for m, (_, family) in A.CLOSED_FORMS.items()
+                       if family in (spec.variant, f"{spec.variant}:a,b")), None)
+        if method is None:
             raise InvalidSpec(f"no closed form registered for {spec.variant}")
-        method = _CLOSED_BY_VARIANT[spec.variant]
+    if method not in A.CLOSED_FORMS:
+        raise InvalidSpec(f"unknown coeff method {method!r}")
     if method == "mw":
         return A.moser_wyman(n)
-    if method not in _CLOSED_KINDS:
-        raise InvalidSpec(f"unknown coeff method {method!r}")
-    if _PARAMETRIC.get(method, spec.variant) != spec.variant:
-        raise InvalidSpec(f"{method} closed form applies to {_PARAMETRIC[method]}:a,b families")
-    return A.closed_partition_asym(_CLOSED_KINDS[method], n, a=spec.a, b=spec.b)
+    kind, family = A.CLOSED_FORMS[method]
+    if family.endswith(":a,b") and family.partition(":")[0] != spec.variant:
+        raise InvalidSpec(f"{method} closed form applies to {family} families")
+    return A.closed_partition_asym(kind, n, a=spec.a, b=spec.b)
 
 
 def _exact_text(value: Fraction) -> str:
@@ -145,9 +127,9 @@ def _exact_text(value: Fraction) -> str:
         ) from None
 
 
-def cmd_coeff(args, cfg: Config, stream) -> int:
+def cmd_coeff(args, stream) -> int:
     spec = C.parse_family(args.family)
-    fam = C.make_family(spec, trunc=cfg.trunc)
+    fam = C.make_family(spec, trunc=args.trunc)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     n = args.n
     rows: list[dict] = []
@@ -171,14 +153,14 @@ def cmd_coeff(args, cfg: Config, stream) -> int:
         ratio = _fmt(exact_log.ratio(est.value)) if exact_log is not None else ""
         rows.append({"method": est.method, "n": n, "ln": ln_cell, "value": val_cell,
                      "ratio": ratio})
-    emit_rows(rows, ["method", "n", "ln", "value", "ratio"], cfg.out, stream)
+    emit_rows(rows, ["method", "n", "ln", "value", "ratio"], args.out, stream)
     return 0
 
 
 # -- family verb ----------------------------------------------------------------
 
 
-def _family_stat(fam, stat: str, t: float, cfg: Config) -> float | LogNumber | complex | str:
+def _family_stat(fam, stat: str, t: float) -> float | LogNumber | complex | str:
     name, _, arg = stat.partition(":")
     if name == "mean":
         return fam.mean(t)
@@ -211,13 +193,13 @@ def _family_stat(fam, stat: str, t: float, cfg: Config) -> float | LogNumber | c
     raise InvalidSpec(f"unknown family stat {stat!r}")
 
 
-def cmd_family(args, cfg: Config, stream) -> int:
-    fam = C.make_family(C.parse_family(args.family), trunc=cfg.trunc)
+def cmd_family(args, stream) -> int:
+    fam = C.make_family(C.parse_family(args.family), trunc=args.trunc)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
     fam.check_radius(args.t)
     rows = []
     for stat in stats:
-        val = _family_stat(fam, stat, args.t, cfg)
+        val = _family_stat(fam, stat, args.t)
         if isinstance(val, complex):
             rows.append({"stat": stat, "ln": _fmt(math.log(abs(val))) if val else "",
                          "value": f"{val.real:.12g}{val.imag:+.12g}j"})
@@ -234,7 +216,7 @@ def cmd_family(args, cfg: Config, stream) -> int:
                 rows.append({"stat": stat, "ln": _fmt(math.log(x)), "value": _fmt(x)})
             else:
                 rows.append({"stat": stat, "ln": "", "value": _fmt(x)})
-    emit_rows(rows, ["stat", "ln", "value"], cfg.out, stream)
+    emit_rows(rows, ["stat", "ln", "value"], args.out, stream)
     return 0
 
 
@@ -264,11 +246,11 @@ def _parse_regime(text: str, q: LP.PowerCoeffQuery) -> LP.Regime:
     raise InvalidSpec(f"unknown regime {text!r}")
 
 
-def cmd_largepow(args, cfg: Config, stream) -> int:
-    psi = C.make_family(C.parse_family(args.psi), trunc=cfg.trunc)
+def cmd_largepow(args, stream) -> int:
+    psi = C.make_family(C.parse_family(args.psi), trunc=args.trunc)
     pre = None
     if args.h:
-        pre = C.make_family(C.parse_family(args.h), trunc=cfg.trunc)
+        pre = C.make_family(C.parse_family(args.h), trunc=args.trunc)
     q = LP.PowerCoeffQuery(psi, args.n, args.k, prefactor=pre)
     regime = _parse_regime(args.regime, q)
     result = LP.estimate(q, regime)
@@ -289,7 +271,7 @@ def cmd_largepow(args, cfg: Config, stream) -> int:
     emit_rows(
         [row],
         ["regime", "n", "k", "ln", "value", "exact_ln", "exact", "ratio"],
-        cfg.out,
+        args.out,
         stream,
     )
     return 0
@@ -298,14 +280,14 @@ def cmd_largepow(args, cfg: Config, stream) -> int:
 # -- lagrange verb ----------------------------------------------------------------
 
 
-def cmd_lagrange(args, cfg: Config, stream) -> int:
+def cmd_lagrange(args, stream) -> int:
     rows = []
     op = args.op
     if op in ("apex", "omm", "power", "func", "general", "sample"):
-        psi = C.make_family(C.parse_family(args.psi), trunc=cfg.trunc)
+        psi = C.make_family(C.parse_family(args.psi), trunc=args.trunc)
     h = None  # the outer series of func, the initial law of general
     if args.h and op in ("func", "general"):
-        h = C.make_family(C.parse_family(args.h), trunc=cfg.trunc)
+        h = C.make_family(C.parse_family(args.h), trunc=args.trunc)
     if op == "apex":
         ap = L.apex(psi)
         rows.append({"op": "apex", "n": "", "ln": "", "value": f"{ap.kind} tau={_fmt(ap.tau)}"})
@@ -346,7 +328,7 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
         rows.append(_estimate_row(est, args.n))
     elif op == "sample":
         spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, monomial_j=args.j)
-        res = L.gw_sample(spec, args.trials, seed=cfg.seed)
+        res = L.gw_sample(spec, args.trials, seed=args.seed)
         for n, p in res.empirical_pmf().items():
             rows.append({"op": "sample", "n": n, "ln": _fmt(math.log(p)) if p else "",
                          "value": _fmt(p)})
@@ -354,15 +336,15 @@ def cmd_lagrange(args, cfg: Config, stream) -> int:
                      "value": _fmt(res.censored / res.trials)})
     else:
         raise InvalidSpec(f"unknown lagrange op {op!r}")
-    emit_rows(rows, ["op", "n", "ln", "value"], cfg.out, stream)
+    emit_rows(rows, ["op", "n", "ln", "value"], args.out, stream)
     return 0
 
 
 # -- diag verb --------------------------------------------------------------------
 
 
-def cmd_diag(args, cfg: Config, stream) -> int:
-    fam = C.make_family(C.parse_family(args.family), trunc=cfg.trunc)
+def cmd_diag(args, stream) -> int:
+    fam = C.make_family(C.parse_family(args.family), trunc=args.trunc)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
     radii = [float(x) for x in args.t.split(",")]
     for t in radii:
@@ -388,14 +370,14 @@ def cmd_diag(args, cfg: Config, stream) -> int:
         rows.append(row)
     columns = ["t"] + [c for c in ("cltsup", "sgint", "gratio", "major", "minor")
                        if any(c in r for r in rows)]
-    emit_rows(rows, columns, cfg.out, stream)
+    emit_rows(rows, columns, args.out, stream)
     return 0
 
 
 # -- selftest verb ------------------------------------------------------------------
 
 
-def cmd_selftest(args, cfg: Config, stream) -> int:
+def cmd_selftest(args, stream) -> int:
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]
@@ -530,8 +512,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser(_verb_of(sys.argv[1:] if argv is None else argv))
         args = parser.parse_args(argv)
-        cfg = Config(trunc=args.trunc, out=args.out, seed=args.seed)
-        return VERBS[args.verb].run(args, cfg, sys.stdout)
+        if args.trunc < 1:
+            raise InvalidSpec(f"truncation {args.trunc} must be >= 1")
+        if args.trunc > C.MAX_TRUNC:
+            raise InvalidSpec(f"truncation {args.trunc} exceeds {C.MAX_TRUNC}")
+        return VERBS[args.verb].run(args, sys.stdout)
     except KhinfamError as exc:
         print(f"error: {exc.name}: {exc}", file=sys.stderr)
         return 3

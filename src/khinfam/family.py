@@ -20,7 +20,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import series as se
 from .errors import (
@@ -35,6 +35,9 @@ from .errors import (
     ZeroMean,
 )
 from .numerics import LogNumber, log_of_fraction
+
+if TYPE_CHECKING:  # catalog imports this module
+    from .catalog import FamilySpec
 
 # Maximum-term comparison constant from the Chebyshev argument:
 # f(t) <= (1/H) * mu(f, t) * (1 + sigma_f(t)) with H = 1/(4*sqrt(2)).
@@ -97,6 +100,9 @@ class Family:
     access. A reader asks ``coeffs_through(n)`` for the window it needs;
     ``coeffs`` reads through the cap. ``dataclasses.replace`` hands the
     oracle on without calling it, and ``replace(fam, oracle=None)`` drops it.
+
+    ``spec`` is the catalog spec a family was made from, None for one made
+    from raw coefficients.
     """
 
     name: str
@@ -111,8 +117,7 @@ class Family:
     q_gcd: int = 1
     usg: bool = False
     boundary_variance: float | None = None
-    spec_key: str | None = None
-    meta: dict = field(default_factory=dict, compare=False)
+    spec: FamilySpec | None = None
     oracle: Oracle | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -541,20 +546,15 @@ def family_from_coeffs(
         f = f_at(t)
         return math.fsum(n * c * t**n for n, c in pairs) / f
 
-    def variance_fn(t: float) -> float:
-        f = f_at(t)
+    def central(t: float, k: int) -> float:
+        # sum (n - m)^k a_n t^n / f(t): no cancellation, unlike E[X^2] - m^2
         m = mean_fn(t)
-        ex2 = math.fsum(n * n * c * t**n for n, c in pairs) / f
-        return ex2 - m * m
+        return math.fsum((n - m) ** k * c * t**n for n, c in pairs) / f_at(t)
 
     def fulcrum34_fn(s: float) -> tuple[float, float]:
         t = math.exp(s)
-        f = f_at(t)
-        m = mean_fn(t)
-        mu3 = math.fsum((n - m) ** 3 * c * t**n for n, c in pairs) / f
-        mu4 = math.fsum((n - m) ** 4 * c * t**n for n, c in pairs) / f
-        var = variance_fn(t)
-        return mu3, mu4 - 3.0 * var * var
+        var = central(t, 2)
+        return central(t, 3), central(t, 4) - 3.0 * var * var
 
     dense = [complex(float(c)) for c in coeffs.coeffs]
 
@@ -580,7 +580,7 @@ def family_from_coeffs(
         mean_sup=float(coeffs.order) if math.isinf(radius) else math.inf,
         log_value=overflow_named(log_value, "ln f"),
         mean=overflow_named(mean_fn, "mean"),
-        variance=overflow_named(variance_fn, "variance"),
+        variance=overflow_named(lambda t: central(t, 2), "variance"),
         log_value_complex=log_complex_dense,
         oracle=Oracle(lambda n: coeffs, coeffs.order),
         q_gcd=se.support_gcd(coeffs),

@@ -209,12 +209,6 @@ class FixedKPolynomial:
                 total += math.comb(n, l) * self.b0 ** (n - l) * cl
         return total
 
-    def degree(self) -> int:
-        for l in range(len(self.c) - 1, -1, -1):
-            if self.c[l] != 0:
-                return l
-        return 0
-
 
 def fixed_k_polynomial(psi: se.CoeffSeries, k: int) -> FixedKPolynomial:
     """Exact polynomial-in-n form of coeff_k(psi^n) for fixed k (k <= 64).

@@ -687,7 +687,7 @@ def _hand_hayman(fam, n):
 
 
 def _hand_bd(fam, n):
-    approx = C.approx_moments(parse_family(fam.spec_key))
+    approx = C.approx_moments(fam.spec)
     s_n = approx.s_for_mean(float(n))
     tau = math.exp(-s_n)
     return (fam.log_value(tau) - n * math.log(tau) - 0.5 * math.log(_TWO_PI)

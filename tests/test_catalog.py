@@ -25,16 +25,36 @@ def sigma_k(m, k):
     return sum(d**k for d in range(1, m + 1) if m % d == 0)
 
 
+GRAMMAR_EXAMPLES = ["exp", "bernoulli", "binom:4", "geom", "negbinom:3", "poly:1,1/2,3",
+                    "bell", "P", "Q", "Pab:2,1", "Wab:1,1", "expof:poly:0,0,1",
+                    "canprod:1,2,4", "setsoflists"]
+
+
 class TestParsing:
-    @pytest.mark.parametrize(
-        "text",
-        ["exp", "bernoulli", "binom:4", "geom", "negbinom:3", "poly:1,1/2,3",
-         "bell", "P", "Q", "Pab:2,1", "Wab:1,1", "expof:poly:0,0,1",
-         "canprod:1,2,4", "setsoflists"],
-    )
+    @pytest.mark.parametrize("text", GRAMMAR_EXAMPLES)
     def test_round_trips(self, text):
         spec = C.parse_family(text)
         C.make_family(spec, trunc=16)  # must build
+        assert C.parse_family(spec.key()) == spec
+
+    def test_examples_cover_the_grammar(self):
+        assert [t.partition(":")[0] for t in GRAMMAR_EXAMPLES] == list(C._VARIANTS)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(variant="nope"), dict(variant="binom"), dict(variant="negbinom", n=0),
+        dict(variant="Pab", a=0, b=1), dict(variant="Pab", a=1), dict(variant="Wab", a=1, b=-1),
+        dict(variant="poly", coeffs=(Fraction(0), Fraction(1))),
+        dict(variant="expof", coeffs=(Fraction(1), Fraction(1))), dict(variant="expof"),
+        dict(variant="canprod", zeros=(Fraction(3), Fraction(2))),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_a_spec_checks_itself_when_made(self, kwargs):
+        with pytest.raises(InvalidSpec):
+            C.FamilySpec(**kwargs)
+
+    def test_expof_parses_to_the_coefficients_of_its_poly(self):
+        spec = C.parse_family("expof:poly:0,1/2,3")
+        assert spec == C.FamilySpec("expof", coeffs=(0, Fraction(1, 2), 3))
+        assert spec.key() == "expof:poly:0,1/2,3"
 
     @pytest.mark.parametrize(
         "text",
@@ -147,7 +167,7 @@ class TestLinearOracles:
     def test_expof_matches_dense_loop(self, inner):
         spec = C.parse_family("expof:poly:" + inner)
         got = C.exact_coeffs(spec, ORACLE_N)
-        assert got == dense_exp_series(S.CoeffSeries.from_list(spec.inner.coeffs, order=ORACLE_N))
+        assert got == dense_exp_series(S.CoeffSeries.from_list(spec.coeffs, order=ORACLE_N))
         assert all_fractions(got)
 
     @pytest.mark.parametrize("g", [
@@ -207,12 +227,19 @@ class TestClosedEvaluations:
         assert C.make_family(C.parse_family("Pab:2,4"), 8).q_gcd == 2
         assert C.make_family(C.parse_family("Wab:3,1"), 9).q_gcd == 3
 
+    @pytest.mark.parametrize("g", ["0,1", "0,3/2,0"])
+    def test_expof_of_a_degree_one_g_has_a_finite_variance_far_out(self, g):
+        # e^g with g of degree 1 is Poisson, sigma^2 = m; t * t * g''(t) = inf * 0.0
+        # made the variance nan far out
+        fam = C.make_family(C.parse_family("expof:poly:" + g), trunc=8)
+        for t in (0.5, 3.0, 1e100, 1e200, 1e300):
+            assert fam.variance(t) == fam.mean(t) == t * float(Fraction(g.split(",")[1]))
+
     def test_canonical_product(self):
         fam = C.make_family(C.parse_family("canprod:1,2,4"), trunc=8)
         t = 0.7
         want = sum(t / (b + t) for b in (1.0, 2.0, 4.0))
         assert abs(fam.mean(t) - want) < 1e-12
-        assert fam.meta.get("truncated_product")
         assert fam.mean_sup == 3.0
 
     @pytest.mark.parametrize("spec", ["bernoulli", "binom:5"])

@@ -530,6 +530,38 @@ def test_binomial_cumulants_past_the_float_range_exit_0(line, values, capsys):
     assert [row.split(",")[2] for row in out.splitlines()[1:]] == values
 
 
+# Variances of polynomial families far out. E[X^2] - m^2 cancelled there:
+# poly:1,2,1 (binom:2's function) printed a wrong or negative variance with
+# exit 0, and clan and zerofree exited 2 with a math domain error. expof of a
+# degree-1 g took t^2 g''(t) = inf * 0.0, a nan variance.
+POLYNOMIAL_VARIANCE_INPUTS = [
+    ("family --family poly:1,2,1 --t 1e8 --stats var", ["1.99999996e-08"]),
+    ("family --family poly:1,2,1 --t 1e16 --stats var,clan,zerofree",
+     ["2e-16", "7.07106781187e-09", "111072073.454"]),
+    ("family --family poly:1,2,1 --t 1e100 --stats var", ["2e-100"]),
+    ("family --family canprod:1,2,3 --t 1e16 --stats var", ["6e-16"]),
+    ("family --family expof:poly:0,1 --t 1e200 --stats var", ["1e+200"]),
+]
+
+
+@pytest.mark.parametrize("line,values", POLYNOMIAL_VARIANCE_INPUTS)
+def test_polynomial_variances_far_out_exit_0(line, values, capsys):
+    assert cli.main(["--out", "csv"] + shlex.split(line)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == values
+
+
+def test_polynomial_variance_prints_what_the_closed_form_prints(capsys):
+    for e in range(4, 101, 4):
+        lines = [f"family --family {f} --t 1e{e} --stats var,clan" for f in ("poly:1,2,1", "binom:2")]
+        outs = []
+        for line in lines:
+            assert cli.main(shlex.split(line)) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], e
+
+
 def test_partition_sums_end_below_the_float_range_of_their_criterion(capsys):
     # 1e-16 times the sum underflows to 0 here, so the tail criterion cannot
     # end the loop; the first term that is exactly 0 does

@@ -8,7 +8,7 @@ Two guards on the source of ``src/khinfam``:
   tell a ``Family`` from a ``CoeffSeries``, so the guard is stricter than
   the rule and bans ``.coeffs`` on either; ``series.py``, which defines
   ``CoeffSeries.coeffs`` and never sees a ``Family``, is exempt.
-- ``cli.py`` hands ``make_family`` one order, ``trunc=cfg.trunc``, the cap:
+- ``cli.py`` hands ``make_family`` one order, ``trunc=args.trunc``, the cap:
   no ``min``/``max`` over a truncation, no second build of one spec in a
   verb, and no ``exact_coeffs`` of its own, which no cap would bind.
 """
@@ -52,7 +52,7 @@ def cli_order_picks(tree: ast.Module) -> list[str]:
     for node in ast.walk(tree):
         if _is_make_family(node):
             orders = [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "trunc"]
-            if len(node.args) != 1 or orders != ["cfg.trunc"]:
+            if len(node.args) != 1 or orders != ["args.trunc"]:
                 out.append(f"line {node.lineno}: {ast.unparse(node)}")
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("min", "max") and "trunc" in ast.unparse(node).lower()):
@@ -77,10 +77,10 @@ def test_cli_passes_make_family_only_its_cap():
 
 
 @pytest.mark.parametrize("body", [
-    "fam = C.make_family(spec, trunc=min(cfg.trunc, 512))",  # a per-verb clamp
-    "trunc = max(cfg.trunc, need)",  # an order raised for one statistic
-    "fam = C.make_family(spec, trunc=cfg.trunc)\n    fam = C.make_family(spec, trunc=cfg.trunc)",
+    "fam = C.make_family(spec, trunc=min(args.trunc, 512))",  # a per-verb clamp
+    "trunc = max(args.trunc, need)",  # an order raised for one statistic
+    "fam = C.make_family(spec, trunc=args.trunc)\n    fam = C.make_family(spec, trunc=args.trunc)",
     "a_n = C.exact_coeffs(spec, n).coeff(n)",  # an uncapped build
 ], ids=["clamp", "raise", "rebuild", "uncapped"])
 def test_the_cli_guard_sees_what_it_forbids(body):
-    assert cli_order_picks(ast.parse(f"def cmd(args, cfg):\n    {body}\n")) != []
+    assert cli_order_picks(ast.parse(f"def cmd(args, stream):\n    {body}\n")) != []
