@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     MixedResidueClasses,
     ParameterDomain,
-    QGcdNotOne,
+    QGcdViolation,
     TargetAboveMeanSup,
 )
 from .family import Family
@@ -81,13 +81,13 @@ def on_lattice(g: int, m: int, shift: int = 0) -> bool:
     return (m - shift) % g == 0
 
 
-def lattice_lead(g: int, m: int, refuse: type, h_gcd: int = 0, shift: int = 0) -> float:
+def lattice_lead(g: int, m: int, h_gcd: int = 0, shift: int = 0) -> float:
     """ln g, which makes the one-peak saddle estimate of [z^m] h psi^n right
     when psi(z) = psi_1(z^g). psi^n then has g equal peaks on |z| = tau, at
     tau times the g-th roots of unity w, where an h on the class shift + gZ
     takes the value w^shift h(tau): the peaks add up to g times the Gaussian
     value at tau when g divides m - shift, and cancel otherwise, where the
-    coefficient is 0 and m is refused with the caller's error ``refuse``.
+    coefficient is 0 and m is refused (QGcdViolation).
     shift is -1 for H' or f_s', j - 1 for j z^(j-1), 0 for a prefactor or
     h = 1; h_gcd is the support gcd of H, f or the prefactor, 0 for a
     monomial. As h(0) > 0, h lies on one class iff g divides h_gcd; an h
@@ -96,14 +96,14 @@ def lattice_lead(g: int, m: int, refuse: type, h_gcd: int = 0, shift: int = 0) -
     if h_gcd % g:
         raise MixedResidueClasses(f"a factor of support gcd {h_gcd} spans classes mod {g}")
     if not on_lattice(g, m, shift):
-        raise refuse(f"[z^{m}] h psi^n vanishes: support gcd {g} does not divide {m - shift}")
+        raise QGcdViolation(f"[z^{m}] h psi^n vanishes: support gcd {g} does not divide {m - shift}")
     return math.log(g)
 
 
 def hayman_estimate(fam: Family, n: int) -> Estimate:
     """Saddle-point estimate of coefficient n; a family on the multiples of
     g > 1 takes ``lattice_lead``'s factor g (meta ``rescaled_gcd``)."""
-    lead = lattice_lead(fam.q_gcd, n, QGcdNotOne)
+    lead = lattice_lead(fam.q_gcd, n)
     sp = saddle_solve(fam, float(n))
     ln = saddle_log(lead, 1, sp.log_f, n, sp.t, sp.variance)
     meta = {"n": n, "family": fam.name, "rescaled_gcd": round(math.exp(lead)), "t": sp.t}
@@ -119,7 +119,7 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
     if fam.spec is None:
         raise cat.NoApproxAvailable(f"{fam.name} has no registered approximate laws")
     approx = cat.approx_moments(fam.spec)
-    lead = lattice_lead(fam.q_gcd, n, QGcdNotOne)
+    lead = lattice_lead(fam.q_gcd, n)
     s_n = approx.s_for_mean(float(n))
     tau = math.exp(-s_n)
     sigma = approx.sigma_tilde(s_n)
@@ -129,15 +129,16 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
 
 # -- closed-form partition asymptotics -------------------------------------------
 
-# The closed forms, by the name ``coeff --method`` takes: the estimate's
-# method and the family whose counts it estimates, where Pab:a,b and Wab:a,b
-# take the caller's a and b. ``closed`` picks the one whose family is the
-# spec's variant; mw is Moser-Wyman's, the one that reads no Mellin record.
+# The closed forms, by the name ``coeff --method`` takes, in the order its
+# help lists them: the estimate's method and the family whose counts it
+# estimates, where Pab:a,b and Wab:a,b take the caller's a and b. ``closed``
+# picks the one whose family is the spec's variant; mw is Moser-Wyman's, the
+# one that reads no Mellin record.
 CLOSED_FORMS = {
     "hr": ("hr", "P"),
     "distinct": ("distinct", "Q"),
-    "wright": ("wright_plane", "Wab:1,1"),
     "ingham": ("ingham", "Pab:a,b"),
+    "wright": ("wright_plane", "Wab:1,1"),
     "colored": ("colored", "Wab:a,b"),
     "mw": ("moser-wyman", "bell"),
 }
@@ -148,7 +149,7 @@ def closed_partition_asym(kind: str, n: int, a: int | None = None, b: int | None
     the estimate method ``kind`` of a partition family in ``CLOSED_FORMS``
     (Wab's a is 1 by default). It reads the Mellin record of
     the shape with g divided out at n/g, and refuses an n off the multiples
-    of g (QGcdNotOne): ln a_n ~ D'(0) - ln(2 pi (1+alpha))/2 + (1 - 2 D(0))
+    of g (QGcdViolation): ln a_n ~ D'(0) - ln(2 pi (1+alpha))/2 + (1 - 2 D(0))
     / (2 + 2 alpha) ln K + (D(0) - 1 - alpha/2) / (1 + alpha) ln n
     + (1 + 1/alpha) K^(1/(1+alpha)) n^(alpha/(1+alpha))."""
     if n < 1:
@@ -163,7 +164,7 @@ def closed_partition_asym(kind: str, n: int, a: int | None = None, b: int | None
         spec = cat.parse_family(family)
     full = cat.mellin(spec)
     if not on_lattice(full.g, n):
-        raise QGcdNotOne(f"{spec.key()} has no part count at {n}: gcd {full.g} does not divide it")
+        raise QGcdViolation(f"{spec.key()} has no part count at {n}: gcd {full.g} does not divide it")
     rec = full.reduced()
     m = n // full.g
     d0, d1 = rec.at_zero()

@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     InvalidSpec,
     NoApproxAvailable,
+    RadiusOutOfRange,
     TruncationTooLarge,
 )
 from .family import Family, Oracle, family_from_coeffs
@@ -103,13 +104,15 @@ class FamilySpec:
 def parse_family(text: str) -> FamilySpec:
     """Parse the textual grammar shared with the CLI."""
     text = text.strip()
-    head, _, rest = text.partition(":")
+    head, colon, rest = text.partition(":")
     if head not in _VARIANTS:
         grammar = " | ".join(v + param for v, param in _VARIANTS.items())
         raise InvalidSpec(f"unknown family {text!r}; grammar: {grammar}")
     param = _VARIANTS[head]
     try:
         if not param:
+            if colon:
+                raise InvalidSpec(f"{head} takes no parameter: {text!r}")
             return FamilySpec(head)
         if param == ":N":
             return FamilySpec(head, n=int(rest))
@@ -361,7 +364,7 @@ def _parts_sums(p0: int, d: int, b: int):
 
     def log_value_circle(t: float) -> Callable[[complex], complex]:
         if not t < 1.0:
-            raise TruncationTooLarge(f"complex log product needs |z| < 1, got {t}")
+            raise RadiusOutOfRange(f"complex log product needs |z| < 1, got {t}")
         order = _lambert_order(t, log_bound) if t else 1
         if order > len(table):
             lo = len(table) + 1

@@ -116,11 +116,15 @@ def _closed_estimate(spec: C.FamilySpec, method: str, n: int) -> A.Estimate:
     return A.closed_partition_asym(kind, n, a=spec.a, b=spec.b)
 
 
-def _exact_text(value: Fraction) -> str:
-    """The exact rational as digits, within the interpreter's int-to-str limit."""
+def _exact_text(value: Fraction, alone: bool) -> str:
+    """The exact rational as digits. Past the interpreter's int-to-str limit
+    it is refused when it is the one row asked for, and left blank beside an
+    estimate, whose row and ratio need only its ln."""
     try:
         return str(value)
     except ValueError:
+        if not alone:
+            return ""
         raise DomainError(
             f"the exact value has more digits than the int-to-str limit "
             f"({sys.get_int_max_str_digits()})"
@@ -139,8 +143,8 @@ def cmd_coeff(args, stream) -> int:
         exact_log = LogNumber.from_fraction(a_n)
         ln_cell, val_cell = _log_cells(exact_log)
         rows.append(
-            {"method": "exact", "n": n, "ln": ln_cell, "value": val_cell or _exact_text(a_n),
-             "ratio": ""}
+            {"method": "exact", "n": n, "ln": ln_cell,
+             "value": val_cell or _exact_text(a_n, set(methods) == {"exact"}), "ratio": ""}
         )
     for method in methods:
         if method == "exact":
@@ -399,7 +403,7 @@ def _coeff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", default="exact,hayman",
-                   help="comma list: exact,hayman,bd,closed,hr,distinct,ingham,wright,colored,mw")
+                   help="comma list: exact,hayman,bd,closed," + ",".join(A.CLOSED_FORMS))
 
 
 def _family_args(p: argparse.ArgumentParser) -> None:

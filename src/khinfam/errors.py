@@ -91,7 +91,7 @@ class TargetAboveMeanSup(KhinfamError):
     pass
 
 
-class QGcdNotOne(KhinfamError):
+class QGcdViolation(KhinfamError):
     pass
 
 
@@ -110,14 +110,6 @@ class BudgetExceeded(KhinfamError):
 
 
 class RatioOutOfBand(KhinfamError):
-    pass
-
-
-class QGcdViolation(KhinfamError):
-    pass
-
-
-class LAboveMeanSup(KhinfamError):
     pass
 
 
@@ -152,10 +144,6 @@ class NoApplicableRegime(KhinfamError):
 # -- Lagrange / branching ----------------------------------------------------
 
 class MeanSupBelowOne(KhinfamError):
-    pass
-
-
-class ZeroCoefficient(KhinfamError):
     pass
 
 

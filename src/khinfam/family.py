@@ -324,11 +324,6 @@ def central_moment(fam: Family, t: float, k: int) -> float:
 
 
 def _direct_moment_sum(fam: Family, t: float, k: int, factorial: bool) -> float:
-    if not fam.has_coeffs:
-        raise DerivativeOrderUnavailable(
-            f"order {k} needs coefficient access for {fam.name}"
-        )
-
     if factorial:
 
         def w(n: float) -> float:

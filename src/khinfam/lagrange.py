@@ -26,7 +26,6 @@ from .errors import (
     ParameterDomain,
     PrefactorRadiusTooSmall,
     SupercriticalSpec,
-    ZeroCoefficient,
 )
 from .family import Family
 from .numerics import LogNumber, log_of_fraction
@@ -110,7 +109,7 @@ def omm_estimate(psi: Family, n: int) -> Estimate | DecayCertificate:
         if psi.boundary_variance is None or not math.isfinite(psi.boundary_variance):
             raise MeanSupBelowOne(f"{psi.name}: subcritical data needs boundary moments")
         return DecayCertificate(psi.radius, psi.log_value(psi.radius))
-    lead = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient)  # A_n = (1/n) [z^{n-1}] psi^n
+    lead = lattice_lead(psi.q_gcd, n - 1)  # A_n = (1/n) [z^{n-1}] psi^n
     ap = apex(psi)
     if ap.kind == "linear":
         ln = log_of_fraction(ap.linear_a) + (n - 1) * log_of_fraction(ap.linear_b)
@@ -136,7 +135,7 @@ def power_asym(
         raise ValueError("need q >= 1 and n >= 1")
     if n < q:
         raise IndexBelowJ(f"coefficient {n} of g^{q} is 0: progeny below initial size {q}")
-    lead = lattice_lead(psi.q_gcd, n - q, ZeroCoefficient)
+    lead = lattice_lead(psi.q_gcd, n - q)
     if alpha is None:
         ap = apex(psi)
         if ap.kind == "linear":
@@ -159,7 +158,7 @@ def func_asym(h: Family, psi: Family, n: int) -> Estimate:
         raise ValueError("n must be >= 1")
     if h.radius < psi.radius:
         raise PrefactorRadiusTooSmall(f"H radius {h.radius} below psi radius {psi.radius}")
-    lead = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient, h.q_gcd, -1)
+    lead = lattice_lead(psi.q_gcd, n - 1, h.q_gcd, -1)
     ap = apex(psi)
     if ap.kind != "interior":
         raise MeanSupBelowOne("function asymptotics need an interior apex")
@@ -303,12 +302,12 @@ def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
         if n < j:
             raise IndexBelowJ(f"progeny {n} below initial size {j}")
         lead, k = math.log(j), n - j
-        lattice = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient, 0, j - 1)
+        lattice = lattice_lead(psi.q_gcd, n - 1, 0, j - 1)
     else:
         f = spec.initial
         if s * tau >= t * f.radius:
             raise ParameterDomain(f"need s*tau < t*S: s={s}, tau={tau}, t={t}, S={f.radius}")
-        lattice = lattice_lead(psi.q_gcd, n - 1, ZeroCoefficient, f.q_gcd, -1)
+        lattice = lattice_lead(psi.q_gcd, n - 1, f.q_gcd, -1)
         lead, k = math.log(s) - f.log_value(s) + _log_derivative(f, s * tau / t), n - 1
     log_psi_t = psi.log_value(tau) - psi.log_value(t)
     ln = saddle_log(lattice + lead - math.log(n), n, log_psi_t, k, tau / t, ap.sigma2)
@@ -334,8 +333,6 @@ def _tilted_pmf_table(fam: Family, t: float) -> list[float]:
     the first index where the mass left is below 1e-12 (or a polynomial's
     degree); past the coefficients it has, it asks for twice as many."""
     fam.check_radius(t)
-    if not fam.has_coeffs:
-        raise ZeroCoefficient(f"{fam.name} needs coefficients to sample from")
     log_f = fam.log_value(t)
     cum: list[float] = []
     acc, top = 0.0, -1

@@ -21,14 +21,13 @@ from .errors import (
     BudgetExceeded,
     FirstCoefficientZero,
     KTooLarge,
-    LAboveMeanSup,
     NoApplicableRegime,
     NoCoefficientAccess,
     NotUSG,
     PrefactorRadiusTooSmall,
-    QGcdViolation,
     RatioOutOfBand,
     RegimeMismatch,
+    TargetAboveMeanSup,
 )
 from .asym import Estimate, lattice_lead, on_lattice, saddle_log, saddle_solve
 from .family import Family
@@ -105,7 +104,7 @@ def estimate_comparable(q: PowerCoeffQuery, a: float, b: float) -> Estimate:
     ratio = k / n
     if not a <= ratio <= b:
         raise RatioOutOfBand(f"k/n = {ratio} outside [{a}, {b}]")
-    lead = lattice_lead(psi.q_gcd, k, QGcdViolation)
+    lead = lattice_lead(psi.q_gcd, k)
     sp = saddle_solve(psi, ratio)
     return _estimate("comparable", q, sp.t, sp.variance, lead)
 
@@ -114,8 +113,8 @@ def estimate_limit_l(q: PowerCoeffQuery, l: float, omega: float) -> Estimate:
     """Regime k/n -> L with drift (nL - k)/sqrt(n) -> -omega; fixed saddle."""
     psi = q.psi
     if l >= psi.mean_sup:
-        raise LAboveMeanSup(f"L = {l} >= mean limit {psi.mean_sup}")
-    lead = lattice_lead(psi.q_gcd, q.k, QGcdViolation)
+        raise TargetAboveMeanSup(f"L = {l} >= mean limit {psi.mean_sup}")
+    lead = lattice_lead(psi.q_gcd, q.k)
     sp = saddle_solve(psi, l)
     lead -= omega * omega / (2.0 * sp.variance)
     return _estimate("limit_l", q, sp.t, sp.variance, lead)
@@ -128,7 +127,7 @@ def estimate_boundary(q: PowerCoeffQuery, omega: float = 0.0) -> Estimate:
         raise RegimeMismatch("boundary regime needs finite radius and finite mean limit")
     if psi.boundary_variance is None or not math.isfinite(psi.boundary_variance):
         raise BoundaryVarianceInfinite(f"{psi.name} has no finite boundary variance")
-    lead = lattice_lead(psi.q_gcd, q.k, QGcdViolation)
+    lead = lattice_lead(psi.q_gcd, q.k)
     var = psi.boundary_variance
     lead -= omega * omega / (2.0 * var)
     return _estimate("boundary", q, psi.radius, var, lead)
@@ -168,8 +167,6 @@ def estimate_small_k_refined(q: PowerCoeffQuery, j_terms: int) -> Estimate:
     _require_b1(psi)
     if j_terms < 1:
         raise ValueError("need at least one correction term")
-    if not psi.has_coeffs:
-        raise FirstCoefficientZero("refined small-k needs coefficient access")
     head = psi.coeffs_through(j_terms)
     b0 = float(head.coeff(0))
     b1 = float(head.coeff(1))
@@ -246,7 +243,7 @@ def estimate_with_prefactor(q: PowerCoeffQuery, regime: Regime) -> Estimate:
     psi, h = q.psi, q.prefactor
     if h.radius < psi.radius:
         raise PrefactorRadiusTooSmall(f"prefactor radius {h.radius} below psi radius {psi.radius}")
-    lattice_lead(psi.q_gcd, q.k, QGcdViolation, h.q_gcd)
+    lattice_lead(psi.q_gcd, q.k, h.q_gcd)
     bare = PowerCoeffQuery(psi, q.n, q.k)
     if regime.kind == "comparable":
         est = estimate_comparable(bare, regime.a, regime.b)
@@ -254,8 +251,6 @@ def estimate_with_prefactor(q: PowerCoeffQuery, regime: Regime) -> Estimate:
         ln = est.value.log_abs + h.log_value(tau)
     elif regime.kind == "small_k":
         est = estimate_small_k(bare)
-        if not h.has_coeffs:
-            raise PrefactorRadiusTooSmall("prefactor needs coefficients for h(0)")
         ln = est.value.log_abs + log_of_fraction(h.coeffs_through(0).coeff(0))
     else:
         raise RegimeMismatch(f"prefactor estimates cover comparable/small_k, not {regime.kind}")
@@ -307,8 +302,6 @@ def estimate(q: PowerCoeffQuery, regime: Regime) -> Estimate | FixedKPolynomial:
     if kind == "small_k_refined":
         return estimate_small_k_refined(q, 2 if regime.j is None else regime.j)
     if kind == "fixed_k":
-        if not q.psi.has_coeffs:
-            raise NoApplicableRegime("fixed-k route needs coefficients")
         return fixed_k_polynomial(q.psi.coeffs_through(q.k), q.k)
     if kind == "large_k":
         return estimate_large_k(q)

@@ -19,7 +19,7 @@ from khinfam import large_powers as LP
 from khinfam.catalog import bell_numbers, exact_coeffs, make_family, parse_family
 from khinfam.errors import (
     DomainError,
-    QGcdNotOne,
+    QGcdViolation,
     TargetAboveMeanSup,
     UnsupportedOrder,
     WindowTooNarrow,
@@ -107,7 +107,7 @@ class TestHaymanEstimate:
 
     def test_even_support_needs_rescaling(self):
         fam = make_family(parse_family("expof:poly:0,0,1"), trunc=64)
-        with pytest.raises(QGcdNotOne):
+        with pytest.raises(QGcdViolation):
             A.hayman_estimate(fam, 9)
 
     def test_even_support_rescaled_matches_companion(self, fams):
@@ -161,7 +161,7 @@ class TestBaezDuarte:
 
     def test_index_off_the_lattice_refused(self):
         fam = make_family(parse_family("Wab:2,0"), trunc=8)
-        with pytest.raises(QGcdNotOne):
+        with pytest.raises(QGcdViolation):
             A.baez_duarte_estimate(fam, 201)
 
 
@@ -191,7 +191,7 @@ class TestClosedPartitionForms:
         for n in (10, 100):
             half = A.closed_partition_asym("ingham", n // 2, a=1, b=2)
             assert A.closed_partition_asym("ingham", n, a=2, b=4).value == half.value
-        with pytest.raises(QGcdNotOne):
+        with pytest.raises(QGcdViolation):
             A.closed_partition_asym("ingham", 11, a=2, b=4)
 
     def test_colored_order_guard(self):

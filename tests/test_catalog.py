@@ -13,6 +13,7 @@ from khinfam import series as S
 from khinfam.errors import (
     InvalidSpec,
     NoApproxAvailable,
+    RadiusOutOfRange,
     TruncationTooLarge,
     UnsupportedOrder,
 )
@@ -50,6 +51,13 @@ class TestParsing:
     def test_a_spec_checks_itself_when_made(self, kwargs):
         with pytest.raises(InvalidSpec):
             C.FamilySpec(**kwargs)
+
+    @pytest.mark.parametrize("variant", [v for v, param in C._VARIANTS.items() if not param])
+    def test_a_parameterless_variant_takes_no_colon(self, variant):
+        # P:junk and exp:7 once parsed as P and exp
+        for text in (f"{variant}:", f"{variant}:junk", f"{variant}:7"):
+            with pytest.raises(InvalidSpec, match="takes no parameter"):
+                C.parse_family(text)
 
     def test_expof_parses_to_the_coefficients_of_its_poly(self):
         spec = C.parse_family("expof:poly:0,1/2,3")
@@ -1101,10 +1109,14 @@ class TestLambertSeries:
     def test_order_guard(self):
         fam = C.make_family(C.parse_family("P"), trunc=8)
         assert fam.log_value_complex(0j) == 0
-        for z in (1.0, cmath.rect(1.5, 0.2), complex(math.nan, 0.0), cmath.rect(1 - 1e-7, 0.3)):
-            with pytest.raises(TruncationTooLarge):
+        # on or past the unit circle, and nan, the radius is refused; just
+        # inside it the Lambert order passes the term limit
+        for z, error in ((1.0, RadiusOutOfRange), (cmath.rect(1.5, 0.2), RadiusOutOfRange),
+                         (complex(math.nan, 0.0), RadiusOutOfRange),
+                         (cmath.rect(1 - 1e-7, 0.3), TruncationTooLarge)):
+            with pytest.raises(error):
                 fam.log_value_complex(z)
-            with pytest.raises(TruncationTooLarge):
+            with pytest.raises(error):
                 fam.log_value_circle(abs(z))
 
 

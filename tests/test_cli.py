@@ -327,6 +327,8 @@ CONTRACT_INPUTS = [
     "coeff --family bell --n 2000 --method exact",
     "--trunc -3 coeff --family P --n 5 --method exact",
     "--trunc 0 family --family P --t 0.5 --stats maxterm,gap",
+    "family --family P:junk --t 0.5 --stats mean",  # printed P's mean
+    "coeff --family exp:7 --n 5 --method exact",  # printed exp's 1/120
 ]
 # Float overflow or division by zero inside a statistic, at valid radii.
 FLOAT_RANGE_INPUTS = [
@@ -365,6 +367,17 @@ def test_exact_value_past_the_digit_limit_is_a_domain_error(line, capsys):
     assert capsys.readouterr().err.startswith("error: DomainError: ")
 
 
+def test_a_long_exact_value_is_blank_beside_an_estimate(capsys):
+    # the whole command was DomainError, so the hayman row was never printed;
+    # the exact row keeps its ln, which the ratio reads
+    assert cli.main(["--out", "csv"] + shlex.split(
+        "coeff --family bell --n 2000 --method exact,hayman")) == 0
+    out, err = capsys.readouterr()
+    exact, hayman = (row.split(",") for row in out.splitlines()[1:])
+    assert err == "" and exact[:4] == ["exact", "2000", "ln=-3192.36524947", ""]
+    assert hayman[0] == "hayman" and hayman[4] == "0.99969403604"
+
+
 @pytest.mark.parametrize("line", FLOAT_RANGE_INPUTS)
 def test_float_range_error_is_a_domain_error(line, capsys):
     assert cli.main(shlex.split(line)) == 3
@@ -400,7 +413,7 @@ def test_closed_form_on_a_lattice_is_the_reduced_family_at_n_over_g(family, redu
 @pytest.mark.parametrize("family", ["Pab:2,2", "Wab:2,1"])
 def test_closed_form_off_the_lattice_is_refused(family, capsys):
     assert cli.main(["coeff", "--family", family, "--n", "11", "--method", "closed"]) == 3
-    assert capsys.readouterr().err.startswith("error: QGcdNotOne: ")
+    assert capsys.readouterr().err.startswith("error: QGcdViolation: ")
 
 
 def test_closed_form_past_the_zeta_prime_table_is_refused_while_bd_answers(capsys):
@@ -910,7 +923,7 @@ def test_power_off_the_support_lattice_is_a_zero_coefficient(capsys):
     # psi = 1 + z^2 has support gcd 2 and n - q = 29 is odd: [z^31] g^2 = 0
     assert cli.main(shlex.split("lagrange --op power --psi poly:1,0,1 --q 2 --n 31")) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ZeroCoefficient: ")
+    assert out == "" and err.startswith("error: QGcdViolation: ")
 
 
 def test_borel_tanner_asym_refuses_an_empty_initial_size(capsys):

@@ -198,10 +198,10 @@ class TestMoments:
     def test_high_order_without_coefficients_rejected(self, fams):
         import dataclasses
 
-        from khinfam.errors import DerivativeOrderUnavailable
+        from khinfam.errors import NoCoefficientAccess
 
         bare = dataclasses.replace(fams["exp"], oracle=None)
-        with pytest.raises(DerivativeOrderUnavailable):
+        with pytest.raises(NoCoefficientAccess):
             F.moment(bare, 1.0, 5)
 
 

@@ -13,9 +13,10 @@ from khinfam.catalog import exact_coeffs, make_family, parse_family
 from khinfam.errors import (
     IndexBelowJ,
     MeanSupBelowOne,
+    NoCoefficientAccess,
     ParameterDomain,
+    QGcdViolation,
     SupercriticalSpec,
-    ZeroCoefficient,
 )
 from khinfam.numerics import LogNumber
 
@@ -97,7 +98,7 @@ class TestOtterMeirMoon:
 
     def test_even_support_refuses_even_index(self):
         fam = make_family(parse_family("expof:poly:0,0,1"), trunc=64)
-        with pytest.raises(ZeroCoefficient):
+        with pytest.raises(QGcdViolation):
             L.omm_estimate(fam, 4)
         est = L.omm_estimate(fam, 5)  # 5 - 1 is a multiple of 2
         assert est.value.sign == 1
@@ -176,7 +177,7 @@ class TestPowerAsym:
         # is 0 for odd n, and the saddle estimate carries the factor 2 at even n
         psi = make_family(parse_family("poly:1,0,1"), trunc=8)
         for alpha in (None, 0.0):
-            with pytest.raises(ZeroCoefficient):
+            with pytest.raises(QGcdViolation):
                 L.power_asym(psi, 2, 31, alpha=alpha, beta=0.0)
         exact = LogNumber.from_fraction(Fraction(2, 30) * math.comb(30, 14))
         r = L.power_asym(psi, 2, 30).value.ratio(exact)
@@ -396,6 +397,13 @@ class TestSampler:
         hot = dataclasses.replace(expf, mean=lambda t: 1.5)
         with pytest.raises(SupercriticalSpec):
             L.gw_sample(dataclasses.replace(spec, psi=hot), 10, seed=1)
+
+    def test_a_law_without_coefficients_is_refused_by_its_oracle(self, expf):
+        # the oracle's own refusal, once ZeroCoefficient, a support-lattice name
+        bare = dataclasses.replace(expf, oracle=None)
+        spec = L.LagrangianSpec(psi=bare, t=0.5, s=1.0, monomial_j=1)
+        with pytest.raises(NoCoefficientAccess, match=bare.name):
+            L.gw_sample(spec, 10, seed=1)
 
     def test_poisson_initial_sampling(self, expf):
         spec = L.LagrangianSpec(psi=expf, t=0.5, s=1.5, initial=expf)

@@ -16,7 +16,6 @@ from khinfam.errors import (
     FirstCoefficientZero,
     IndexBeyondTruncation,
     KTooLarge,
-    LAboveMeanSup,
     NoApplicableRegime,
     NoCoefficientAccess,
     NotUSG,
@@ -24,6 +23,7 @@ from khinfam.errors import (
     QGcdViolation,
     RatioOutOfBand,
     RegimeMismatch,
+    TargetAboveMeanSup,
 )
 from khinfam.numerics import LogNumber, zeta_real
 
@@ -287,7 +287,7 @@ class TestLimitL:
         assert abs(a.value.log_abs - b.value.log_abs) < 1e-9
 
     def test_limit_above_mean_sup(self, binom):
-        with pytest.raises(LAboveMeanSup):
+        with pytest.raises(TargetAboveMeanSup):
             LP.estimate_limit_l(LP.PowerCoeffQuery(binom, 10, 10), 1.0, 0.0)
 
 
@@ -577,6 +577,18 @@ class TestDispatch:
     def test_unknown_regime_refused(self, binom):
         with pytest.raises(RegimeMismatch):
             LP.estimate(LP.PowerCoeffQuery(binom, 100, 3), LP.Regime("nope"))
+
+    @pytest.mark.parametrize("bare_psi,regime", [
+        (True, LP.Regime("small_k_refined")),  # was FirstCoefficientZero
+        (True, LP.Regime("fixed_k")),  # was NoApplicableRegime
+        (False, LP.Regime("small_k")),  # the prefactor's h(0); was PrefactorRadiusTooSmall
+    ], ids=["refined-psi", "fixed_k-psi", "small_k-prefactor"])
+    def test_a_missing_oracle_is_refused_by_the_oracle(self, binom, bare_psi, regime):
+        bare = dataclasses.replace(binom, oracle=None)
+        q = (LP.PowerCoeffQuery(bare, 1000, 20) if bare_psi
+             else LP.PowerCoeffQuery(binom, 1000, 20, prefactor=bare))
+        with pytest.raises(NoCoefficientAccess, match=bare.name):
+            LP.estimate(q, regime)
 
 
 class TestErrorConvergence:

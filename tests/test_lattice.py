@@ -3,9 +3,8 @@
 When psi(z) = psi_1(z^g), [z^m] h psi^n is g times the one-peak Gaussian
 saddle value on the lattice and 0 off it. Every estimator takes this from
 the one helper: it adds ln g on the lattice, refuses an index off it with
-its own error (``QGcdNotOne``, ``ZeroCoefficient``, ``QGcdViolation``) and
-refuses a factor h spread over several residue classes mod g with
-``MixedResidueClasses``. The checks run against the exact oracles.
+``QGcdViolation`` and refuses a factor h spread over several residue
+classes mod g with ``MixedResidueClasses``. The checks run against the exact oracles.
 """
 
 import ast
@@ -30,9 +29,7 @@ from khinfam.errors import (
     DomainError,
     KhinfamError,
     MixedResidueClasses,
-    QGcdNotOne,
     QGcdViolation,
-    ZeroCoefficient,
 )
 from khinfam.numerics import log_of_fraction
 
@@ -103,36 +100,33 @@ def comparable(psi: str, k: int, h: str | None = None):
     return LP.estimate_with_prefactor(q, LP.Regime("comparable", a=r / 2, b=1.5 * r))
 
 
-# name -> (estimate at index m, exact ln at m, the error off the lattice).
+# name -> (estimate at index m, exact ln at m).
 # m is the index the lattice rule reads: n for hayman and bd, n - 1 of
 # [z^(n-1)] psi^n for omm, n - 2 of [z^(n-2)] psi^n for power q = 2, n of
 # coeff_n H(T) and P(Z = n) for func and general, k for large_powers.
 CASES = {
     "hayman": (lambda p, m: A.hayman_estimate(fam(p), m),
-               lambda p, m: log_of_fraction(ser(p, m).coeff(m)), QGcdNotOne),
+               lambda p, m: log_of_fraction(ser(p, m).coeff(m))),
     "baez-duarte": (lambda p, m: A.baez_duarte_estimate(fam(p), m),
-                    lambda p, m: log_of_fraction(ser(p, m).coeff(m)), QGcdNotOne),
+                    lambda p, m: log_of_fraction(ser(p, m).coeff(m))),
     "omm": (lambda p, m: L.omm_estimate(fam(p), m + 1),
             lambda p, m: log_of_fraction(L.extended_coeff(monomial(1, m + 1),
-                                                          ser(p, m + 1), m + 1)),
-            ZeroCoefficient),
+                                                          ser(p, m + 1), m + 1))),
     "power": (lambda p, m: L.power_asym(fam(p), 2, m + 2),
               lambda p, m: log_of_fraction(L.extended_coeff(monomial(2, m + 2),
-                                                            ser(p, m + 2), m + 2)),
-              ZeroCoefficient),
+                                                            ser(p, m + 2), m + 2))),
     "func": (lambda p, m: L.func_asym(fam(H), fam(p), m),
-             lambda p, m: log_of_fraction(L.extended_coeff(ser(H, m), ser(p, m), m)),
-             ZeroCoefficient),
+             lambda p, m: log_of_fraction(L.extended_coeff(ser(H, m), ser(p, m), m))),
     "general-j": (lambda p, m: L.general_lagrangian_asym(spec(p, None), m),
-                  lambda p, m: general(p, m, None), ZeroCoefficient),
+                  lambda p, m: general(p, m, None)),
     "general-f": (lambda p, m: L.general_lagrangian_asym(spec(p, H), m),
-                  lambda p, m: general(p, m, H), ZeroCoefficient),
-    "comparable": (comparable, lambda p, m: power_ln(p, power_of(p, m), m), QGcdViolation),
+                  lambda p, m: general(p, m, H)),
+    "comparable": (comparable, lambda p, m: power_ln(p, power_of(p, m), m)),
     "limit_l": (lambda p, m: LP.estimate_limit_l(
                     LP.PowerCoeffQuery(fam(p), power_of(p, m), m), m / power_of(p, m), 0.0),
-                lambda p, m: power_ln(p, power_of(p, m), m), QGcdViolation),
+                lambda p, m: power_ln(p, power_of(p, m), m)),
     "prefactor": (lambda p, m: comparable(p, m, H),
-                  lambda p, m: power_ln(p, power_of(p, m), m, H), QGcdViolation),
+                  lambda p, m: power_ln(p, power_of(p, m), m, H)),
 }
 # hayman and baez-duarte estimate psi's own coefficients: a polynomial has
 # no saddle past its degree, and only the partition shape has approximate
@@ -147,7 +141,7 @@ def test_on_the_lattice_the_estimate_carries_g(name, psi):
     # exact / estimate lies in (0.9, 1.1) at both indices and moves toward 1
     # as the index grows; without ln 2 it would be about 2. Measured: 0.916
     # (bd on P(z^2)) to 1.011 at 40, 0.957 to 1.003 at 160.
-    est, exact, _ = CASES[name]
+    est, exact = CASES[name]
     ratios = [math.exp(exact(psi, m) - est(psi, m).value.log_abs) for m in (40, 160)]
     assert all(0.9 < r < 1.1 for r in ratios), ratios
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0), ratios
@@ -155,10 +149,10 @@ def test_on_the_lattice_the_estimate_carries_g(name, psi):
 
 @pytest.mark.parametrize("name,psi", MATRIX)
 def test_off_the_lattice_the_estimator_refuses_with_its_error(name, psi):
-    est, exact, error = CASES[name]
+    est, exact = CASES[name]
     with pytest.raises(DomainError):
         exact(psi, 41)  # the exact coefficient is 0, which has no log
-    with pytest.raises(error):
+    with pytest.raises(QGcdViolation):
         est(psi, 41)
 
 
@@ -180,12 +174,12 @@ def test_a_factor_on_several_residue_classes_is_refused(call):
 
 def test_the_helper_refuses_mixed_classes_before_the_index():
     with pytest.raises(MixedResidueClasses):
-        A.lattice_lead(2, 3, QGcdViolation, h_gcd=1)
+        A.lattice_lead(2, 3, h_gcd=1)
     with pytest.raises(QGcdViolation):
-        A.lattice_lead(2, 3, QGcdViolation, h_gcd=2)
-    assert A.lattice_lead(2, 3, QGcdViolation, h_gcd=4, shift=-1) == math.log(2)
-    assert A.lattice_lead(1, 7, QGcdViolation, h_gcd=3, shift=5) == 0.0
-    assert A.lattice_lead(3, 7, ZeroCoefficient, shift=1) == math.log(3)
+        A.lattice_lead(2, 3, h_gcd=2)
+    assert A.lattice_lead(2, 3, h_gcd=4, shift=-1) == math.log(2)
+    assert A.lattice_lead(1, 7, h_gcd=3, shift=5) == 0.0
+    assert A.lattice_lead(3, 7, shift=1) == math.log(3)
 
 
 # -- the rule against the exact oracles, on random polynomials -------------------
@@ -310,8 +304,8 @@ def test_lattice_estimates_printed_against_exact(line, exact, lo, hi, capsys):
 
 @pytest.mark.parametrize("line,error", [
     # each printed a number with exit 0 for a zero coefficient
-    ("lagrange --op func --psi poly:1,0,1 --h poly:1,0,1 --n 21", "ZeroCoefficient"),
-    ("lagrange --op general --psi poly:1,0,1 --t 0.5 --s 1 --j 2 --n 21", "ZeroCoefficient"),
+    ("lagrange --op func --psi poly:1,0,1 --h poly:1,0,1 --n 21", "QGcdViolation"),
+    ("lagrange --op general --psi poly:1,0,1 --t 0.5 --s 1 --j 2 --n 21", "QGcdViolation"),
     # h = 1 + z spans both classes mod 2: k = 50 printed ratio 0.6317 with
     # exit 0, and k = 51, whose coefficient is not 0, was QGcdViolation
     ("largepow --psi poly:1,0,1 --h poly:1,1 --n 100 --k 50 --regime comparable:0.1,1.9",
@@ -322,8 +316,13 @@ def test_lattice_estimates_printed_against_exact(line, exact, lo, hi, capsys):
     ("lagrange --op general --psi poly:1,0,1 --h expof:poly:0,1000 --n 50",
      "MixedResidueClasses"),
     ("largepow --psi poly:1,0,1 --n 10 --k 3 --regime comparable:0.1,0.9", "QGcdViolation"),
-    ("lagrange --op omm --psi poly:1,0,1 --n 20", "ZeroCoefficient"),
-    ("coeff --family Wab:2,0 --n 41 --method hayman", "QGcdNotOne"),
+    ("lagrange --op omm --psi poly:1,0,1 --n 20", "QGcdViolation"),
+    ("coeff --family Wab:2,0 --n 41 --method hayman", "QGcdViolation"),
+    # one name for the one fact: these were QGcdNotOne, QGcdNotOne and
+    # ZeroCoefficient
+    ("coeff --family Pab:2,2 --n 11 --method hayman", "QGcdViolation"),
+    ("coeff --family Pab:2,2 --n 11 --method closed", "QGcdViolation"),
+    ("lagrange --op omm --psi poly:1,0,1 --n 12", "QGcdViolation"),
 ])
 def test_off_lattice_and_mixed_commands_exit_3(line, error, capsys):
     code, out, err = run(line, capsys)
