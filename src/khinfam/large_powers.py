@@ -3,10 +3,9 @@
 Every estimator but the exact fixed-k polynomial returns a log-space value.
 The exact oracle, ``exact_power_coeff``, gives coefficient k of h*psi^n (or
 psi^n) in exact rationals from psi and h through index k, refused past
-their cap. A polynomial psi of degree d is powered by Miller's recurrence in
-integers (``series.miller_power_coeff``, O(k d)); a series psi by binary
-exponentiation (``series.power_coeff``), whose last step is one O(k) dot
-product.
+their cap. It reads ``series.power_coeff``, which picks the route: Miller's
+recurrence in integers for a polynomial psi of degree d < k (O(k d)), binary
+exponentiation for any other psi, whose last step is one O(k) dot product.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
     Refused, in this order: psi without coefficients, a binary-powering
     cost estimate over CONVOLUTION_BUDGET, a prefactor without
     coefficients, a k past the cap of either oracle (``coeffs_through``).
-    A polynomial psi (finite ``degree``) is powered by Miller's recurrence,
-    any other psi by binary exponentiation.
+    The coefficient is ``series.power_coeff``'s, which picks its own route.
     """
     psi, n, k, h = q.psi, q.n, q.k, q.prefactor
     # the oracles are built only past every refusal
@@ -83,8 +81,7 @@ def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
         raise NoCoefficientAccess("prefactor carries no coefficients")
     a = psi.coeffs_through(k)
     hc = None if h is None else h.coeffs_through(k)
-    power = se.miller_power_coeff if math.isfinite(psi.degree) else se.power_coeff
-    return power(a, n, k, hc)
+    return se.power_coeff(a, n, k, hc)
 
 
 def _estimate(
@@ -151,14 +148,9 @@ def series_b_coefficients(psi: se.CoeffSeries, j_max: int) -> list[Fraction]:
     """
     if psi.coeff(0) == 0 or (psi.order >= 1 and psi.coeff(1) == 0):
         raise FirstCoefficientZero("B coefficients need psi(0) != 0 and psi'(0) != 0")
-    out: list[Fraction] = [Fraction(1)]  # B_1 = 1
     dpsi = se.differentiate(psi)
     base = se.mul(psi.truncate(j_max), se.reciprocal(dpsi.truncate(j_max)))
-    power = se.CoeffSeries.from_list([1], order=j_max)
-    for j in range(2, j_max + 1):
-        power = se.mul(power, base)
-        out.append(power.coeff(j - 1) / j)
-    return out
+    return [Fraction(1)] + [se.power_coeff(base, j - 1, j - 1) / j for j in range(2, j_max + 1)]
 
 
 def estimate_small_k_refined(q: PowerCoeffQuery, j_terms: int) -> Estimate:

@@ -132,7 +132,13 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    """Lagrange exactness triangle: formula = fixed point = extended form."""
+    """Lagrange exactness triangle: formula = fixed point = extended form.
+
+    The formula (``series.lagrange_invert``) and the extended form
+    (``lagrange.extended_coeff``) both read ``series.power_coeff``, so they
+    share its route; the fixed point (``series.lagrange_fixed_point``),
+    iterated composition, is the independent corner.
+    """
     order = 64
     data = {
         "exp": C.exact_coeffs(C.parse_family("exp"), order),

@@ -9,9 +9,15 @@ Each kernel's docstring gives its cost in coefficient products; nnz(a) is
 the number of nonzero coefficients of a within the order used. The loops
 visit nonzero coefficients only, so sparse operands are cheap, and a single
 coefficient of a power h*a^n or a product is computed without the rest of
-the series (``power_coeff``, ``coeff_of_product``). ``miller_power_coeff``
-is the same coefficient of a power by a recurrence over integer numerators,
-linear in k for a polynomial a.
+the series (``power_coeff``, ``coeff_of_product``).
+
+``power_coeff`` is the one routine for a coefficient of a power, and
+``pow`` gives a whole power by the same rule. Each picks its route from
+the window a_0..a_k it reads (k the index, or the order for ``pow``): when
+a_0 != 0 and the window's last nonzero index lies below k (a_k = 0, so a is
+a polynomial there), Miller's recurrence over integer numerators, O(k
+nnz(a)) integer products whatever n; otherwise binary exponentiation over
+``Fraction`` values, O(k^2 log n) products for a dense a.
 """
 
 from __future__ import annotations
@@ -181,13 +187,61 @@ def _power_split(a: CoeffSeries, n: int, h: CoeffSeries | None) -> tuple:
     return (base, None) if result is None else (result, base)
 
 
-def pow(a: CoeffSeries, n: int) -> CoeffSeries:  # noqa: A001 - mirrors the operation name
-    """Binary exponentiation with truncation after every multiply.
+def _takes_miller(a: CoeffSeries, k: int) -> bool:
+    """Whether a power of a read through index k takes Miller's route: a_0 != 0
+    and the last nonzero index of a_0..a_k lies below k, i.e. a_k = 0 or k is
+    past the order of a."""
+    return a.coeffs[0] != 0 and (k > a.order or a.coeffs[k] == 0)
 
-    About log2(n) squarings and popcount(n) - 1 multiplies at the order of a.
+
+def _miller_power(a: CoeffSeries, n: int, top: int) -> tuple[int, list[int]]:
+    """Miller's recurrence in integers for a^n through index top; needs a_0 != 0.
+
+    With b = a/a_0 and c the lcm of the denominators of b_1..b_top, the series
+    q(z) = b(cz) has integer coefficients and q_0 = 1, so the coefficients of
+    v = q^n satisfy m v_m = sum_{j=1}^{min(m, deg)} ((n+1)j - m) q_j v_{m-j},
+    an exact integer division (Knuth, TAOCP vol. 2, 4.7). Returns (c, v) with
+    v = [v_0..v_T], T = min(top, n deg), deg the last nonzero index of
+    a_0..a_top: [z^m] a^n is a_0^n v_m / c^m for m <= T and 0 past T. v_m
+    = c^m [z^m] b^n grows with m, not with n. O(T nnz(a)) integer products.
+    """
+    a0 = _frac(a.coeffs[0])
+    terms = [(j, x / a0) for j, x in _nonzero_terms(a, 1, min(top, a.order))]
+    top = min(top, n * terms[-1][0]) if terms else 0
+    c = lcm(*(b.denominator for _, b in terms))
+    q = [(j, b.numerator * (c // b.denominator) * c ** (j - 1)) for j, b in terms]
+    v = [1]
+    for m in range(1, top + 1):
+        acc = 0
+        for j, qj in q:
+            if j > m:
+                break
+            acc += ((n + 1) * j - m) * qj * v[m - j]
+        v.append(acc // m)
+    return c, v
+
+
+def pow(a: CoeffSeries, n: int) -> CoeffSeries:  # noqa: A001 - mirrors the operation name
+    """a^n truncated at the order N of a.
+
+    A polynomial a (a_0 != 0 and a_N = 0) takes Miller's recurrence:
+    O(N nnz(a)) integer products, and every coefficient past n deg a is one
+    shared zero. Any other a takes binary exponentiation with truncation
+    after every multiply: about log2(n) squarings and popcount(n) - 1
+    multiplies at order N.
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
+    if _takes_miller(a, a.order):
+        c, v = _miller_power(a, n, a.order)
+        a0n, zero = _frac(a.coeffs[0]) ** n, Fraction(0)
+        out = [zero] * (a.order + 1)
+        cm = 1
+        for m, vm in enumerate(v):
+            if vm:
+                out[m] = a0n * Fraction(vm, cm)
+            cm *= c
+        return CoeffSeries(tuple(out))
     x, y = _power_split(a, n, None)
     if y is None:
         return x
@@ -197,14 +251,24 @@ def pow(a: CoeffSeries, n: int) -> CoeffSeries:  # noqa: A001 - mirrors the oper
 def power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = None) -> Fraction:
     """Coefficient k of h*a^n (of a^n when h is None), exactly.
 
-    a and h are truncated at k (higher coefficients cannot reach index k),
-    and the last multiply or squaring of ``pow``'s binary exponentiation is
-    ``coeff_of_product``: O(k) for the one coefficient read, not O(k^2).
+    a and h are read through index k only (higher coefficients cannot reach
+    it). When a_0 != 0 and a_k = 0, so that a is a polynomial of degree d < k
+    in that window, Miller's recurrence gives the coefficients of a^n through
+    k in O(k nnz(a)) integer products, whatever n (zero past n d), and h
+    enters as one integer dot product: a_0^n is the only n-th power formed.
+    Any other a takes ``pow``'s binary exponentiation, whose last multiply or
+    squaring is ``coeff_of_product``: O(k) for the one coefficient read, so
+    O(k^2 log n) products for a dense a.
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
     if k < 0:
         raise ValueError(f"coefficient index must be >= 0, got {k}")
+    if _takes_miller(a, k):
+        c, v = _miller_power(a, n, k)
+        e, hterms = (1, [(0, 1)]) if h is None else _integer_terms(h, k)
+        total = sum(hi * v[k - i] * c**i for i, hi in hterms if k - i < len(v))
+        return _frac(a.coeffs[0]) ** n * Fraction(total, e * c**k) if total else Fraction(0)
     x, y = _power_split(a.truncate(k), n, None if h is None else h.truncate(k))
     if y is None:
         return _frac(x.coeffs[k])
@@ -217,47 +281,6 @@ def _integer_terms(a: CoeffSeries, hi: int) -> tuple[int, list[tuple[int, int]]]
     terms = _nonzero_terms(a, 0, min(hi, a.order))
     d = lcm(*(c.denominator for _, c in terms))
     return d, [(i, c.numerator * (d // c.denominator)) for i, c in terms]
-
-
-def miller_power_coeff(a: CoeffSeries, n: int, k: int, h: CoeffSeries | None = None) -> Fraction:
-    """Coefficient k of h*a^n (of a^n when h is None) by Miller's recurrence
-    in integers; needs a_0 != 0. Equal to ``power_coeff``.
-
-    With b = a/a_0 and c the lcm of the denominators of b_1..b_k, the series
-    q(z) = b(cz) has integer coefficients and q_0 = 1, so the coefficients of
-    v = q^n satisfy m v_m = sum_{j=1}^{min(m, deg)} ((n+1)j - m) q_j v_{m-j},
-    an exact integer division (Knuth, TAOCP vol. 2, 4.7), and h*a^n has
-    coefficient a_0^n sum_i h_i v_{k-i} / c^{k-i}. v_m = c^m [z^m] b^n grows
-    with m, not with n, and a_0^n is the only n-th power formed. Costs
-    O(k nnz(a)) integer products, so a polynomial a of degree d takes O(k d)
-    whatever n; v_m vanishes past n d.
-    """
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
-    if k < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {k}")
-    a0 = _frac(a.coeffs[0])
-    if a0 == 0:
-        raise ValueError("Miller's recurrence needs a nonzero constant term")
-    terms = [(j, x / a0) for j, x in _nonzero_terms(a, 1, min(k, a.order))]
-    top = min(k, n * terms[-1][0]) if terms else 0
-    if h is None and k > top:
-        return Fraction(0)
-    c = lcm(*(b.denominator for _, b in terms))
-    q = [(j, b.numerator * (c // b.denominator) * c ** (j - 1)) for j, b in terms]
-    v = [1]
-    for m in range(1, top + 1):
-        acc = 0
-        for j, qj in q:
-            if j > m:
-                break
-            acc += ((n + 1) * j - m) * qj * v[m - j]
-        v.append(acc // m)
-    if h is None:
-        return a0**n * Fraction(v[k], c**k)
-    e, hterms = _integer_terms(h, k)
-    total = sum(hi * v[k - i] * c**i for i, hi in hterms if k - i <= top)
-    return a0**n * Fraction(total, e * c**k)
 
 
 def differentiate(f: CoeffSeries) -> CoeffSeries:
@@ -366,21 +389,18 @@ def reciprocal(f: CoeffSeries, order: int | None = None) -> CoeffSeries:
 def lagrange_invert(psi: CoeffSeries, n_max: int) -> CoeffSeries:
     """Solve g = z*psi(g) for the first n_max coefficients of g.
 
-    Coefficient n of g is coeff_{n-1}(psi^n)/n, reading the powers psi^n one
-    ``mul`` at a time: O(n_max^2 nnz(psi)). ``lagrange_fixed_point`` is the
-    independent route that checks it.
+    Coefficient n of g is coeff_{n-1}(psi^n)/n, each read by ``power_coeff``.
+    A polynomial psi of degree d takes Miller's route for every n > d + 1:
+    O(n_max^2 nnz(psi)) integer products in all. Any other psi takes binary
+    powering per n, O(n^2 log n) products for a dense psi.
+    ``lagrange_fixed_point`` is the independent route that checks it.
     """
     if psi.coeffs[0] == 0:
         raise ZeroConstantTerm("Lagrange data must have psi(0) != 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    base = psi.truncate(n_max - 1)
-    out = [Fraction(0)] * (n_max + 1)
-    power = CoeffSeries.from_list([1], order=n_max - 1)
-    for n in range(1, n_max + 1):
-        power = mul(power, base)
-        out[n] = power.coeff(n - 1) / n
-    return CoeffSeries(tuple(out))
+    coeffs = [power_coeff(psi, n, n - 1) / n for n in range(1, n_max + 1)]
+    return CoeffSeries((Fraction(0), *coeffs))
 
 
 def lagrange_fixed_point(psi: CoeffSeries, n_max: int) -> CoeffSeries:

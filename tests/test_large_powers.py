@@ -96,20 +96,32 @@ def multiplies(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """Records, in order, each call of the two private routes of
+    ``series.power_coeff``, Miller's pass (with its exponent and top index)
+    and binary powering, passing it through."""
+    calls = []
+    for name in ("_miller_power", "_power_split"):
+        def spy(*args, _real=getattr(S, name), _name=name):
+            calls.append((_name, *args[1:]) if _name == "_miller_power" else (_name,))
+            return _real(*args)
+
+        monkeypatch.setattr(S, name, spy)
+    return calls
+
+
 class TestExactRefusals:
     # (k+1)^2 * 2 * bitlen(n) against CONVOLUTION_BUDGET = 10^9: with n = 16
     # (bitlen 5) k = 9999 costs exactly 10^9 and k = 10000 is over. binom is
     # a polynomial, so a query under the budget reaches Miller's recurrence.
 
-    def test_budget_threshold(self, binom, monkeypatch, multiplies):
+    def test_budget_threshold(self, binom, multiplies, routes):
         with pytest.raises(BudgetExceeded):
             LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 10_000))
-        assert multiplies == []
-        seen = []
-        monkeypatch.setattr(S, "miller_power_coeff",
-                            lambda a, n, k, h=None: seen.append((n, k)) or Fraction(0))
+        assert multiplies == [] and routes == []
         assert LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 9_999)) == 0
-        assert seen == [(16, 9_999)]
+        assert routes == [("_miller_power", 16, 9_999)]
         with pytest.raises(BudgetExceeded):
             LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 31, 10_000))
         assert LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 31, 9_999)) == 0
@@ -179,20 +191,7 @@ class TestExactRefusals:
 
 
 class TestExactRoute:
-    @pytest.fixture
-    def powered(self, monkeypatch):
-        """Counts every series.power_coeff call, passing it through."""
-        calls = []
-        real = S.power_coeff
-
-        def spy(*args):
-            calls.append(args[1:3])
-            return real(*args)
-
-        monkeypatch.setattr(S, "power_coeff", spy)
-        return calls
-
-    def test_polynomial_psi_takes_miller(self, binom, multiplies, powered):
+    def test_polynomial_psi_takes_miller(self, binom, multiplies, routes):
         bern = make_family(parse_family("bernoulli"), trunc=4)
         tri = make_family(parse_family("poly:3,0,1/2,2"), trunc=3)
         exp22 = make_family(parse_family("exp"), trunc=22)
@@ -201,27 +200,36 @@ class TestExactRoute:
                    LP.PowerCoeffQuery(tri, 7, 30),  # past n * deg = 21
                    LP.PowerCoeffQuery(tri, 7, 22, prefactor=exp22))
         got = [LP.exact_power_coeff(q) for q in queries]
-        assert multiplies == [] and powered == []
-        for q, c in zip(queries, got):
-            h = None if q.prefactor is None else q.prefactor.coeffs
-            assert type(c) is Fraction
-            assert c == S.power_coeff(q.psi.coeffs, q.n, q.k, h)
+        assert multiplies == []
+        assert routes == [("_miller_power", q.n, q.k) for q in queries]
+        assert all(type(c) is Fraction for c in got)
+        # (1 + z)^1000, (1 + z)^20 (1 + z), and tri^7 by seven schoolbook products
+        tri7 = [Fraction(1)] + [Fraction(0)] * 22
+        for _ in range(7):
+            tri7 = S.schoolbook_mul(tri7, tri.coeffs.pad(22).coeffs)
+        assert got[:3] == [math.comb(1000, 500), math.comb(21, 10), 0]
+        assert got[3] == sum(tri7[22 - i] / math.factorial(i) for i in range(23))
 
-    def test_rational_polynomial_at_a_huge_exponent(self, multiplies, powered):
+    def test_rational_polynomial_at_a_huge_exponent(self, multiplies, routes):
         # (1 + z/2)^n at n = 10^7: C(n, 10)/2^10, with no 2^n-sized integer
         half = make_family(parse_family("poly:1,1/2"), trunc=1)
         c = LP.exact_power_coeff(LP.PowerCoeffQuery(half, 10**7, 10))
-        assert multiplies == [] and powered == []
+        assert multiplies == [] and routes == [("_miller_power", 10**7, 10)]
         assert type(c) is Fraction and c == Fraction(math.comb(10**7, 10), 2**10)
-        assert c == S.power_coeff(half.coeffs, 10**7, 10)
 
-    def test_series_psi_keeps_binary_powering(self, expf, binom, multiplies, powered):
+    def test_series_psi_keeps_binary_powering(self, expf, binom, multiplies, routes):
         geom = make_family(parse_family("geom"), trunc=16)
         assert LP.exact_power_coeff(LP.PowerCoeffQuery(expf, 7, 9, prefactor=binom)) == (
-            S.power_coeff(expf.coeffs, 7, 9, binom.coeffs))
+            sum(Fraction(7**(9 - i), math.factorial(9 - i)) for i in range(2)))
         assert LP.exact_power_coeff(LP.PowerCoeffQuery(geom, 5, 16)) == math.comb(20, 16)
-        assert powered[0] == (7, 9) and powered[-1] == (5, 16)
+        assert routes == [("_power_split",)] * 2
         assert multiplies != []
+
+    def test_polynomial_read_through_its_degree_keeps_binary_powering(self, routes):
+        # a_k != 0: the window is no polynomial of degree below k
+        tri = make_family(parse_family("poly:3,0,1/2,2"), trunc=3)
+        assert LP.exact_power_coeff(LP.PowerCoeffQuery(tri, 7, 3)) == 7 * 2 * 3**6
+        assert routes == [("_power_split",)]
 
 
 class TestComparable:

@@ -213,10 +213,10 @@ def _estimates(psi: S.CoeffSeries, h: S.CoeffSeries, n: int, k: int):
     q, qh = LP.PowerCoeffQuery(fp, n, k), LP.PowerCoeffQuery(fp, n, k, prefactor=fh)
     z = functools.partial(monomial, order=n)
     yield (lambda: LP.estimate_comparable(q, 1e-6, top),
-           lambda: S.miller_power_coeff(psi, n, k))
-    yield (lambda: LP.estimate_limit_l(q, k / n, 0.0), lambda: S.miller_power_coeff(psi, n, k))
+           lambda: S.power_coeff(psi, n, k))
+    yield (lambda: LP.estimate_limit_l(q, k / n, 0.0), lambda: S.power_coeff(psi, n, k))
     yield (lambda: LP.estimate_with_prefactor(qh, LP.Regime("comparable", a=1e-6, b=top)),
-           lambda: S.miller_power_coeff(psi, n, k, h))
+           lambda: S.power_coeff(psi, n, k, h))
     yield (lambda: A.hayman_estimate(fp, k), lambda: psi.coeff(k) if k <= psi.order else 0)
     yield lambda: L.omm_estimate(fp, n), lambda: L.extended_coeff(z(1), psi, n)
     yield lambda: L.power_asym(fp, 2, n), lambda: L.extended_coeff(z(2), psi, n)

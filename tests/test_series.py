@@ -1,5 +1,6 @@
 """Exact-series arithmetic against schoolbook oracles."""
 
+import contextlib
 import math
 import time
 from fractions import Fraction
@@ -329,55 +330,113 @@ def integer_polynomials(draw, max_degree=8):
     return S.CoeffSeries.from_list(values)
 
 
+@st.composite
+def rational_polynomials(draw, max_degree=6, max_pad=12):
+    """Signed rational coefficients with gaps, a_0 neither 0 nor 1, and up to
+    max_pad zeros past the last nonzero one."""
+    deg = draw(st.integers(min_value=0, max_value=max_degree))
+    head = draw(signed_rationals.filter(lambda x: x not in (0, 1)))
+    body = draw(st.lists(st.one_of(st.just(FR(0)), signed_rationals), min_size=deg, max_size=deg))
+    pad = draw(st.integers(min_value=0, max_value=max_pad))
+    return S.CoeffSeries.from_list([head, *body, *[FR(0)] * pad])
+
+
 def miller_operands(max_order=8):
     """Integer and rational polynomials, sparse ones with long gaps, all
     with a nonzero constant term."""
-    return st.one_of(integer_polynomials(max_order), signed_series(max_order, "nonzero"),
+    return st.one_of(integer_polynomials(max_order), rational_polynomials(max_order),
                      sparse_series(4 * max_order, "nonzero"))
 
 
+small_exponents = st.integers(min_value=1, max_value=12)
+
+
+def iterated_power(a, n, order):
+    """a^n through ``order`` by n - 1 calls of ``mul``: neither route of
+    ``power_coeff`` and ``pow``."""
+    a = a.pad(order).truncate(order)
+    out = a
+    for _ in range(n - 1):
+        out = S.mul(out, a)
+    return out
+
+
+def power_oracle(a, n, k, h=None):
+    """Coefficient k of h*a^n from ``iterated_power`` and ``schoolbook_mul``."""
+    power = iterated_power(a, n, k)
+    if h is None:
+        return power.coeff(k)
+    return S.schoolbook_mul(power.coeffs, h.pad(k).truncate(k).coeffs)[k]
+
+
+def binomial_power(a0, ad, d, n, m):
+    """Coefficient m of (a0 + ad z^d)^n, by the binomial theorem."""
+    if m < 0 or m % d or m // d > n:
+        return 0
+    j = m // d
+    return math.comb(n, j) * FR(a0) ** (n - j) * FR(ad) ** j
+
+
+@contextlib.contextmanager
+def route_spy():
+    """Records, in order, each call of the two private routes of ``series``
+    that ``power_coeff`` and ``pow`` choose between, passing it through."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_miller_power", "_power_split"):
+            def spy(*args, _real=getattr(S, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            mp.setattr(S, name, spy)
+        yield calls
+
+
 class TestMillerPowerCoeff:
-    @settings(max_examples=200, deadline=None)
-    @given(miller_operands(), exponents, st.integers(min_value=0, max_value=40),
+    """``power_coeff`` on polynomial bases, Miller's route past the degree,
+    against iterated ``mul``, ``schoolbook_mul`` and closed forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(miller_operands(), small_exponents, st.data(),
            st.none() | signed_series(12) | sparse_series(40))
-    def test_equals_power_coeff(self, a, n, k, h):
-        c = S.miller_power_coeff(a, n, k, h)
-        assert c == S.power_coeff(a, n, k, h)
+    def test_equals_iterated_mul(self, a, n, data, h):
+        # k from 0 to past n * deg, the last index a^n reaches
+        deg = max(a.nonzero_indices())
+        k = data.draw(st.integers(min_value=0, max_value=min(n * deg + 4, 60)))
+        c = S.power_coeff(a, n, k, h)
+        assert c == power_oracle(a, n, k, h)
         assert type(c) is Fraction
 
     @settings(max_examples=40, deadline=None)
-    @given(miller_operands(max_order=4), exponents,
+    @given(miller_operands(max_order=4), small_exponents,
            st.none() | signed_series(12) | sparse_series(40))
     def test_index_zero_and_past_the_degree(self, a, n, h):
         deg = max(a.nonzero_indices())
         for k in (0, n * deg, n * deg + 1, n * deg + 7):
-            c = S.miller_power_coeff(a, n, k, h)
-            assert c == S.power_coeff(a, n, k, h)
+            c = S.power_coeff(a, n, k, h)
+            assert c == power_oracle(a, n, k, h)
             assert type(c) is Fraction
         if h is None:
-            assert S.miller_power_coeff(a, n, 0) == a.coeff(0) ** n
-            assert S.miller_power_coeff(a, n, n * deg) == a.coeff(deg) ** n
-            assert S.miller_power_coeff(a, n, n * deg + 1) == 0
+            assert S.power_coeff(a, n, 0) == a.coeff(0) ** n
+            assert S.power_coeff(a, n, n * deg) == a.coeff(deg) ** n
+            assert S.power_coeff(a, n, n * deg + 1) == 0
 
     @pytest.mark.parametrize("order", [0, 1, 5, 16])
     def test_dense_series(self, order):
+        # read past its order, a dense series is a polynomial
         for a in (exp_coeffs(order), geometric_series(order), dense_64(3).truncate(order)):
             for n in (1, 2, 3, 7, 8, 13):
-                for k in {0, order // 2, order}:
+                for k in {0, order // 2, order, order + 3}:
                     for h in (None, exp_coeffs(order), S.CoeffSeries.from_list([0, 0, FR(-2, 3)])):
-                        assert S.miller_power_coeff(a, n, k, h) == S.power_coeff(a, n, k, h)
+                        assert S.power_coeff(a, n, k, h) == power_oracle(a, n, k, h)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 100])
     def test_closed_forms(self, n):
         # (1 + z^2)^n, (2 + z)^n and (1/2 + z/3)^n coefficient by coefficient
-        gap = S.CoeffSeries.from_list([1, 0, 1])
-        two = S.CoeffSeries.from_list([2, 1])
-        thirds = S.CoeffSeries.from_list([FR(1, 2), FR(1, 3)])
-        for k in range(2 * n + 3):
-            assert S.miller_power_coeff(gap, n, k) == (math.comb(n, k // 2) if k % 2 == 0 else 0)
-            assert S.miller_power_coeff(two, n, k) == math.comb(n, k) * 2 ** max(n - k, 0)
-            assert S.miller_power_coeff(thirds, n, k) == (
-                math.comb(n, k) * FR(1, 2) ** (n - k) * FR(1, 3) ** k if k <= n else 0)
+        for a0, ad, d in ((1, 1, 2), (2, 1, 1), (FR(1, 2), FR(1, 3), 1)):
+            a = S.CoeffSeries.from_list([a0, *[0] * (d - 1), ad])
+            for k in range(2 * n + 3):
+                assert S.power_coeff(a, n, k) == binomial_power(a0, ad, d, n, k)
 
     def test_huge_exponent_with_a_small_answer(self):
         # a_0 = +-1 and rational a_j: the coefficient stays small whatever n,
@@ -388,30 +447,109 @@ class TestMillerPowerCoeff:
         for n in (10**7, 10**7 + 1, 10**9):
             start = time.perf_counter()
             for k in (0, 1, 10):
-                assert S.miller_power_coeff(half, n, k) == FR(math.comb(n, k), 2**k)
-                assert S.miller_power_coeff(gap, n, 2 * k) == (
+                assert S.power_coeff(half, n, k) == FR(math.comb(n, k), 2**k)
+                assert S.power_coeff(gap, n, 2 * k) == (
                     math.comb(n, k) * (-1) ** (n - k) * FR(2, 3) ** k)
-            assert S.miller_power_coeff(gap, n, 21) == 0
-            assert S.miller_power_coeff(half, n, 10, h) == (
+            assert S.power_coeff(gap, n, 21) == 0
+            assert S.power_coeff(half, n, 10, h) == (
                 FR(1, 5) * FR(math.comb(n, 10), 2**10) + 3 * FR(math.comb(n, 8), 2**8))
             # checked before the next n, so a regression fails before n = 10^9
             assert time.perf_counter() - start < 2.0
-        for a in (half, gap):
-            for k in (0, 7, 10):
-                c = S.miller_power_coeff(a, 10**7, k, h)
-                assert c == S.power_coeff(a, 10**7, k, h) and type(c) is Fraction
+        n = 10**7
+        for a, (a0, ad, d) in ((half, (1, FR(1, 2), 1)), (gap, (-1, FR(2, 3), 2))):
+            for k in (2, 7, 10):
+                c = S.power_coeff(a, n, k, h)
+                assert type(c) is Fraction
+                assert c == (FR(1, 5) * binomial_power(a0, ad, d, n, k)
+                             + 3 * binomial_power(a0, ad, d, n, k - 2))
 
-    def test_rejects_zero_constant_term(self):
-        for a in (S.CoeffSeries.from_list([0, 1]), S.CoeffSeries.from_list([0, 0, 3])):
-            with pytest.raises(ValueError, match="nonzero constant term"):
-                S.miller_power_coeff(a, 3, 2)
+    @settings(max_examples=100, deadline=None)
+    @given(rational_polynomials(), small_exponents, st.data())
+    def test_pow_equals_iterated_mul(self, a, n, data):
+        # the order from 0 to past n * deg, the last index a^n reaches
+        deg = max(a.nonzero_indices())
+        order = data.draw(st.integers(min_value=0, max_value=n * deg + 4))
+        a = a.pad(order).truncate(order)
+        p = S.pow(a, n)
+        assert p == iterated_power(a, n, order)
+        assert all_fractions(p)
 
     def test_rejects_exponent_zero_and_negative_index(self):
-        a = S.CoeffSeries.from_list([1, 1])
+        a = S.CoeffSeries.from_list([1, 1], order=4)
+        for h in (None, a):
+            with pytest.raises(ValueError, match="exponent must be >= 1"):
+                S.power_coeff(a, 0, 3, h)
+            with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+                S.power_coeff(a, 3, -1, h)
         with pytest.raises(ValueError, match="exponent must be >= 1"):
-            S.miller_power_coeff(a, 0, 3)
-        with pytest.raises(ValueError, match="index must be >= 0, got -1"):
-            S.miller_power_coeff(a, 3, -1)
+            S.pow(a, 0)
+
+
+class TestPowerRoute:
+    """``power_coeff`` and ``pow`` take Miller's route exactly when a_0 != 0
+    and the window's last nonzero index lies below the index read."""
+
+    POLYNOMIALS = ([1, 1], [1, 1, 1], [1, FR(3, 2), FR(1, 2)], [1, 0, 1],
+                   [FR(-2, 3), 0, 0, 5, FR(1, 7)])
+
+    def test_polynomial_base_never_reaches_power_split(self):
+        h = S.CoeffSeries.from_list([FR(1, 3), 0, 2])
+        for values in self.POLYNOMIALS:
+            d = len(values) - 1
+            a = S.CoeffSeries.from_list(values)
+            with route_spy() as routes:
+                for n in (1, 2, 5, 16, 1000):
+                    for k in (d + 1, 2 * d + 3, n * d, n * d + 1):
+                        if k > d:
+                            S.power_coeff(a, n, k)
+                            S.power_coeff(a, n, k, h)
+                    S.pow(a.pad(3 * d + 1), n)
+                for n in (1, 2, 5, 16):
+                    S.pow(a.pad(n * d + 1), n)
+                for n in range(d + 2, 16):
+                    L.extended_coeff(h, a.pad(15), n)
+            assert routes and set(routes) == {"_miller_power"}
+            # coefficient n of g reads index n - 1 of psi^n: past d from n = d + 2 on
+            with route_spy() as routes:
+                S.lagrange_invert(a.pad(14), 15)
+            assert routes[d + 1:] == ["_miller_power"] * (14 - d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polynomials(), small_exponents, st.data())
+    def test_any_polynomial_read_past_its_degree_takes_miller(self, a, n, data):
+        deg = max(a.nonzero_indices())
+        k = data.draw(st.integers(min_value=deg + 1, max_value=n * deg + 4))
+        with route_spy() as routes:
+            S.power_coeff(a, n, k)
+            if a.order > deg:
+                S.pow(a, n)
+        assert set(routes) == {"_miller_power"}
+
+    @pytest.mark.parametrize("spec", ["P", "exp", "geom"])
+    def test_nonzero_top_of_the_window_never_reaches_miller(self, spec):
+        for k in (1, 2, 5, 12):
+            a = exact_coeffs(parse_family(spec), k)
+            h = exp_coeffs(k)
+            with route_spy() as routes:
+                for n in (1, 2, 3, 7):
+                    S.power_coeff(a, n, k)
+                    S.power_coeff(a, n, k, h)
+                    S.power_coeff(a.pad(k + 5), n, k)
+                    S.pow(a, n)
+                S.lagrange_invert(a, k + 1)
+                L.extended_coeff(h, a, k + 1)
+            assert "_miller_power" not in routes
+
+    def test_zero_constant_term_never_reaches_miller(self):
+        for values in ([0, 1], [0, 0, 3], [0, FR(1, 2), 0, 1]):
+            a = S.CoeffSeries.from_list(values)
+            with route_spy() as routes:
+                for n in (1, 2, 3, 8):
+                    for k in (0, 1, len(values), n * len(values)):
+                        S.power_coeff(a, n, k)
+                        S.power_coeff(a, n, k, a)
+                    S.pow(a.pad(10), n)
+            assert routes and "_miller_power" not in routes
 
 
 def parent_extended_coeff(h, psi, n):
@@ -629,6 +767,14 @@ class TestLagrangeInversion:
     def test_rejects_zero_constant(self):
         with pytest.raises(ZeroConstantTerm):
             S.lagrange_invert(S.CoeffSeries.from_list([0, 1], order=4), 3)
+
+    # the six sparse operands of the benchmark's exact pool, then three dense
+    @pytest.mark.parametrize("spec", ["poly:1,1", "poly:1,1,1", "canprod:1,2", "canprod:1,3",
+                                      "binom:2", "poly:1,0,1", "P", "exp", "bell"])
+    def test_formula_equals_fixed_point(self, spec):
+        for n_max in range(1, 21):
+            psi = exact_coeffs(parse_family(spec), n_max - 1)
+            assert S.lagrange_invert(psi, n_max) == S.lagrange_fixed_point(psi, n_max)
 
 
 class TestCoeffAccess:
