@@ -118,6 +118,8 @@ def baez_duarte_estimate(fam: Family, n: int) -> Estimate:
     """
     if fam.spec is None:
         raise cat.NoApproxAvailable(f"{fam.name} has no registered approximate laws")
+    if n <= 0:
+        raise ParameterDomain(f"saddle target {n} must be positive")
     approx = cat.approx_moments(fam.spec)
     lead = lattice_lead(fam.q_gcd, n)
     s_n = approx.s_for_mean(float(n))

@@ -24,7 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -551,38 +551,6 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
         usg=v in ("exp", "bell", "P", "Q") or (v == "Wab" and spec.a == 1),
     )
 
-    if v == "exp":
-        return Family(
-            **common, radius=math.inf, mean_sup=math.inf,
-            log_value=lambda t: t,
-            mean=lambda t: t,
-            variance=lambda t: t,
-            log_value_complex=lambda z: z,
-            fulcrum34=lambda s: (math.exp(s), math.exp(s)),
-        )
-
-    if v in ("bernoulli", "binom"):
-        n = 1 if v == "bernoulli" else spec.n
-        return Family(
-            **common, radius=math.inf, mean_sup=float(n),
-            log_value=lambda t: n * math.log1p(t),
-            mean=lambda t: _binom_mean(n, t),
-            variance=lambda t: _binom_var(n, t),
-            log_value_complex=lambda z: n * cmath.log(1 + z),
-            fulcrum34=lambda s: _binom_f34(n, math.exp(s)),
-        )
-
-    if v in ("geom", "negbinom"):
-        n = 1 if v == "geom" else spec.n
-        return Family(
-            **common, radius=1.0, mean_sup=math.inf,
-            log_value=lambda t: -n * math.log1p(-t),
-            mean=lambda t: n * t / (1.0 - t),
-            variance=lambda t: n * t / (1.0 - t) ** 2,
-            log_value_complex=lambda z: -n * cmath.log(1 - z),
-            fulcrum34=lambda s: _geom_f34(n, math.exp(s)),
-        )
-
     if v in ("poly", "canprod"):
         if v == "canprod":
             poly = _canprod_poly(spec.zeros, len(spec.zeros))
@@ -590,50 +558,124 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
             poly = se.CoeffSeries.from_list(spec.coeffs)
         return dataclasses.replace(family_from_coeffs(poly, name=common["name"]), **common)
 
-    if v == "bell":
-        def f34(s: float) -> tuple[float, float]:
-            t = math.exp(s)
-            et = _float_exp(math.exp, t)
-            return (t + 3 * t * t + t**3) * et, (t + 7 * t * t + 6 * t**3 + t**4) * et
-
+    if v in ("P", "Q", "Pab", "Wab"):
+        p0, d, b = _parts_shape(spec)
+        log_value, mean, variance, log_complex, fulcrum34, log_circle = _parts_sums(p0, d, b)
         return Family(
-            **common, radius=math.inf, mean_sup=math.inf,
-            log_value=lambda t: _float_exp(math.expm1, t),
-            mean=lambda t: t * _float_exp(math.exp, t),
-            variance=lambda t: t * (1.0 + t) * _float_exp(math.exp, t),
-            log_value_complex=lambda z: cmath.exp(z) - 1,
-            fulcrum34=f34,
+            **common, radius=1.0, mean_sup=math.inf, log_value=log_value, mean=mean,
+            variance=variance, log_value_complex=log_complex, log_value_circle=log_circle,
+            q_gcd=math.gcd(p0, d), fulcrum34=fulcrum34,
         )
 
-    if v == "expof":
-        return _exp_poly_family(se.CoeffSeries.from_list(spec.coeffs), common)
+    return _closed_family(spec, common)
 
-    if v == "setsoflists":
-        def f34(s: float) -> tuple[float, float]:
-            t = math.exp(s)
-            f3 = t * (1 + 4 * t + t * t) / (1 - t) ** 4
-            f4 = t * (1 + 11 * t + 11 * t * t + t**3) / (1 - t) ** 5
-            return f3, f4
 
-        return Family(
-            **common, radius=1.0, mean_sup=math.inf,
-            log_value=lambda t: t / (1.0 - t),
-            mean=lambda t: t / (1.0 - t) ** 2,
-            variance=lambda t: t * (1.0 + t) / (1.0 - t) ** 3,
-            log_value_complex=lambda z: z / (1 - z),
-            fulcrum34=f34,
-        )
+# -- closed forms: f = e^g, so the cumulants are kappa_q = (theta^q g)(t) ----------
 
-    # partition products: P, Q, Pab, Wab
-    p0, d, b = _parts_shape(spec)
-    log_value, mean, variance, log_complex, fulcrum34, log_circle = _parts_sums(p0, d, b)
+# w Li_{-r}(t) = w sum_k k^r t^k at index r + 1, r = -1 .. 4: -w ln(1 - t),
+# then w t A_r(t) / (1 - t)^(r+1) with A_r the Eulerian polynomials
+_POLYLOG = (
+    lambda w, t: -w * math.log1p(-t),
+    lambda w, t: w * t / (1.0 - t),
+    lambda w, t: w * t / (1.0 - t) ** 2,
+    lambda w, t: w * t * (1 + t) / (1 - t) ** 3,
+    lambda w, t: w * t * (1 + 4 * t + t * t) / (1 - t) ** 4,
+    lambda w, t: w * t * (1 + 11 * t + 11 * t * t + t**3) / (1 - t) ** 5,
+)
 
+# kappa_1 .. kappa_4 of binom:n, g = n ln(1 + z), in t and in x = t/(1+t);
+# the x-forms take 1 - x as y = 1/(1+t), since 1 - x itself rounds to 0
+# where the t-forms leave the float range
+_BINOM_T = (
+    lambda n, t: n * t / (1.0 + t),
+    lambda n, t: n * t / (1.0 + t) ** 2,
+    lambda n, t: n * t * (1 - t) / (1 + t) ** 3,
+    lambda n, t: n * t * (1 - 4 * t + t * t) / (1 + t) ** 4,
+)
+_BINOM_X = (
+    lambda n, x, y: n * x,
+    lambda n, x, y: n * x * y,
+    lambda n, x, y: n * x * y * (y - x),
+    lambda n, x, y: n * x * y * (1 - 6 * x * y),
+)
+
+# kappa_1 .. kappa_4 of bell, g = e^z - 1: T_q(t) e^t from (t, e^t), with
+# T_q the Touchard polynomials
+_TOUCHARD = (
+    lambda t, et: t * et,
+    lambda t, et: t * (1.0 + t) * et,
+    lambda t, et: (t + 3 * t * t + t**3) * et,
+    lambda t, et: (t + 7 * t * t + 6 * t**3 + t**4) * et,
+)
+
+
+def _binom_kappa(t_form, x_form, n: int, t: float) -> float:
+    """The t-form, or the x-form where the t-form overflows: raises or is inf."""
+    try:
+        k = t_form(n, t)
+    except OverflowError:
+        k = math.inf
+    return x_form(n, t / (1.0 + t), 1.0 / (1.0 + t)) if k == math.inf else k
+
+
+def _bell_kappa(touchard, t: float) -> float:
+    return touchard(t, _float_exp(math.exp, t))
+
+
+def _theta_poly(q: int, g: Sequence[float], t: float) -> float:
+    """(theta^q g)(t) = sum_n n^q g_n t^n, one fsum over the nonzero g_n."""
+    return math.fsum(n**q * c * t**n for n, c in enumerate(g) if c)
+
+
+def _horner(g: Sequence[float], z: complex) -> complex:
+    acc = complex(0.0)
+    for c in reversed(g):
+        acc = acc * z + c
+    return acc
+
+
+def _fulcrum34(k3, k4, s: float) -> tuple[float, float]:
+    t = math.exp(s)
+    return k3(t), k4(t)
+
+
+def _closed_family(spec: FamilySpec, common: dict) -> Family:
+    """A closed-form variant's family from its table kappa_0 .. kappa_4 of t,
+    one callable object per entry. With theta = t d/dt, kappa_0 = ln f = g,
+    kappa_1 is the mean, kappa_2 the variance, and fulcrum34(s) is the pair
+    of fulcrum derivatives (kappa_3, kappa_4) at t = e^s."""
+    v = spec.variant
+    radius, mean_sup, q_gcd = math.inf, math.inf, 1
+    if v == "exp":  # theta^q z = z
+        kappas, log_complex = [(lambda t: t) for _ in range(5)], lambda z: z
+    elif v in ("bernoulli", "binom"):
+        n = 1 if v == "bernoulli" else spec.n
+        mean_sup = float(n)
+        kappas = [lambda t: n * math.log1p(t)]
+        kappas += [partial(_binom_kappa, tf, xf, n) for tf, xf in zip(_BINOM_T, _BINOM_X)]
+        log_complex = lambda z: n * cmath.log(1 + z)
+    elif v in ("geom", "negbinom"):  # kappa_q = N Li_{1-q}
+        n = 1 if v == "geom" else spec.n
+        radius = 1.0
+        kappas = [partial(li, n) for li in _POLYLOG[:5]]
+        log_complex = lambda z: -n * cmath.log(1 - z)
+    elif v == "setsoflists":  # g = z/(1-z): kappa_q = Li_{-q}
+        radius = 1.0
+        kappas, log_complex = [partial(li, 1) for li in _POLYLOG[1:]], lambda z: z / (1 - z)
+    elif v == "bell":  # g = e^z - 1
+        kappas = [lambda t: _float_exp(math.expm1, t)]
+        kappas += [partial(_bell_kappa, tq) for tq in _TOUCHARD]
+        log_complex = lambda z: cmath.exp(z) - 1
+    else:  # expof: kappa_q = sum_n n^q g_n t^n
+        g = tuple(float(c) for c in spec.coeffs)
+        kappas = [partial(_theta_poly, q, g) for q in range(5)]
+        log_complex = partial(_horner, g)
+        q_gcd = se.support_gcd(se.CoeffSeries.from_list(spec.coeffs))
+    k0, k1, k2, k3, k4 = kappas
     return Family(
-        **common, radius=1.0, mean_sup=math.inf,
-        log_value=log_value, mean=mean, variance=variance,
-        log_value_complex=log_complex, log_value_circle=log_circle,
-        q_gcd=math.gcd(p0, d),
-        fulcrum34=fulcrum34,
+        **common, radius=radius, mean_sup=mean_sup,
+        log_value=k0, mean=k1, variance=k2, log_value_complex=log_complex,
+        q_gcd=q_gcd, fulcrum34=partial(_fulcrum34, k3, k4),
     )
 
 
@@ -643,88 +685,6 @@ def _float_exp(fn: Callable[[float], float], t: float) -> float:
         return fn(t)
     except OverflowError:
         raise DomainError(f"e^{t} overflows a float") from None
-
-
-def _binom_mean(n: int, t: float) -> float:
-    m = n * t / (1.0 + t)
-    # n t overflows for t near the float maximum; n x with x = t/(1+t) does not
-    return n * (t / (1.0 + t)) if m == math.inf else m
-
-
-def _binom_var(n: int, t: float) -> float:
-    try:
-        return n * t / (1.0 + t) ** 2
-    except OverflowError:
-        return _binom_cumulants_in_x(n, t)[0]
-
-
-def _binom_f34(n: int, t: float) -> tuple[float, float]:
-    try:
-        f3 = n * t * (1 - t) / (1 + t) ** 3
-    except OverflowError:
-        f3 = _binom_cumulants_in_x(n, t)[1]
-    try:
-        f4 = n * t * (1 - 4 * t + t * t) / (1 + t) ** 4
-    except OverflowError:
-        f4 = _binom_cumulants_in_x(n, t)[2]
-    return f3, f4
-
-
-def _binom_cumulants_in_x(n: int, t: float) -> tuple[float, float, float]:
-    """kappa_2..kappa_4 of binom:n as n x(1-x), n x(1-x)(1-2x) and
-    n x(1-x)(1-6x(1-x)) in x = t/(1+t), for t where (1+t)^k leaves the float
-    range. 1 - x is taken as 1/(1+t): 1 - x itself rounds to 0 there."""
-    x, y = t / (1.0 + t), 1.0 / (1.0 + t)
-    var = n * x * y
-    return var, var * (y - x), var * (1 - 6 * x * y)
-
-
-def _geom_f34(n: int, t: float) -> tuple[float, float]:
-    f3 = n * t * (1 + t) / (1 - t) ** 3
-    f4 = n * t * (1 + 4 * t + t * t) / (1 - t) ** 4
-    return f3, f4
-
-
-def _exp_poly_family(g: se.CoeffSeries, common: dict) -> Family:
-    gf = [float(c) for c in g.coeffs]
-
-    def g_at(t: float) -> float:
-        return math.fsum(c * t**n for n, c in enumerate(gf) if c)
-
-    def g_deriv(t: float, order: int) -> float:
-        return math.fsum(
-            math.prod(range(n - order + 1, n + 1)) * c * t ** (n - order)
-            for n, c in enumerate(gf)
-            if c and n >= order
-        )
-
-    def g_complex(z: complex) -> complex:
-        acc = complex(0.0)
-        for c in reversed(gf):
-            acc = acc * z + c
-        return acc
-
-    def f34(s: float) -> tuple[float, float]:
-        # F(s) = g(e^s): F^(q)(s) = sum_m m^q g_m e^{ms}
-        t = math.exp(s)
-        f3 = math.fsum(n**3 * c * t**n for n, c in enumerate(gf) if c)
-        f4 = math.fsum(n**4 * c * t**n for n, c in enumerate(gf) if c)
-        return f3, f4
-
-    def mean(t: float) -> float:
-        return t * g_deriv(t, 1)
-
-    return Family(
-        **common, radius=math.inf, mean_sup=math.inf,
-        log_value=g_at,
-        mean=mean,
-        # sigma^2 = m + t^2 g''(t); a g of degree 1 is Poisson, sigma^2 = m,
-        # where t * t * 0.0 would be nan once t * t is inf
-        variance=(lambda t: mean(t) + t * t * g_deriv(t, 2)) if any(gf[2:]) else mean,
-        log_value_complex=g_complex,
-        q_gcd=se.support_gcd(g),
-        fulcrum34=f34,
-    )
 
 
 # -- the Mellin record and the approximate laws -----------------------------------

@@ -18,6 +18,7 @@ exits 3 too.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -49,6 +50,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _finite(x, what: str):
+    """x, a float or complex result; DomainError where it is nan or infinite,
+    which no success row may print."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"{what} is {x}")
+    return x
+
+
 def _value_cell(ln: float, sign: int = 1) -> str:
     if sign == 0:
         return "0"
@@ -57,10 +66,10 @@ def _value_cell(ln: float, sign: int = 1) -> str:
     return _fmt(sign * math.exp(ln))
 
 
-def _log_cells(value: LogNumber) -> tuple[str, str]:
+def _log_cells(value: LogNumber, what: str = "ln") -> tuple[str, str]:
     if value.sign == 0:
         return ("", "0")
-    ln = value.log_abs
+    ln = _finite(value.log_abs, what)
     return (_fmt(ln), _value_cell(ln, value.sign))
 
 
@@ -139,7 +148,8 @@ def cmd_coeff(args, stream) -> int:
     rows: list[dict] = []
     exact_log: LogNumber | None = None
     if "exact" in methods:
-        a_n = fam.coeffs_through(n).coeff(n)
+        # past a polynomial's degree a_n is 0, read without a window through n
+        a_n = Fraction(0) if n > fam.degree else fam.coeffs_through(n).coeff(n)
         exact_log = LogNumber.from_fraction(a_n)
         ln_cell, val_cell = _log_cells(exact_log)
         rows.append(
@@ -204,18 +214,18 @@ def cmd_family(args, stream) -> int:
     rows = []
     for stat in stats:
         val = _family_stat(fam, stat, args.t)
+        what = f"{stat} at t={args.t}"
         if isinstance(val, complex):
+            _finite(val, what)
             rows.append({"stat": stat, "ln": _fmt(math.log(abs(val))) if val else "",
                          "value": f"{val.real:.12g}{val.imag:+.12g}j"})
         elif isinstance(val, str):
             rows.append({"stat": stat, "ln": "", "value": val})
         elif isinstance(val, LogNumber):
-            ln_cell, v_cell = _log_cells(val)
+            ln_cell, v_cell = _log_cells(val, what)
             rows.append({"stat": stat, "ln": ln_cell, "value": v_cell})
         else:
-            x = float(val)
-            if not math.isfinite(x):
-                raise DomainError(f"{stat} at t={args.t} is {x}")
+            x = _finite(float(val), what)
             if x > 0:
                 rows.append({"stat": stat, "ln": _fmt(math.log(x)), "value": _fmt(x)})
             else:
@@ -294,7 +304,9 @@ def cmd_lagrange(args, stream) -> int:
         h = C.make_family(C.parse_family(args.h), trunc=args.trunc)
     if op == "apex":
         ap = L.apex(psi)
-        rows.append({"op": "apex", "n": "", "ln": "", "value": f"{ap.kind} tau={_fmt(ap.tau)}"})
+        shape = (f"a={ap.linear_a} b={ap.linear_b}" if ap.kind == "linear"
+                 else f"tau={_fmt(ap.tau)}")
+        rows.append({"op": "apex", "n": "", "ln": "", "value": f"{ap.kind} {shape}"})
     elif op == "omm":
         est = L.omm_estimate(psi, args.n)
         if isinstance(est, L.DecayCertificate):
@@ -311,7 +323,7 @@ def cmd_lagrange(args, stream) -> int:
         est = L.func_asym(h, psi, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "bt":
-        p = L.borel_tanner_pmf(args.t, args.j, args.n)
+        p = _finite(L.borel_tanner_pmf(args.t, args.j, args.n), "bt-pmf")
         rows.append({"op": "bt-pmf", "n": args.n,
                      "ln": _fmt(L.borel_tanner_log_pmf(args.t, args.j, args.n)),
                      "value": _fmt(p)})
@@ -319,7 +331,7 @@ def cmd_lagrange(args, stream) -> int:
         est = L.borel_tanner_asym(args.t, args.j, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "pp":
-        p = L.poisson_poisson_pmf(args.s, args.t, args.n)
+        p = _finite(L.poisson_poisson_pmf(args.s, args.t, args.n), "pp-pmf")
         rows.append({"op": "pp-pmf", "n": args.n,
                      "ln": _fmt(math.log(p)) if p > 0 else "", "value": _fmt(p)})
     elif op == "ppasym":
@@ -359,18 +371,17 @@ def cmd_diag(args, stream) -> int:
         for stat in stats:
             name, _, arg = stat.partition(":")
             if name == "cltsup":
-                row[name] = _fmt(A.local_clt_sup(fam, t))
+                cells = {name: A.local_clt_sup(fam, t)}
             elif name == "sgint":
-                row[name] = _fmt(A.strong_gaussian_integral(fam, t))
+                cells = {name: A.strong_gaussian_integral(fam, t)}
             elif name == "gratio":
-                row[name] = _fmt(A.gaussianity_ratio(fam, t))
+                cells = {name: A.gaussianity_ratio(fam, t)}
             elif name == "cuts":
                 h = float(arg) if arg else min(math.pi, t ** -0.4)
-                major, minor = A.cut_diagnostics(fam, t, h)
-                row["major"] = _fmt(major)
-                row["minor"] = _fmt(minor)
+                cells = dict(zip(("major", "minor"), A.cut_diagnostics(fam, t, h)))
             else:
                 raise InvalidSpec(f"unknown diag stat {stat!r}")
+            row.update((c, _fmt(_finite(x, f"{c} at t={t}"))) for c, x in cells.items())
         rows.append(row)
     columns = ["t"] + [c for c in ("cltsup", "sgint", "gratio", "major", "minor")
                        if any(c in r for r in rows)]

@@ -164,6 +164,8 @@ class Family:
 def log_mass(fam: Family, t: float, n: int) -> LogNumber:
     """P(X_t = n) as a LogNumber; requires coefficient access."""
     fam.check_radius(t)
+    if n > fam.degree and fam.has_coeffs:  # past a polynomial's degree, unread
+        return LogNumber.zero()
     cs = fam.coeffs_through(n)
     if cs.coeff(n) == 0:
         return LogNumber.zero()

@@ -224,12 +224,16 @@ def borel_tanner_asym(t: float, j: int, n: int) -> Estimate:
     return Estimate("borel-tanner", LogNumber.from_log(ln), {"t": t, "j": j, "n": n})
 
 
-def poisson_poisson_pmf(s: float, t: float, n: int) -> float:
-    """P(total progeny = n) with Poisson(t) offspring, Poisson(s) initial law."""
+def _check_poisson_progeny(s: float, t: float, n: int) -> None:
     if not (0.0 < t <= 1.0 and s > 0.0):
         raise ParameterDomain("need 0 < t <= 1 and s > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+
+
+def poisson_poisson_pmf(s: float, t: float, n: int) -> float:
+    """P(total progeny = n) with Poisson(t) offspring, Poisson(s) initial law."""
+    _check_poisson_progeny(s, t, n)
     ln = (
         -math.lgamma(n + 1.0)
         - t * n
@@ -242,8 +246,7 @@ def poisson_poisson_pmf(s: float, t: float, n: int) -> float:
 
 def poisson_poisson_asym(s: float, t: float, n: int) -> Estimate:
     """(1/sqrt(2 pi)) e^{s/t - s} s t^{n-1} e^{n(1-t)} n^{-3/2}."""
-    if not (0.0 < t <= 1.0 and s > 0.0):
-        raise ParameterDomain("need 0 < t <= 1 and s > 0")
+    _check_poisson_progeny(s, t, n)
     ln = (
         -0.5 * math.log(2.0 * math.pi)
         + s / t
@@ -360,6 +363,7 @@ def gw_sample(
     if trials < 1:
         raise ValueError("need at least one trial")
     psi, t = spec.psi, spec.t
+    psi.check_radius(t)
     if psi.mean(t) > 1.0 + 1e-12:
         raise SupercriticalSpec(f"offspring mean {psi.mean(t)} exceeds 1 at t = {t}")
     rng = random.Random(seed)

@@ -174,6 +174,18 @@ class TestLagrangeVerb:
         row = json.loads(out.splitlines()[0])
         assert abs(float(row["value"]) - math.exp(-1.5) * 1.5**2 / (3 * 2)) < 1e-9
 
+    @pytest.mark.parametrize("psi,shape", [("poly:1,1", "a=1 b=1"), ("bernoulli", "a=1 b=1"),
+                                           ("poly:2,1/3", "a=2 b=1/3")])
+    def test_linear_apex_prints_its_coefficients(self, psi, shape):
+        # psi = a + b z has tau = inf, which printed as "linear tau=inf"
+        code, out = run(["--out", "csv", "lagrange", "--op", "apex", "--psi", psi])
+        assert (code, out.splitlines()[1]) == (0, f"apex,,,linear {shape}")
+
+    @pytest.mark.parametrize("op", ["pp", "ppasym"])
+    def test_poisson_progeny_needs_n_at_least_one(self, op, capsys):
+        assert cli.main(["lagrange", "--op", op, "--n", "0"]) == 2
+        assert capsys.readouterr() == ("", "usage error: n must be >= 1\n")
+
     def test_sampler_deterministic_output(self):
         argv = ["--seed", "9", "--out", "csv", "lagrange", "--op", "sample",
                 "--psi", "exp", "--t", "0.5", "--j", "1", "--trials", "2000"]
@@ -345,8 +357,20 @@ SADDLE_TARGET_INPUTS = [
     "coeff --family P --n 0 --method hayman",
     "coeff --family P --n -3 --method hayman",
     "largepow --psi poly:1,1 --n 10 --k 0 --regime limitl:0,0",
+    "coeff --family P --n -1 --method bd",  # a TypeError escaped
+    "coeff --family bell --n 0 --method bd",  # usage error: math domain error
 ]
 CONTRACT_INPUTS += SADDLE_TARGET_INPUTS
+# A result that evaluates to nan or inf at valid arguments; these printed it
+# with exit 0.
+NAN_CELL_INPUTS = [
+    ("diag --family bell --t 700 --stats sgint", "sgint at t=700.0 is nan"),
+    ("diag --family bell --t 700 --stats gratio", "gratio at t=700.0 is nan"),
+    ("diag --family bell --t 700 --stats cuts", "minor at t=700.0 is nan"),
+    ("lagrange --op pp --s inf", "pp-pmf is nan"),
+    ("lagrange --op ppasym --t 1e-300 --s 1e300 --n 2", "ln is inf"),
+]
+CONTRACT_INPUTS += [line for line, _ in NAN_CELL_INPUTS]
 
 
 @pytest.mark.parametrize("line", CONTRACT_INPUTS)
@@ -388,6 +412,27 @@ def test_float_range_error_is_a_domain_error(line, capsys):
 def test_non_positive_saddle_target_is_a_parameter_error(line, capsys):
     assert cli.main(shlex.split(line)) == 3
     assert capsys.readouterr().err.startswith("error: ParameterDomain: saddle target ")
+
+
+@pytest.mark.parametrize("line,what", NAN_CELL_INPUTS)
+def test_a_nan_or_inf_result_is_a_domain_error_naming_it(line, what, capsys):
+    assert cli.main(shlex.split(line)) == 3
+    assert capsys.readouterr().err == f"error: DomainError: {what}\n"
+
+
+@pytest.mark.parametrize("line,row", [
+    ("coeff --family binom:2 --n 1000000000 --method exact", "exact,1000000000,,0,"),
+    ("--trunc 8 coeff --family binom:40 --n 1000000000 --method exact", "exact,1000000000,,0,"),
+    ("family --family binom:2 --t 1 --stats mass:1000000000", "mass:1000000000,,0"),
+])
+def test_a_zero_past_a_polynomial_degree_builds_no_window(line, row, monkeypatch):
+    # a window through n would hold n + 1 coefficients
+    def spy(spec, n_max):
+        raise AssertionError(f"exact_coeffs({spec.key()}, {n_max}) called")
+
+    monkeypatch.setattr(cli.C, "exact_coeffs", spy)
+    code, out = run(["--out", "csv"] + shlex.split(line))
+    assert (code, out.splitlines()[1]) == (0, row)
 
 
 # -- closed forms read the family's Mellin record ---------------------------------

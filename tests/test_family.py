@@ -130,11 +130,17 @@ class TestMoments:
                 assert b >= a - 1e-9
 
     def test_moments_match_direct_sums(self, fams):
-        for name, t in (("exp", 2.0), ("geom", 0.4), ("bell", 1.2), ("P", 0.4)):
-            fam = fams[name]
+        # moment(k) reads kappa_1 .. kappa_4 and the direct sum reads kappa_0
+        # and the oracle's law, so each closed-form table is tied to its law
+        cases = [(fams[name], t) for name, t in (("exp", 2.0), ("geom", 0.4), ("bell", 1.2),
+                                                 ("P", 0.4), ("bern", 0.7), ("binom5", 1.3))]
+        cases += [(make_family(parse_family(text), trunc=256), t) for text, t in (
+            ("negbinom:3", 0.5), ("setsoflists", 0.3), ("expof:poly:0,1,1", 1.1),
+            ("expof:poly:0,0,1", 0.9))]
+        for fam, t in cases:
             for k in (1, 2, 3, 4):
                 direct = F._direct_weighted_sum(fam, t, lambda x: x**k, k)
-                assert abs(F.moment(fam, t, k) - direct) <= 1e-8 * max(1.0, direct)
+                assert abs(F.moment(fam, t, k) - direct) <= 1e-8 * max(1.0, direct), (fam.name, k)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_one_evaluation_of_the_cumulants(self, fams, k):

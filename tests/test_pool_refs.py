@@ -10,30 +10,11 @@ under ``perfbench/`` is written.
 """
 
 import difflib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 import khinfam
 import khinfam.cli  # noqa: F401  (the cli pool's entry point)
-
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def run():
-    """perfbench/run.py as a module (it imports ``pools`` from its folder)."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    writes = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes
-    return module
 
 
 def describe(record, ref) -> str:
@@ -48,12 +29,12 @@ def describe(record, ref) -> str:
 
 
 @pytest.mark.parametrize("workload", ["exact", "saddle", "cli"])
-def test_every_pool_query_matches_its_reference(run, workload):
-    pool = run.pools.POOLS[workload]()
-    refs = run.load_refs(workload, pool)
+def test_every_pool_query_matches_its_reference(perfbench_run, workload):
+    pool = perfbench_run.pools.POOLS[workload]()
+    refs = perfbench_run.load_refs(workload, pool)
     assert refs is not None, f"perfbench/refs/{workload}.json misses pool entries"
-    inputs = run.pools.build_inputs(khinfam, workload, pool)
-    records = [run.one_query(khinfam, workload, inputs, q, refs) for q in pool]
+    inputs = perfbench_run.pools.build_inputs(khinfam, workload, pool)
+    records = [perfbench_run.one_query(khinfam, workload, inputs, q, refs) for q in pool]
     assert len({r.q.qid for r in records}) == {"exact": 143, "saddle": 214, "cli": 107}[workload]
     moved = "\n\n".join(describe(r, refs[r.q.qid]) for r in records if r.status != "ok")
     if moved:
