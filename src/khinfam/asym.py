@@ -293,9 +293,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, base: int = 4096) -> fl
 def gaussianity_ratio(fam: Family, t: float) -> float:
     """Skewness-type ratio F'''(s) / F''(s)^{3/2} at s = ln t."""
     fam.check_radius(t)
-    s = math.log(t)
-    d = fm.fulcrum_derivs(fam, s, max_order=3)
-    return d[2] / d[1] ** 1.5
+    return fam.fulcrum34(math.log(t))[0] / fam.variance(t) ** 1.5
 
 
 def cut_diagnostics(fam: Family, t: float, h: float, grid: int = 2048) -> tuple[float, float]:

@@ -174,7 +174,7 @@ def cmd_coeff(args, stream) -> int:
 # -- family verb ----------------------------------------------------------------
 
 
-def _family_stat(fam, stat: str, t: float) -> float | LogNumber | complex | str:
+def _family_stat(fam, stat: str, t: float) -> float | complex | str:
     name, _, arg = stat.partition(":")
     if name == "mean":
         return fam.mean(t)
@@ -221,9 +221,6 @@ def cmd_family(args, stream) -> int:
                          "value": f"{val.real:.12g}{val.imag:+.12g}j"})
         elif isinstance(val, str):
             rows.append({"stat": stat, "ln": "", "value": val})
-        elif isinstance(val, LogNumber):
-            ln_cell, v_cell = _log_cells(val, what)
-            rows.append({"stat": stat, "ln": ln_cell, "value": v_cell})
         else:
             x = _finite(float(val), what)
             if x > 0:

@@ -44,21 +44,6 @@ if TYPE_CHECKING:  # catalog imports this module
 MAX_TERM_H = 1.0 / (4.0 * math.sqrt(2.0))
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k)."""
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    row = [1] + [0] * n
-    for m in range(1, n + 1):
-        new = [0] * (n + 1)
-        for j in range(1, m + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[k]
-
-
 class Oracle:
     """Exact coefficients a_0..a_n, built by ``build(n)`` on the first ask and
     kept; an ask past them rebuilds through n, or twice the kept order if
@@ -264,50 +249,49 @@ def _cumulants(fam: Family, t: float, order: int) -> list[float]:
     return out[:order]
 
 
-def _factorial_moments(kappa: list[float]) -> list[float]:
-    """Factorial moments of orders 1..len(kappa) from the cumulants kappa
-    (at most four), through the raw moments."""
-    j = len(kappa)
+def _raw_moments(fam: Family, t: float, k: int) -> list[float]:
+    """E[X_t], ..., E[X_t^k] (k <= 4) from the cumulants."""
+    kappa = _cumulants(fam, t, k)
     m1 = kappa[0]
-    ex = [1.0, m1]
-    if j >= 2:
+    ex = [m1]
+    if k >= 2:
         ex.append(kappa[1] + m1 * m1)
-    if j >= 3:
+    if k >= 3:
         ex.append(kappa[2] + 3.0 * kappa[1] * m1 + m1**3)
-    if j >= 4:
+    if k >= 4:
         ex.append(kappa[3] + 4.0 * kappa[2] * m1 + 3.0 * kappa[1] ** 2
                   + 6.0 * kappa[1] * m1 * m1 + m1**4)
-    out = [ex[1]]
-    if j >= 2:
-        out.append(ex[2] - ex[1])
-    if j >= 3:
-        out.append(ex[3] - 3.0 * ex[2] + 2.0 * ex[1])
-    if j >= 4:
-        out.append(ex[4] - 6.0 * ex[3] + 11.0 * ex[2] - 6.0 * ex[1])
-    return out
+    return ex
 
 
 def factorial_moment(fam: Family, t: float, j: int) -> float:
-    """E[X_t (X_t - 1) ... (X_t - j + 1)] = t^j f^(j)(t) / f(t)."""
+    """E[X_t (X_t - 1) ... (X_t - j + 1)] = t^j f^(j)(t) / f(t): from the
+    raw moments for j <= 4, by direct coefficient sums past that."""
     if j < 0:
         raise ValueError("factorial moment order must be >= 0")
     fam.check_radius(t)
     if j == 0:
         return 1.0
     if j > 4:
-        return _direct_moment_sum(fam, t, j, factorial=True)
-    return _factorial_moments(_cumulants(fam, t, j))[-1]
+        return _direct_weighted_sum(fam, t, lambda n: math.prod(n - i for i in range(j)), j)
+    ex = _raw_moments(fam, t, j)
+    if j == 1:
+        return ex[0]
+    if j == 2:
+        return ex[1] - ex[0]
+    if j == 3:
+        return ex[2] - 3.0 * ex[1] + 2.0 * ex[0]
+    return ex[3] - 6.0 * ex[2] + 11.0 * ex[1] - 6.0 * ex[0]
 
 
 def moment(fam: Family, t: float, k: int) -> float:
-    """E[X_t^k] via Stirling numbers over factorial moments (k <= 4),
-    falling back to direct coefficient sums for higher k."""
+    """E[X_t^k]: from the cumulants for k <= 4, by direct coefficient sums
+    past that."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
     if k > 4:
-        return _direct_moment_sum(fam, t, k, factorial=False)
-    fm = _factorial_moments(_cumulants(fam, t, k))
-    return math.fsum(stirling2(k, j) * fm[j - 1] for j in range(1, k + 1))
+        return _direct_weighted_sum(fam, t, lambda n: n**k, k)
+    return _raw_moments(fam, t, k)[-1]
 
 
 def central_moment(fam: Family, t: float, k: int) -> float:
@@ -323,23 +307,6 @@ def central_moment(fam: Family, t: float, k: int) -> float:
         return k3 if k == 3 else k4 + 3.0 * fam.variance(t) ** 2
     m = fam.mean(t)
     return _direct_weighted_sum(fam, t, lambda n: (n - m) ** k, k)
-
-
-def _direct_moment_sum(fam: Family, t: float, k: int, factorial: bool) -> float:
-    if factorial:
-
-        def w(n: float) -> float:
-            acc = 1.0
-            for i in range(k):
-                acc *= n - i
-            return acc
-
-    else:
-
-        def w(n: float) -> float:
-            return n**k
-
-    return _direct_weighted_sum(fam, t, w, k)
 
 
 def _direct_weighted_sum(fam: Family, t: float, weight: Callable[[float], float],
@@ -386,7 +353,7 @@ def mgf(fam: Family, t: float, lam: float) -> float:
     """E[e^{lam X_t}] = f(t e^lam) / f(t)."""
     fam.check_radius(t)
     t2 = t * math.exp(lam)
-    if t2 >= fam.radius:
+    if not t2 < fam.radius:
         raise RadiusOutOfRange(f"t*e^lambda = {t2} reaches the radius {fam.radius}")
     return math.exp(fam.log_value(t2) - fam.log_value(t))
 
@@ -395,10 +362,7 @@ def fulcrum_derivs(fam: Family, s: float, max_order: int = 4) -> tuple[float, ..
     """Derivatives F', F'', F''', F'''' of F(s) = ln f(e^s)."""
     if not 1 <= max_order <= 4:
         raise DerivativeOrderUnavailable("fulcrum derivatives available up to order 4")
-    t = math.exp(s)
-    if t >= fam.radius:
-        raise RadiusOutOfRange(f"e^s = {t} outside radius {fam.radius}")
-    return tuple(_cumulants(fam, t, max_order))
+    return tuple(_cumulants(fam, math.exp(s), max_order))
 
 
 # -- Chernoff bounds -----------------------------------------------------------
@@ -408,7 +372,7 @@ def chernoff_sigma(fam: Family, t: float, lam_max: float) -> float:
     """Sigma(s, Lambda) = 2 max_{0<|u|<=Lambda} (F'(s+u) - F'(s)) / u, 1024 steps a side."""
     fam.check_radius(t)
     s = math.log(t)
-    if t * math.exp(lam_max) >= fam.radius:
+    if not t * math.exp(lam_max) < fam.radius:
         raise RadiusOutOfRange("t*e^Lambda must stay inside the radius")
     m0 = fam.mean(t)
     best = 0.0

@@ -177,13 +177,17 @@ def _log_derivative(f: Family, x: float) -> float:
 # -- Borel-Tanner and Poisson-initial progeny laws ---------------------------------
 
 
-def borel_tanner_log_pmf(t: float, j: int, n: int) -> float:
+def _check_borel_tanner(t: float, j: int, n: int) -> None:
     if not 0.0 < t <= 1.0:
         raise ParameterDomain(f"offspring tilt t = {t} must lie in (0, 1]")
     if j < 1:
         raise ValueError("initial size j must be >= 1")
     if n < j:
         raise IndexBelowJ(f"progeny {n} below initial size {j}")
+
+
+def borel_tanner_log_pmf(t: float, j: int, n: int) -> float:
+    _check_borel_tanner(t, j, n)
     return (
         math.log(j)
         - math.log(n)
@@ -208,12 +212,7 @@ def borel_tanner_rational_part(t: Fraction, j: int, n: int) -> Fraction:
 
 def borel_tanner_asym(t: float, j: int, n: int) -> Estimate:
     """(j/sqrt(2 pi)) n^{-3/2} t^{n-j} e^{n(1-t)}."""
-    if not 0.0 < t <= 1.0:
-        raise ParameterDomain(f"offspring tilt t = {t} must lie in (0, 1]")
-    if j < 1:
-        raise ValueError("initial size j must be >= 1")
-    if n < j:
-        raise IndexBelowJ(f"progeny {n} below initial size {j}")
+    _check_borel_tanner(t, j, n)
     ln = (
         math.log(j)
         - 0.5 * math.log(2.0 * math.pi)
@@ -268,6 +267,8 @@ class LagrangianSpec:
 
     ``initial`` may be a Family or the monomial z^j (set ``monomial_j``).
     Subcriticality requires m_psi(t) <= 1, i.e. t at or below the apex.
+    Each tilt is checked against its family's radius here, before anything
+    is evaluated.
     """
 
     psi: Family
@@ -281,6 +282,9 @@ class LagrangianSpec:
             raise ValueError("exactly one of initial family or monomial_j is required")
         if self.monomial_j is not None and self.monomial_j < 1:
             raise ValueError("monomial degree must be >= 1")
+        self.psi.check_radius(self.t)
+        if self.initial is not None:
+            self.initial.check_radius(self.s)
 
 
 def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
@@ -363,7 +367,6 @@ def gw_sample(
     if trials < 1:
         raise ValueError("need at least one trial")
     psi, t = spec.psi, spec.t
-    psi.check_radius(t)
     if psi.mean(t) > 1.0 + 1e-12:
         raise SupercriticalSpec(f"offspring mean {psi.mean(t)} exceeds 1 at t = {t}")
     rng = random.Random(seed)

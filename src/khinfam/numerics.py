@@ -209,8 +209,9 @@ def solve_monotone_point(
 
     Hybrid bisection/secant: a secant step is accepted only when it lands
     strictly inside the current bracket, otherwise the step bisects. Stops
-    at |g(t) - target| <= 1e-9 max(1, |target|) with the bracket at most
-    1e-13 t wide; gives up after 200 steps.
+    at an exact hit g(t) = target, or at |g(t) - target| <= 1e-9 max(1,
+    |target|) with the bracket at most 1e-13 t wide; gives up after 200
+    steps.
     """
     lo, hi = bracket.lo, bracket.hi
     tol_value = 1e-9 * max(1.0, abs(target))
@@ -235,6 +236,8 @@ def solve_monotone_point(
             t = 0.5 * (lo + hi)
         v = g(t)
         g_t = v - target
+        if g_t == 0:
+            return t, v
         if g_t < 0:
             lo, g_lo = t, g_t
         else:

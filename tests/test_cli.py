@@ -344,7 +344,7 @@ CONTRACT_INPUTS = [
 ]
 # Float overflow or division by zero inside a statistic, at valid radii.
 FLOAT_RANGE_INPUTS = [
-    "diag --family exp --t 1e300 --stats gratio",  # d[1] ** 1.5 overflows
+    "diag --family exp --t 1e300 --stats gratio",  # the variance ** 1.5 overflows
     "diag --family P --t 1e-300 --stats gratio",  # the variance is 0
     "family --family exp --t 1e10 --stats mgf:0.1",
     "family --family bell --t 1e10 --stats charfn:0.5",
@@ -371,6 +371,16 @@ NAN_CELL_INPUTS = [
     ("lagrange --op ppasym --t 1e-300 --s 1e300 --n 2", "ln is inf"),
 ]
 CONTRACT_INPUTS += [line for line, _ in NAN_CELL_INPUTS]
+# A tilt outside its family's radius, or nan; these ran a partition sum to
+# its term limit (TruncationTooLarge) or leaked a math domain error.
+TILT_RADIUS_INPUTS = [
+    "lagrange --op general --psi P --t nan --j 1 --n 10",
+    "lagrange --op general --psi P --t -0.5 --j 1 --n 10",
+    "lagrange --op general --psi geom --t 0.3 --s nan --h P --n 10",
+    "lagrange --op general --psi exp --t -1 --j 1 --n 10",
+    "family --family P --t 0.5 --stats mgf:nan",
+]
+CONTRACT_INPUTS += TILT_RADIUS_INPUTS
 
 
 @pytest.mark.parametrize("line", CONTRACT_INPUTS)
@@ -381,6 +391,12 @@ def test_out_of_domain_input_exits_with_a_named_error(line, capsys):
     assert re.match(r"(error: [A-Za-z]+: |usage error: )", err)
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("line", TILT_RADIUS_INPUTS)
+def test_a_tilt_outside_the_radius_is_refused_before_it_is_evaluated(line, capsys):
+    assert cli.main(shlex.split(line)) == 3
+    assert capsys.readouterr().err.startswith("error: RadiusOutOfRange: ")
 
 
 @pytest.mark.parametrize("line", ["coeff --family exp --n 3000 --method exact",

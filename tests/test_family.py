@@ -109,6 +109,21 @@ class TestMeanVariance:
             assert abs(fam.mean(t) / t - 1.0) < 1e-3  # all four have a1/a0 = 1
 
 
+def direct_sum_cases(fams):
+    """(family, t) pairs, one interior t for each of ten families."""
+    cases = [(fams[name], t) for name, t in (("exp", 2.0), ("geom", 0.4), ("bell", 1.2),
+                                             ("P", 0.4), ("bern", 0.7), ("binom5", 1.3))]
+    cases += [(make_family(parse_family(text), trunc=256), t) for text, t in (
+        ("negbinom:3", 0.5), ("setsoflists", 0.3), ("expof:poly:0,1,1", 1.1),
+        ("expof:poly:0,0,1", 0.9))]
+    return cases
+
+
+def surjections(n: int, k: int) -> int:
+    """k! S(n, k), the surjections of an n-set onto a k-set, by inclusion-exclusion."""
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+
+
 class TestMoments:
     def test_poisson_third_moment_is_bell(self, fams):
         assert abs(F.moment(fams["exp"], 1.0, 3) - 5.0) < 1e-10
@@ -132,12 +147,7 @@ class TestMoments:
     def test_moments_match_direct_sums(self, fams):
         # moment(k) reads kappa_1 .. kappa_4 and the direct sum reads kappa_0
         # and the oracle's law, so each closed-form table is tied to its law
-        cases = [(fams[name], t) for name, t in (("exp", 2.0), ("geom", 0.4), ("bell", 1.2),
-                                                 ("P", 0.4), ("bern", 0.7), ("binom5", 1.3))]
-        cases += [(make_family(parse_family(text), trunc=256), t) for text, t in (
-            ("negbinom:3", 0.5), ("setsoflists", 0.3), ("expof:poly:0,1,1", 1.1),
-            ("expof:poly:0,0,1", 0.9))]
-        for fam, t in cases:
+        for fam, t in direct_sum_cases(fams):
             for k in (1, 2, 3, 4):
                 direct = F._direct_weighted_sum(fam, t, lambda x: x**k, k)
                 assert abs(F.moment(fam, t, k) - direct) <= 1e-8 * max(1.0, direct), (fam.name, k)
@@ -145,7 +155,7 @@ class TestMoments:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_one_evaluation_of_the_cumulants(self, fams, k):
         # moment(k) reads m, sigma^2 and (k > 2) F''', F'''' once each, and
-        # equals the Stirling sum over factorial_moment bit for bit
+        # is the raw moment of those cumulants bit for bit
         calls = []
 
         def counted(name):
@@ -161,8 +171,11 @@ class TestMoments:
         fam = dataclasses.replace(fams["P"], **{n: counted(n) for n in names})
         got = F.moment(fam, 0.6, k)
         assert calls == ["mean", "variance"] + (["fulcrum34"] if k > 2 else [])
-        assert got == math.fsum(F.stirling2(k, j) * F.factorial_moment(fams["P"], 0.6, j)
-                                for j in range(1, k + 1))
+        P = fams["P"]
+        m, k2, (k3, k4) = P.mean(0.6), P.variance(0.6), P.fulcrum34(math.log(0.6))
+        assert got == {2: k2 + m * m,
+                       3: k3 + 3.0 * k2 * m + m**3,
+                       4: k4 + 4.0 * k3 * m + 3.0 * k2**2 + 6.0 * k2 * m * m + m**4}[k]
 
     @pytest.mark.parametrize("stat,want", [
         (lambda fam, t: F.moment(fam, t, 1), ["mean"]),
@@ -172,7 +185,9 @@ class TestMoments:
         (lambda fam, t: F.central_moment(fam, t, 3), ["fulcrum34"]),
         (lambda fam, t: F.central_moment(fam, t, 4), ["fulcrum34", "variance"]),
         (lambda fam, t: F.fulcrum_derivs(fam, math.log(t), 1), ["mean"]),
-    ], ids=["moment1", "fmoment1", "fmoment2", "cmoment2", "cmoment3", "cmoment4", "fulcrum1"])
+        (A.gaussianity_ratio, ["fulcrum34", "variance"]),
+    ], ids=["moment1", "fmoment1", "fmoment2", "cmoment2", "cmoment3", "cmoment4", "fulcrum1",
+            "gratio"])
     def test_only_the_cumulants_read_are_evaluated(self, fams, stat, want):
         calls = []
 
@@ -224,6 +239,21 @@ class TestFactorialMoments:
     def test_partition_against_direct_sum(self, fams):
         direct = F._direct_weighted_sum(fams["P"], 0.5, lambda n: n * (n - 1), 2)
         assert abs(F.factorial_moment(fams["P"], 0.5, 2) - direct) <= 1e-8 * direct
+
+    def test_factorial_moments_match_direct_sums(self, fams):
+        # the falling-factorial combinations of the raw moments against the
+        # falling-factorial sum over the oracle's law
+        for fam, t in direct_sum_cases(fams):
+            for j in (1, 2, 3, 4):
+                direct = F._direct_weighted_sum(
+                    fam, t, lambda n: math.prod(n - i for i in range(j)), j)
+                got = F.factorial_moment(fam, t, j)
+                assert abs(got - direct) <= 1e-8 * max(1.0, abs(direct)), (fam.name, j)
+
+    def test_fifth_of_poisson_by_direct_sum(self, fams):
+        # past the fourth order the weight is the falling factorial itself
+        for t in (0.7, 2.0):
+            assert F.factorial_moment(fams["exp"], t, 5) == pytest.approx(t**5, rel=1e-12)
 
 
 class TestCentralMoments:
@@ -515,8 +545,7 @@ class TestLawWindow:
         # 512 gave 1.81e14 and 1.02e11
         t = Fraction(99, 100)
         q = t / (1 - t)
-        raw = [sum(F.stirling2(k, j) * math.factorial(j) * q**j for j in range(k + 1))
-               for k in range(7)]
+        raw = [sum(surjections(k, j) * q**j for j in range(k + 1)) for k in range(7)]
         cmoment5 = sum(math.comb(5, i) * raw[i] * (-q) ** (5 - i) for i in range(6))
         fam = make_family(parse_family("geom"), trunc=catalog.MAX_TRUNC)
         assert F.moment(fam, 0.99, 6) == pytest.approx(float(raw[6]), rel=1e-10)

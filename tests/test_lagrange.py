@@ -16,6 +16,7 @@ from khinfam.errors import (
     NoCoefficientAccess,
     ParameterDomain,
     QGcdViolation,
+    RadiusOutOfRange,
     SupercriticalSpec,
 )
 from khinfam.numerics import LogNumber
@@ -336,6 +337,16 @@ class TestGeneralLagrangian:
         spec = L.LagrangianSpec(psi=expf, t=0.5, s=0.95, initial=geom)
         with pytest.raises(ParameterDomain):
             L.general_lagrangian_asym(spec, 50)
+
+    def test_a_tilt_outside_the_radius_is_refused_at_construction(self, expf, geom):
+        # nothing is evaluated: a nan or negative tilt of P ran its partition
+        # sums to their term limit, and exp at t = -1 leaked a math domain error
+        P = make_family(parse_family("P"), trunc=8)
+        for psi, t in ((P, math.nan), (P, -0.5), (expf, -1.0), (geom, 1.5)):
+            with pytest.raises(RadiusOutOfRange):
+                L.LagrangianSpec(psi=psi, t=t, s=1.0, monomial_j=1)
+        with pytest.raises(RadiusOutOfRange):
+            L.LagrangianSpec(psi=geom, t=0.3, s=math.nan, initial=P)
 
     def test_supercritical_tilt_rejected(self, expf):
         spec = L.LagrangianSpec(psi=expf, t=1.2, s=1.0, monomial_j=1)

@@ -395,6 +395,11 @@ def degree(poly):
     return max((l for l, cl in enumerate(poly.c) if cl != 0), default=0)
 
 
+def surjections(n: int, k: int) -> int:
+    """k! S(n, k), the surjections of an n-set onto a k-set, by inclusion-exclusion."""
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+
+
 class TestFixedK:
     def test_binomial_polynomial(self, binom):
         poly = LP.fixed_k_polynomial(binom.coeffs.truncate(8), 3)
@@ -421,7 +426,7 @@ class TestFixedK:
     # c_l = coeff_k((psi - b0)^l) in closed form, without the series kernel:
     # e^z - 1 gives l! S(k, l) / k!, z/(1 - z) gives C(k-1, l-1), and z gives [l = k]
     ORACLES = {
-        "exp": lambda k, l: Fraction(math.factorial(l) * F.stirling2(k, l), math.factorial(k)),
+        "exp": lambda k, l: Fraction(surjections(k, l), math.factorial(k)),
         "geom": lambda k, l: Fraction(math.comb(k - 1, l - 1) if l >= 1 else 0),
         "poly:1,1": lambda k, l: Fraction(int(l == k)),
     }

@@ -142,6 +142,21 @@ class TestSolveMonotone:
             t = N.solve_monotone_point(fam.mean, float(n), br)[0]
             assert abs(t - n) <= 1e-8 * n
 
+    def test_an_exact_hit_ends_the_solve(self):
+        # exp's mean is t, so a secant step lands on the root itself; the
+        # solve stops there instead of bisecting the bracket down to 1e-13 t
+        fam = make_family(parse_family("exp"), trunc=8)
+        for n in (100.0, 100_000.0):
+            calls = []
+
+            def mean(t):
+                calls.append(t)
+                return fam.mean(t)
+
+            t, value = N.solve_monotone_point(mean, n, N.bracket_increasing(mean, n, fam.radius))
+            assert t == value == n
+            assert len(calls) <= 20
+
     def test_residual_bound_over_catalog_means(self):
         # dense grid for the closed-form means, spot checks for the summed ones
         for text in ("exp", "geom"):

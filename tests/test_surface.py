@@ -30,6 +30,7 @@ KEPT = {
     "large_powers.estimate_auto": "perfbench's saddle pool runs it",
     "family.Family.coeffs": "perfbench/make_refs.py checks exact_power_coeff against "
                             "fixed_k_polynomial(fam.coeffs, k) with it",
+    "family.fulcrum_derivs": "perfbench's saddle pool times it as the fulcrum op",
 }
 
 # public names the package defines more than once, each with the function
