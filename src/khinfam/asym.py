@@ -234,8 +234,6 @@ def strong_gaussian_integral(fam: Family, t: float) -> float:
     ``_adaptive_simpson``), and ln f through the family's circle evaluator
     at t (``family.circle_evaluator``).
     """
-    if fam.log_value_complex is None:
-        raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
     sigma, phi = _normalized_charfn(fam, t)
 
     def integrand(theta: float) -> float:
@@ -247,6 +245,8 @@ def strong_gaussian_integral(fam: Family, t: float) -> float:
 def _normalized_charfn(fam: Family, t: float):
     """sigma_f(t) and theta -> E e^{i theta X-check}, the characteristic
     function of (X_t - m) / sigma, with ln f from the circle evaluator at t."""
+    if fam.log_value_complex is None:
+        raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
     fam.check_radius(t)
     sigma = math.sqrt(fam.variance(t))
     m = fam.mean(t)
@@ -307,8 +307,6 @@ def cut_diagnostics(fam: Family, t: float, h: float, grid: int = 2048) -> tuple[
     grid value that overflows a float, which happens when sigma is large
     and the major arc reaches far.
     """
-    if fam.log_value_complex is None:
-        raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
     if not 0 < h <= math.pi:
         raise ValueError("cut angle must lie in (0, pi]")
     sigma, phi = _normalized_charfn(fam, t)

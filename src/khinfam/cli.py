@@ -38,7 +38,7 @@ from .series import DEFAULT_ORDER
 COLUMN_ORDER_NOTE = (
     "Column order is fixed per verb: coeff -> method,n,ln,value,ratio; "
     "family -> stat,ln,value; largepow -> regime,n,k,ln,value,exact_ln,exact,ratio; "
-    "lagrange -> op,n,ln,value[,extra]; diag -> t followed by the requested stats. "
+    "lagrange -> op,n,ln,value; diag -> t followed by the requested stats. "
     "CSV renders log columns as ln=<digits> and decimals with 12 significant digits."
 )
 

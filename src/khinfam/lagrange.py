@@ -16,6 +16,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import family as fm
 from . import series as se
@@ -266,9 +267,9 @@ class LagrangianSpec:
     """Offspring source psi tilted at t, initial source f tilted at s.
 
     ``initial`` may be a Family or the monomial z^j (set ``monomial_j``).
-    Subcriticality requires m_psi(t) <= 1, i.e. t at or below the apex.
     Each tilt is checked against its family's radius here, before anything
-    is evaluated.
+    is evaluated; then subcriticality, m_psi(t) <= 1 up to 1e-12, or
+    SupercriticalSpec.
     """
 
     psi: Family
@@ -285,6 +286,8 @@ class LagrangianSpec:
         self.psi.check_radius(self.t)
         if self.initial is not None:
             self.initial.check_radius(self.s)
+        if self.psi.mean(self.t) > 1.0 + 1e-12:
+            raise SupercriticalSpec(f"offspring mean {self.psi.mean(self.t)} > 1 at t={self.t}")
 
 
 def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
@@ -300,10 +303,8 @@ def general_lagrangian_asym(spec: LagrangianSpec, n: int) -> Estimate:
     psi, t, s = spec.psi, spec.t, spec.s
     ap = apex(psi)
     if ap.kind == "linear":
-        raise ParameterDomain("general asymptotics need an interior or boundary apex")
+        raise MeanSupBelowOne("general asymptotics need an interior or boundary apex")
     tau = ap.tau
-    if t > tau:
-        raise SupercriticalSpec(f"tilt t = {t} above the apex {tau}")
     if spec.monomial_j is not None:
         j = spec.monomial_j
         if n < j:
@@ -336,19 +337,11 @@ class SampleResult:
 
 
 def _tilted_pmf_table(fam: Family, t: float) -> list[float]:
-    """Cumulative inverse-sampling table of the tilted law at radius t, to
-    the first index where the mass left is below 1e-12 (or a polynomial's
-    degree); past the coefficients it has, it asks for twice as many."""
-    fam.check_radius(t)
-    log_f = fam.log_value(t)
-    cum: list[float] = []
-    acc, top = 0.0, -1
-    while 1.0 - acc >= 1e-12 and len(cum) <= fam.degree:
-        if len(cum) > top:
-            top = 2 * len(cum) + 1
-            masses = fm._log_masses(fam.coeffs_through(top), t, len(cum), top, log_f)
-        acc += math.exp(next(masses))
-        cum.append(acc)
+    """Cumulative inverse-sampling table of the tilted law at radius t over
+    its window (``family._window``), the last entry raised to 1."""
+    cs = fm._window(fam, t)
+    log_masses = fm._log_masses(cs, t, 0, cs.order, fam.log_value(t))
+    cum = list(accumulate(math.exp(x) for x in log_masses))
     cum[-1] = max(cum[-1], 1.0)
     return cum
 
@@ -366,11 +359,8 @@ def gw_sample(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    psi, t = spec.psi, spec.t
-    if psi.mean(t) > 1.0 + 1e-12:
-        raise SupercriticalSpec(f"offspring mean {psi.mean(t)} exceeds 1 at t = {t}")
     rng = random.Random(seed)
-    offspring_cum = _tilted_pmf_table(psi, t)
+    offspring_cum = _tilted_pmf_table(spec.psi, spec.t)
     init_cum = None
     if spec.initial is not None:
         init_cum = _tilted_pmf_table(spec.initial, spec.s)

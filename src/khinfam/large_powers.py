@@ -26,7 +26,6 @@ from .errors import (
     PrefactorRadiusTooSmall,
     RatioOutOfBand,
     RegimeMismatch,
-    TargetAboveMeanSup,
 )
 from .asym import Estimate, lattice_lead, on_lattice, saddle_log, saddle_solve
 from .family import Family
@@ -109,8 +108,6 @@ def estimate_comparable(q: PowerCoeffQuery, a: float, b: float) -> Estimate:
 def estimate_limit_l(q: PowerCoeffQuery, l: float, omega: float) -> Estimate:
     """Regime k/n -> L with drift (nL - k)/sqrt(n) -> -omega; fixed saddle."""
     psi = q.psi
-    if l >= psi.mean_sup:
-        raise TargetAboveMeanSup(f"L = {l} >= mean limit {psi.mean_sup}")
     lead = lattice_lead(psi.q_gcd, q.k)
     sp = saddle_solve(psi, l)
     lead -= omega * omega / (2.0 * sp.variance)

@@ -280,7 +280,7 @@ def criterion_11() -> CriterionResult:
                 var_ok = False
     checks.append((var_ok, "variance equals t * mean-slope"))
 
-    # Stirling-route moments equal direct mass-weighted sums
+    # moments from the cumulants equal direct mass-weighted sums
     mom_ok = True
     for name, (fam, ts) in fams.items():
         t = ts[0]

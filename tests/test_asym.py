@@ -18,6 +18,7 @@ from khinfam import lagrange as L
 from khinfam import large_powers as LP
 from khinfam.catalog import bell_numbers, exact_coeffs, make_family, parse_family
 from khinfam.errors import (
+    ComplexEvalUnavailable,
     DomainError,
     QGcdViolation,
     TargetAboveMeanSup,
@@ -537,6 +538,12 @@ class TestCircleEvaluator:
         monkeypatch.setattr(C, "_lambert_order", counted)
         _diagnostic(op)(fam, *args)
         assert radii == [args[0]]
+
+    @pytest.mark.parametrize("op,text,args", POOL_CIRCLES)
+    def test_a_law_without_complex_evaluation_is_refused(self, op, text, args):
+        bare = dataclasses.replace(make_family(parse_family(text), trunc=64), log_value_complex=None)
+        with pytest.raises(ComplexEvalUnavailable, match=bare.name):
+            _diagnostic(op)(bare, *args)
 
     def test_closed_forms_fall_back_to_complex_ln_f(self):
         fam = make_family(parse_family("geom"), trunc=8)

@@ -766,8 +766,8 @@ HELP_STDOUT = {
         '\n'
         'Column order is fixed per verb: coeff -> method,n,ln,value,ratio; family ->\n'
         'stat,ln,value; largepow -> regime,n,k,ln,value,exact_ln,exact,ratio; lagrange\n'
-        '-> op,n,ln,value[,extra]; diag -> t followed by the requested stats. CSV\n'
-        'renders log columns as ln=<digits> and decimals with 12 significant digits.\n'
+        '-> op,n,ln,value; diag -> t followed by the requested stats. CSV renders log\n'
+        'columns as ln=<digits> and decimals with 12 significant digits.\n'
     ),
     'coeff': (
         'usage: khinfam coeff [-h] --family FAMILY --n N [--method METHOD]\n'

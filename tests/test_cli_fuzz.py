@@ -5,12 +5,15 @@ them) and the verbs coeff, family, largepow, lagrange and diag, with
 arguments that are small, huge, at a radius, past it, nan, 0 or negative.
 Every command must exit 0, 2 or 3 with no exception escaping ``cli.main``,
 and a success must print no nan or inf token (perfbench's ``_NAN_INF``,
-the same test its cli workload applies). The search is derandomized, so a
+the same test its cli workload applies) and, from the family verb, no
+negative variance in any output format. The search is derandomized, so a
 tier-1 run sees the same commands every time.
 """
 
+import json
 import shlex
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,16 +24,15 @@ INTS = st.sampled_from(["-1", "0", "1", "2", "3", "7", "40", "300", "1000000"])
 SMALL_INTS = st.sampled_from(["-1", "0", "1", "2", "3"])
 # 1 is the radius of geom, negbinom, setsoflists and the partition products;
 # 700 is near where e^t leaves the float range
-REALS = st.sampled_from(["-1", "0", "nan", "inf", "1e-300", "0.3", "1", "1.5", "3",
-                         "40", "700", "1e10", "1e300"])
+RADII = ["-1", "0", "nan", "inf", "1e-300", "0.3", "1", "1.5", "3", "40", "700", "1e10", "1e300"]
+REALS = st.sampled_from(RADII)
 COEFFS = st.sampled_from(["0", "1", "2", "1/3", "-1", "1e300", "1e-300"])
 
 # half the specs name a family of each variant, half are drawn from the
 # grammar with parameters that are often out of range or malformed
-FAMILIES = st.sampled_from([
-    "exp", "bernoulli", "binom:4", "geom", "negbinom:3", "bell", "P", "Q", "Pab:2,1",
-    "Wab:1,2", "setsoflists", "expof:poly:0,1,1", "poly:1,2,1", "canprod:1,2",
-]) | st.one_of(
+NAMED = ["exp", "bernoulli", "binom:4", "geom", "negbinom:3", "bell", "P", "Q", "Pab:2,1",
+         "Wab:1,2", "setsoflists", "expof:poly:0,1,1", "poly:1,2,1", "canprod:1,2"]
+FAMILIES = st.sampled_from(NAMED) | st.one_of(
     st.sampled_from(["nope", "P:junk", "exp:7"]),
     st.builds("{}:{}".format, st.sampled_from(["binom", "negbinom"]), INTS),
     st.builds("{}:{},{}".format, st.sampled_from(["Pab", "Wab"]), SMALL_INTS, SMALL_INTS),
@@ -73,9 +75,21 @@ DIAG = _words(st.just("diag"), _opt("--family", FAMILIES),
               _opt("--t", st.lists(REALS, min_size=1, max_size=2).map(",".join)),
               _opt("--stats", st.sampled_from(["cltsup", "sgint", "gratio", "cuts",
                                                "cuts:0.5", "cltsup,sgint,gratio,cuts"])))
-COMMANDS = st.tuples(st.sampled_from([[], ["--trunc", "8"], ["--out", "jsonl"]]),
+COMMANDS = st.tuples(st.sampled_from([[], ["--trunc", "8"], ["--out", "csv"], ["--out", "jsonl"]]),
                      st.one_of(COEFF, FAMILY, LARGEPOW, LAGRANGE, DIAG)).map(
     lambda parts: parts[0] + parts[1])
+
+
+def printed_variances(stdout):
+    """The value of every var row a family command printed, as table, csv or jsonl."""
+    for line in stdout.splitlines():
+        if line.startswith("{"):
+            row = json.loads(line)
+            cells = [row["stat"], row["value"]]
+        else:
+            cells = line.replace(",", " ").split()
+        if cells and cells[0] == "var":
+            yield float(cells[-1])
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
@@ -88,3 +102,22 @@ def test_every_command_keeps_the_contract(perfbench_run, argv):
     assert got.exit in (0, 2, 3), got
     if got.exit == 0:
         assert perfbench_run._NAN_INF.search(got.stdout) is None, got.stdout
+        if "family" in argv:
+            assert all(v >= 0.0 for v in printed_variances(got.stdout)), got.stdout
+
+
+@pytest.mark.parametrize("out", ["table", "csv", "jsonl"])
+def test_no_printed_variance_is_negative(perfbench_run, out):
+    # every named family at every radius: the fuzz draws a family's var row
+    # at a radius inside its domain too rarely to read each closed form's
+    read = set()
+    for text in NAMED:
+        for t in RADII:
+            argv = ["--out", out, "family", "--family", text, "--t", t, "--stats", "var"]
+            got = perfbench_run.pools.run_cli(khinfam, argv)
+            assert got.exit in (0, 2, 3), (argv, got)
+            values = list(printed_variances(got.stdout)) if got.exit == 0 else []
+            assert all(v >= 0.0 for v in values), (argv, got.stdout)
+            if values:
+                read.add(text)
+    assert read == set(NAMED)

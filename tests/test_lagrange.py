@@ -18,6 +18,7 @@ from khinfam.errors import (
     QGcdViolation,
     RadiusOutOfRange,
     SupercriticalSpec,
+    WindowTooNarrow,
 )
 from khinfam.numerics import LogNumber
 
@@ -349,8 +350,22 @@ class TestGeneralLagrangian:
             L.LagrangianSpec(psi=geom, t=0.3, s=math.nan, initial=P)
 
     def test_supercritical_tilt_rejected(self, expf):
-        spec = L.LagrangianSpec(psi=expf, t=1.2, s=1.0, monomial_j=1)
+        # the spec refuses it when it is made, for every reader of the spec
         with pytest.raises(SupercriticalSpec):
+            L.LagrangianSpec(psi=expf, t=1.2, s=1.0, monomial_j=1)
+
+    def test_the_critical_tilt_is_accepted(self, expf, geom):
+        # m_psi(t) = 1 exactly: e^z at 1, 1/(1-z) at 1/2
+        for psi, t in ((expf, 1.0), (geom, 0.5)):
+            assert psi.mean(t) == 1.0
+            spec = L.LagrangianSpec(psi=psi, t=t, s=1.0, monomial_j=1)
+            assert L.general_lagrangian_asym(spec, 50).value.sign == 1
+
+    def test_a_linear_apex_has_no_general_asymptotic(self):
+        # psi = 1 + z: mean limit 1 only at infinite radius, as in power_asym
+        spec = L.LagrangianSpec(psi=make_family(parse_family("poly:1,1"), trunc=8),
+                                t=1.0, s=1.0, monomial_j=1)
+        with pytest.raises(MeanSupBelowOne):
             L.general_lagrangian_asym(spec, 50)
 
     def test_index_below_the_initial_size_refused(self, expf):
@@ -414,6 +429,23 @@ class TestSampler:
         bare = dataclasses.replace(expf, oracle=None)
         spec = L.LagrangianSpec(psi=bare, t=0.5, s=1.0, monomial_j=1)
         with pytest.raises(NoCoefficientAccess, match=bare.name):
+            L.gw_sample(spec, 10, seed=1)
+
+    def test_the_table_is_the_laws_window(self, expf, geom):
+        for fam, t in ((expf, 0.5), (geom, 0.4)):
+            cum = L._tilted_pmf_table(fam, t)
+            assert len(cum) == F._law_top(fam, t) + 1
+            acc = 0.0
+            for n, entry in enumerate(cum[:-1]):
+                acc += F.mass(fam, t, n)
+                assert entry == acc, (fam.name, n)
+            assert cum[-1] >= 1.0
+
+    def test_a_window_past_the_cap_is_refused(self):
+        # exp at 0.5 needs coefficients past 8: the window readers' refusal
+        short = make_family(parse_family("exp"), trunc=8)
+        spec = L.LagrangianSpec(psi=short, t=0.5, s=1.0, monomial_j=1)
+        with pytest.raises(WindowTooNarrow):
             L.gw_sample(spec, 10, seed=1)
 
     def test_poisson_initial_sampling(self, expf):
