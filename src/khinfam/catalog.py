@@ -254,7 +254,9 @@ def _parts_sums(p0: int, d: int, b: int):
     expressions keep their operands, order and grouping, and only
     side-effect-free comparisons are reordered, so for 0 <= u < 1, where no
     term is negative, every result and every power taken is that of summing
-    term by term. The term test v <= 1e-16 total comes first. F''' and
+    term by term. Each loop first refuses a u that is not below 1, nan
+    included, as RadiusOutOfRange: no sum there meets its tail criterion.
+    The term test v <= 1e-16 total comes first. F''' and
     F'''' share one loop: with x = u^p, the inner sums over k of k^(q-1) x^k
     are x (1 + x) / (1 - x)^3 and x (1 + 4x + x^2) / (1 - x)^4 (Eulerian
     polynomials), so a part costs one power and no inner series. It stops
@@ -289,6 +291,8 @@ def _parts_sums(p0: int, d: int, b: int):
 
     if b == 0:
         def log_value(u: float) -> float:
+            if not u < 1.0:
+                raise RadiusOutOfRange(f"the product needs t < 1, got {u}")
             total = 0.0
             for p in parts:
                 v = -math.log1p(-u**p)
@@ -300,6 +304,8 @@ def _parts_sums(p0: int, d: int, b: int):
             raise TruncationTooLarge(_NO_TAIL)
 
         def mean(u: float) -> float:
+            if not u < 1.0:
+                raise RadiusOutOfRange(f"the product needs t < 1, got {u}")
             total = 0.0
             for p in parts:
                 x = u**p
@@ -312,6 +318,8 @@ def _parts_sums(p0: int, d: int, b: int):
             raise TruncationTooLarge(_NO_TAIL)
 
         def variance(u: float) -> float:
+            if not u < 1.0:
+                raise RadiusOutOfRange(f"the product needs t < 1, got {u}")
             total = 0.0
             for p in parts:
                 x = u**p
@@ -325,6 +333,8 @@ def _parts_sums(p0: int, d: int, b: int):
 
     else:
         def log_value(u: float) -> float:
+            if not u < 1.0:
+                raise RadiusOutOfRange(f"the product needs t < 1, got {u}")
             total = 0.0
             for j, p in enumerate(parts, 1):
                 v = -(j**b) * math.log1p(-u**p)
@@ -336,6 +346,8 @@ def _parts_sums(p0: int, d: int, b: int):
             raise TruncationTooLarge(_NO_TAIL)
 
         def mean(u: float) -> float:
+            if not u < 1.0:
+                raise RadiusOutOfRange(f"the product needs t < 1, got {u}")
             total = 0.0
             for j, p in enumerate(parts, 1):
                 x = u**p
@@ -348,6 +360,8 @@ def _parts_sums(p0: int, d: int, b: int):
             raise TruncationTooLarge(_NO_TAIL)
 
         def variance(u: float) -> float:
+            if not u < 1.0:
+                raise RadiusOutOfRange(f"the product needs t < 1, got {u}")
             total = 0.0
             for j, p in enumerate(parts, 1):
                 x = u**p
@@ -388,6 +402,8 @@ def _parts_sums(p0: int, d: int, b: int):
         # F(s) = sum_j -c_j ln(1 - x_j), x_j = e^{p_j s}, so F^(q)(s) =
         # sum_j c_j p_j^q sum_k k^{q-1} x_j^k, an inner sum in closed form
         u = math.exp(s)
+        if not u < 1.0:
+            raise RadiusOutOfRange(f"the product needs s < 0, got {s}")
         f3 = f4 = 0.0
         j, p = 1, p0
         while True:

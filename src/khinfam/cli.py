@@ -3,26 +3,28 @@
 Verbs: coeff, family, largepow, lagrange, diag, selftest; global flags
 --trunc, --out and --seed; each family is built once, with --trunc as its
 oracle's cap, and each reader asks for its own window. ``largepow`` hands
-its regime to ``large_powers.estimate``. A command builds the main parser
-and the subparser of its own verb only; help, a missing or unknown verb, or
-any other token before the verb builds every verb's, so every output is the
-full tree's. Every numeric result is reported as a natural-log column plus,
-when representable, the decimal value. Exit codes: 0 success, 2 usage
-error, 3 domain error (the error name from the owning module is echoed
-verbatim). A family spec that does not parse (``--family nope``) is
-``InvalidSpec`` and exits 3, like any other named error. A float overflow
-or division by zero that escapes a verb is reported as ``DomainError`` and
-exits 3 too.
+its regime to ``large_powers.estimate``. The options live in one table,
+``GLOBAL_OPTIONS`` and each verb's ``Verb.options``. ``_read_argv`` reads a
+well-formed command from it with argparse's conversions and checks, and
+builds no parser; any other argv, help included, goes to the argparse tree
+built from the same table. Every numeric result is reported as a
+natural-log column plus, when representable, the decimal value. Exit
+codes: 0 success, 2 usage error, 3 domain error (the error name from the
+owning module is echoed verbatim). A family spec that does not parse
+(``--family nope``) is ``InvalidSpec`` and exits 3, like any other named
+error. A float overflow or division by zero that escapes a verb is
+reported as ``DomainError`` and exits 3 too.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import asym as A
@@ -32,7 +34,6 @@ from . import lagrange as L
 from . import large_powers as LP
 from .errors import DomainError, InvalidSpec, KhinfamError
 from .numerics import LogNumber
-from .selftest import run_selftest
 from .series import DEFAULT_ORDER
 
 COLUMN_ORDER_NOTE = (
@@ -296,9 +297,12 @@ def cmd_lagrange(args, stream) -> int:
     op = args.op
     if op in ("apex", "omm", "power", "func", "general", "sample"):
         psi = C.make_family(C.parse_family(args.psi), trunc=args.trunc)
-    h = None  # the outer series of func, the initial law of general
-    if args.h and op in ("func", "general"):
+    h = None  # the outer series of func, the initial law of general and sample
+    if args.h and op in ("func", "general", "sample"):
         h = C.make_family(C.parse_family(args.h), trunc=args.trunc)
+    if op in ("general", "sample"):
+        spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, initial=h,
+                                monomial_j=None if h is not None else args.j)
     if op == "apex":
         ap = L.apex(psi)
         shape = (f"a={ap.linear_a} b={ap.linear_b}" if ap.kind == "linear"
@@ -335,12 +339,9 @@ def cmd_lagrange(args, stream) -> int:
         est = L.poisson_poisson_asym(args.s, args.t, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "general":
-        spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, initial=h,
-                                monomial_j=None if h is not None else args.j)
         est = L.general_lagrangian_asym(spec, args.n)
         rows.append(_estimate_row(est, args.n))
     elif op == "sample":
-        spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, monomial_j=args.j)
         res = L.gw_sample(spec, args.trials, seed=args.seed)
         for n, p in res.empirical_pmf().items():
             rows.append({"op": "sample", "n": n, "ln": _fmt(math.log(p)) if p else "",
@@ -390,6 +391,8 @@ def cmd_diag(args, stream) -> int:
 
 
 def cmd_selftest(args, stream) -> int:
+    from .selftest import run_selftest  # the criteria's imports only a selftest needs
+
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]
@@ -407,80 +410,80 @@ def cmd_selftest(args, stream) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-def _coeff_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", default="exact,hayman",
-                   help="comma list: exact,hayman,bd,closed," + ",".join(A.CLOSED_FORMS))
+class Option(NamedTuple):
+    """One ``--name value`` option. The fields are ``add_argument``'s keywords
+    of the same names, so argparse and ``_read_argv`` read the same table."""
 
-
-def _family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--stats", default="mean,var",
-                   help="comma list: mean,var,clan,mass:N,moment:K,cmoment:K,fmoment:J,"
-                        "charfn:THETA,mgf:LAMBDA,zerofree,maxterm,gap,qgcd")
-
-
-def _largepow_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--psi", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", default=None, help="optional prefactor family")
-    p.add_argument("--regime", default="auto",
-                   help="auto | comparable:A,B | limitl:L,W | boundary[:W] | smallk | "
-                        "smallkref:J | fixedk | largek")
-
-
-def _lagrange_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--op", default="omm",
-                   choices=("apex", "omm", "power", "func", "bt", "btasym", "pp",
-                            "ppasym", "general", "sample"))
-    p.add_argument("--psi", default="exp")
-    p.add_argument("--h", default=None, help="outer/initial series for func/general")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=10000)
-
-
-def _diag_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True)
-    p.add_argument("--t", required=True, help="comma list of radii")
-    p.add_argument("--stats", default="cltsup,sgint",
-                   help="comma list: cltsup,sgint,gratio,cuts[:H]")
-
-
-def _selftest_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--criteria", default=None, help="comma list of criterion numbers")
+    type: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
 
 class Verb(NamedTuple):
     help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
+    options: dict[str, Option]
     run: Callable[..., int]
 
 
-VERBS = {
-    "coeff": Verb("coefficient estimates for a catalog family", _coeff_args, cmd_coeff),
-    "family": Verb("pointwise statistics of a family", _family_args, cmd_family),
-    "largepow": Verb("coefficients of large powers psi^n", _largepow_args, cmd_largepow),
-    "lagrange": Verb("Lagrange-equation and progeny asymptotics", _lagrange_args, cmd_lagrange),
-    "diag": Verb("Gaussianity diagnostics over a radius grid", _diag_args, cmd_diag),
-    "selftest": Verb("run the acceptance criteria", _selftest_args, cmd_selftest),
+GLOBAL_OPTIONS = {
+    "--trunc": Option(int, DEFAULT_ORDER, help="largest coefficient order an oracle may build"),
+    "--out": Option(default="table", choices=("table", "csv", "jsonl")),
+    "--seed": Option(int, 0, help="sampler seed"),
 }
-# the global options that take a value: the token after one is not a verb
-_VALUED = ("--trunc", "--out", "--seed")
+
+VERBS = {
+    "coeff": Verb("coefficient estimates for a catalog family", {
+        "--family": Option(required=True),
+        "--n": Option(int, required=True),
+        "--method": Option(default="exact,hayman",
+                           help="comma list: exact,hayman,bd,closed," + ",".join(A.CLOSED_FORMS)),
+    }, cmd_coeff),
+    "family": Verb("pointwise statistics of a family", {
+        "--family": Option(required=True),
+        "--t": Option(float, required=True),
+        "--stats": Option(default="mean,var",
+                          help="comma list: mean,var,clan,mass:N,moment:K,cmoment:K,fmoment:J,"
+                               "charfn:THETA,mgf:LAMBDA,zerofree,maxterm,gap,qgcd"),
+    }, cmd_family),
+    "largepow": Verb("coefficients of large powers psi^n", {
+        "--psi": Option(required=True),
+        "--n": Option(int, required=True),
+        "--k": Option(int, required=True),
+        "--h": Option(help="optional prefactor family"),
+        "--regime": Option(default="auto",
+                           help="auto | comparable:A,B | limitl:L,W | boundary[:W] | smallk | "
+                                "smallkref:J | fixedk | largek"),
+    }, cmd_largepow),
+    "lagrange": Verb("Lagrange-equation and progeny asymptotics", {
+        "--op": Option(default="omm", choices=("apex", "omm", "power", "func", "bt", "btasym",
+                                               "pp", "ppasym", "general", "sample")),
+        "--psi": Option(default="exp"),
+        "--h": Option(help="outer/initial series for func/general"),
+        "--n": Option(int, 10),
+        "--q": Option(int, 1),
+        "--j": Option(int, 1),
+        "--t": Option(float, 1.0),
+        "--s": Option(float, 1.0),
+        "--trials": Option(int, 10000),
+    }, cmd_lagrange),
+    "diag": Verb("Gaussianity diagnostics over a radius grid", {
+        "--family": Option(required=True),
+        "--t": Option(required=True, help="comma list of radii"),
+        "--stats": Option(default="cltsup,sgint", help="comma list: cltsup,sgint,gratio,cuts[:H]"),
+    }, cmd_diag),
+    "selftest": Verb("run the acceptance criteria", {
+        "--criteria": Option(help="comma list of criterion numbers"),
+    }, cmd_selftest),
+}
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The main parser with every verb's subparser, or with ``verb``'s only.
+def build_parser():
+    """The argparse tree of every verb, built from the option table. It reads
+    each command ``_read_argv`` refuses: help, and every usage error."""
+    import argparse
 
-    A lone subparser takes the full tree's verb list as its metavar, so the
-    usage line argparse prints on an error stays the full tree's.
-    """
     parser = argparse.ArgumentParser(
         prog="khinfam",
         description=(
@@ -490,40 +493,66 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         epilog=COLUMN_ORDER_NOTE,
         allow_abbrev=False,
     )
-    parser.add_argument("--trunc", type=int, default=DEFAULT_ORDER,
-                        help="largest coefficient order an oracle may build")
-    parser.add_argument("--out", choices=("table", "csv", "jsonl"), default="table")
-    parser.add_argument("--seed", type=int, default=0, help="sampler seed")
-    sub = parser.add_subparsers(dest="verb", required=True,
-                                metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
-    for name, v in VERBS.items():
-        if verb is None or name == verb:
-            v.add_arguments(sub.add_parser(name, help=v.help))
+    for name, option in GLOBAL_OPTIONS.items():
+        parser.add_argument(name, **option._asdict())
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, v in VERBS.items():
+        p = sub.add_parser(verb, help=v.help, allow_abbrev=False)
+        for name, option in v.options.items():
+            p.add_argument(name, **option._asdict())
     return parser
 
 
-def _verb_of(argv: list[str]) -> str | None:
-    """The verb argparse will dispatch ``argv`` to, or None where that is not
-    sure before parsing: no verb, help asked for, or any token before the
-    verb other than a global option and its value."""
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in VERBS:
-            return tok
-        if tok in _VALUED:
-            i += 2
-        elif tok.partition("=")[0] in _VALUED:
-            i += 1
-        else:
+# argparse's negative-number pattern: a token it reads as a value, not an
+# option, although it starts with "-"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from
+    the option table without argparse; None where argv is not well formed.
+
+    Well formed is global ``--opt value`` pairs, the verb, then the verb's own
+    ``--opt value`` pairs: each option spelled in full, each value converted
+    by its type and within its choices, and every required option given. A
+    value argparse would read as an option, one that starts with "-" and is
+    not a negative number, is not well formed. Help, ``--opt=value`` and
+    every other argv go to argparse, which prints what it always printed.
+    """
+    values = {}
+    options, verb = GLOBAL_OPTIONS, None
+    tokens = iter(argv)
+    for token in tokens:
+        if verb is None and token in VERBS:
+            options, verb = VERBS[token].options, token
+            continue
+        option, text = options.get(token), next(tokens, None)
+        if option is None or text is None or (
+                text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
             return None
-    return None
+        try:
+            value = option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[token[2:]] = value
+    if verb is None:
+        return None
+    for name, option in (*GLOBAL_OPTIONS.items(), *VERBS[verb].options.items()):
+        if name[2:] not in values:
+            if option.required:
+                return None
+            values[name[2:]] = option.default
+    return SimpleNamespace(verb=verb, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        parser = build_parser(_verb_of(sys.argv[1:] if argv is None else argv))
-        args = parser.parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         if args.trunc < 1:
             raise InvalidSpec(f"truncation {args.trunc} must be >= 1")
         if args.trunc > C.MAX_TRUNC:

@@ -880,6 +880,18 @@ class TestPartitionSums:
             assert f3 == float(p0) ** 3 * math.exp(math.log(u)) ** p0
             assert f4 == float(p0) ** 4 * math.exp(math.log(u)) ** p0
 
+    @pytest.mark.parametrize("text", sorted(PARTS))
+    def test_a_radius_not_below_one_is_refused_at_once(self, text):
+        # no sum ends at u >= 1 or nan: before the check they spun to the
+        # term limit or raised a bare ValueError or ZeroDivisionError
+        fam = C.make_family(C.parse_family(text), trunc=8)
+        for u in (math.nan, 1.0, math.inf):
+            for stat in (fam.log_value, fam.mean, fam.variance):
+                with pytest.raises(RadiusOutOfRange):
+                    stat(u)
+            with pytest.raises(RadiusOutOfRange):
+                fam.fulcrum34(math.log(u))
+
     def test_shapes_name_the_products(self):
         # (first part, step, weight exponent): the parts of Pab:2,1 are the
         # odd numbers, the same product as Q, so every statistic agrees.

@@ -193,6 +193,25 @@ class TestLagrangeVerb:
         b = run(argv)
         assert a == b
 
+    def test_sampler_draws_the_initial_family_at_s(self):
+        code, out = run(["--seed", "11", "--out", "csv", "lagrange", "--op", "sample",
+                         "--psi", "exp", "--t", "0.8", "--trials", "150",
+                         "--h", "geom", "--s", "0.3"])
+        fams = {text: cli.C.make_family(cli.C.parse_family(text), trunc=cli.DEFAULT_ORDER)
+                for text in ("exp", "geom")}
+        spec = cli.L.LagrangianSpec(psi=fams["exp"], t=0.8, s=0.3, initial=fams["geom"])
+        res = cli.L.gw_sample(spec, 150, seed=11)
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0
+        assert [(n, value) for _, n, _, value in rows] == [
+            *((str(n), cli._fmt(p)) for n, p in res.empirical_pmf().items()),
+            ("", cli._fmt(res.censored / res.trials))]
+
+    def test_sampler_refuses_an_initial_tilt_past_its_radius(self, capsys):
+        assert cli.main(["lagrange", "--op", "sample", "--psi", "exp", "--t", "0.8",
+                         "--trials", "150", "--h", "geom", "--s", "5"]) == 3
+        assert "RadiusOutOfRange" in capsys.readouterr().err
+
 
 class TestDiagVerb:
     def test_gaussian_grid(self):
@@ -858,11 +877,12 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# A command builds the subparser of its verb only. These argv reach every
+# A well-formed command is read without argparse. These argv reach every
 # place argparse prints from: help before and after a verb, no verb or an
 # unknown one, a token before the verb that is not a global option, a global
-# option's value that fails or looks like a verb or an option, and errors
-# inside and after the verb's own arguments.
+# option's value that fails or looks like a verb or an option, errors inside
+# and after the verb's own arguments, an abbreviated or repeated option, and
+# values that start with "-", as a negative number or not.
 PARSER_CORPUS = [
     "", "-h", "--help", "-h coeff", "--help family", "--seed 1 -h largepow",
     *(f"{verb} -h" for verb in cli.VERBS), "lagrange --help --op bogus",
@@ -879,16 +899,19 @@ PARSER_CORPUS = [
     "--seed 3 --trunc -3 lagrange --op bt --t 0.5 --n 3",
     "--out jsonl family --family exp --t 1", "largepow --psi exp --n 100 --k 10",
     "diag --family geom --t 0.5 --stats sgint,gratio",
+    "coeff --fam P --n 5", "family --family exp --t -inf", "family --family exp --t -.5",
+    "coeff --family P --n 5 --n 6",
 ]
 
 
 @pytest.mark.parametrize("line", PARSER_CORPUS)
 def test_lone_subparser_prints_what_the_full_tree_prints(line, monkeypatch):
+    # the reader, or argparse where it refuses, against argparse alone
     monkeypatch.setenv("COLUMNS", "80")
     argv = shlex.split(line)
     got = outcome(argv)
     with monkeypatch.context() as m:
-        m.setattr(cli, "_verb_of", lambda argv: None)  # every verb's subparser
+        m.setattr(cli, "_read_argv", lambda argv: None)
         assert got == outcome(argv)
 
 
@@ -913,20 +936,25 @@ def test_parser_errors_are_pinned(line, monkeypatch):
     assert outcome(shlex.split(line)) == (2, "", FULL_TREE_STDERR[line])
 
 
-def test_a_command_builds_only_its_verbs_subparser(monkeypatch):
+@pytest.mark.parametrize("line", ["coeff --fam exp --n 5 --meth exact", "lagrange --tr 5"])
+def test_verb_options_are_spelled_in_full(line):
+    assert outcome(shlex.split(line))[:2] == (2, "")
+
+
+def test_a_well_formed_command_builds_no_parser(monkeypatch):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     assert run(["coeff", "--family", "P", "--n", "5", "--method", "exact"])[0] == 0
-    assert built == ["coeff"]
-    # and builds it again for the next command: no parser outlives a call
-    assert run(["coeff", "--family", "Q", "--n", "5", "--method", "exact"])[0] == 0
-    assert built == ["coeff", "coeff"]
+    assert built == []
+    # an argv the reader refuses builds the main parser and every verb's
+    assert run(["coeff", "--family", "P", "--n", "5", "--method=exact"])[0] == 0
+    assert built == ["khinfam"] + [f"khinfam {verb}" for verb in cli.VERBS]
 
 
 # One command per verb as its own process, where main reads sys.argv.
@@ -951,6 +979,22 @@ def test_one_shot_process_prints_what_main_prints(line, monkeypatch):
     proc = subprocess.run([sys.executable, "-m", "khinfam.cli", *argv],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome(argv)
+
+
+def test_a_one_shot_command_imports_neither_argparse_nor_selftest(monkeypatch):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "khinfam.cli",
+         "coeff", "--family", "exp", "--n", "5"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes one "import time: ... | name" line per module imported
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "khinfam.catalog" in imported
+    assert not imported & {"argparse", "khinfam.selftest"}
 
 
 # Sums whose terms each overflow a float, although their log is finite: the

@@ -6,10 +6,13 @@ arguments that are small, huge, at a radius, past it, nan, 0 or negative.
 Every command must exit 0, 2 or 3 with no exception escaping ``cli.main``,
 and a success must print no nan or inf token (perfbench's ``_NAN_INF``,
 the same test its cli workload applies) and, from the family verb, no
-negative variance in any output format. The search is derandomized, so a
-tier-1 run sees the same commands every time.
+negative variance in any output format. The option-table reader refuses
+each command, or reads the namespace argparse parses from it. The search
+is derandomized, so a tier-1 run sees the same commands every time.
 """
 
+import contextlib
+import io
 import json
 import shlex
 
@@ -80,6 +83,27 @@ COMMANDS = st.tuples(st.sampled_from([[], ["--trunc", "8"], ["--out", "csv"], ["
     lambda parts: parts[0] + parts[1])
 
 
+FULL_TREE = khinfam.cli.build_parser()
+
+
+def assert_read_as_argparse_reads(argv):
+    """``_read_argv`` refuses argv, or reads what the full tree parses, nan
+    equal to nan."""
+    read = khinfam.cli._read_argv(argv)
+    if read is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            parsed = FULL_TREE.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"read {argv}, which argparse refuses: {err.getvalue()}")
+
+    def nan_as_text(ns):  # nan != nan, so nan compares as text
+        return {k: "nan" if v != v else v for k, v in vars(ns).items()}
+
+    assert nan_as_text(read) == nan_as_text(parsed), argv
+
+
 def printed_variances(stdout):
     """The value of every var row a family command printed, as table, csv or jsonl."""
     for line in stdout.splitlines():
@@ -98,6 +122,7 @@ def printed_variances(stdout):
 @example(shlex.split("lagrange --op apex --psi poly:1,1"))
 @example(shlex.split("lagrange --op ppasym --n 0"))
 def test_every_command_keeps_the_contract(perfbench_run, argv):
+    assert_read_as_argparse_reads(argv)
     got = perfbench_run.pools.run_cli(khinfam, argv)
     assert got.exit in (0, 2, 3), got
     if got.exit == 0:
@@ -121,3 +146,10 @@ def test_no_printed_variance_is_negative(perfbench_run, out):
             if values:
                 read.add(text)
     assert read == set(NAMED)
+
+
+def test_the_reader_reads_every_pool_line_as_argparse_does(perfbench_run):
+    for q in perfbench_run.pools.cli_pool():
+        argv = list(q.args)
+        assert khinfam.cli._read_argv(argv) is not None, argv  # none goes to argparse
+        assert_read_as_argparse_reads(argv)
