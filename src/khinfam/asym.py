@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from . import catalog as cat
 from . import family as fm
 from .errors import (
-    ComplexEvalUnavailable,
     DomainError,
     MixedResidueClasses,
     ParameterDomain,
@@ -231,8 +230,7 @@ def strong_gaussian_integral(fam: Family, t: float) -> float:
     range) until two successive half-range values agree to 5e-9;
     the halving and the doubling are exact in floating point. Each
     refinement evaluates the integrand only at its new points (see
-    ``_adaptive_simpson``), and ln f through the family's circle evaluator
-    at t (``family.circle_evaluator``).
+    ``_adaptive_simpson``), and ln f through ``family.log_charfn`` at t.
     """
     sigma, phi = _normalized_charfn(fam, t)
 
@@ -244,18 +242,14 @@ def strong_gaussian_integral(fam: Family, t: float) -> float:
 
 def _normalized_charfn(fam: Family, t: float):
     """sigma_f(t) and theta -> E e^{i theta X-check}, the characteristic
-    function of (X_t - m) / sigma, with ln f from the circle evaluator at t."""
-    if fam.log_value_complex is None:
-        raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
+    function of (X_t - m) / sigma, from ``family.log_charfn`` at t."""
     fam.check_radius(t)
     sigma = math.sqrt(fam.variance(t))
     m = fam.mean(t)
-    log_f = fam.log_value(t)
-    log_f_circle = fm.circle_evaluator(fam, t)
+    log_phi = fm.log_charfn(fam, t)
 
     def phi(theta: float) -> complex:
-        z = t * cmath.exp(1j * theta / sigma)
-        return cmath.exp(log_f_circle(z) - log_f - 1j * theta * m / sigma)
+        return cmath.exp(log_phi(theta / sigma) - 1j * theta * m / sigma)
 
     return sigma, phi
 

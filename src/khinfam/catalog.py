@@ -242,9 +242,9 @@ def _parts_sums(p0: int, d: int, b: int):
     """Evaluators of the product prod_j (1 - t^{p_j})^(-c_j), j >= 1.
 
     The parts are p_j = p0 + d (j - 1) and the weights c_j = j^b, the shape
-    that ``_parts_shape`` names. Returns ln f, m, sigma^2, complex ln f and
-    the pair (F''', F'''') of fulcrum derivatives at s = ln t, then the
-    circle evaluator: t -> (z -> ln f(z)) for |z| = t.
+    that ``_parts_shape`` names. Returns ln f, m, sigma^2, the pair
+    (F''', F'''') of fulcrum derivatives at s = ln t, and the circle
+    evaluator: t -> (z -> ln f(z)) for |z| = t.
 
     ln f, m and sigma^2 are each one for loop over the part range
     range(p0, p0 + d _MAX_TERMS, d), whose end is the term limit. Each
@@ -273,18 +273,17 @@ def _parts_sums(p0: int, d: int, b: int):
     table of s_k/k kept by the evaluator: the integers s_k come from the
     divisor sieve that the exact oracle's Euler transform reads too, each is
     divided by k once, and the table grows on demand.
-    The order K is the least one whose certified tail bound at |z|
+    The order K is the least one whose certified tail bound at t
     (``_lambert_log_tail``) is at most 1e-17.
 
     The circle evaluator at t takes K and the slice of the table once, from
-    t, and then makes the same Horner pass at each z; ``log_value_complex``
-    is the circle evaluator at |z|. A computed z = t e^{i phi} has |z|
-    within a rounding error or two of t, so the two agree bit for bit
-    wherever both radii give the same K. At |z| <= t (1 + 2 eps),
-    eps = 2^-52, the tail past K is at most ``_lambert_log_tail`` at
-    r = t (1 + 2 eps): the bound at t times (1 + 2 eps)^(K+1), over a
-    geometric denominator 1 - r rho that is 2 eps r rho smaller. For every
-    order up to _MAX_TERMS that is below 1.00000001e-17.
+    t, and then makes the same Horner pass at each z. A computed
+    z = t e^{i phi} has |z| within a rounding error or two of t. At
+    |z| <= t (1 + 2 eps), eps = 2^-52, the tail past K is at most
+    ``_lambert_log_tail`` at r = t (1 + 2 eps): the bound at t times
+    (1 + 2 eps)^(K+1), over a geometric denominator 1 - r rho that is
+    2 eps r rho smaller. For every order up to _MAX_TERMS that is below
+    1.00000001e-17.
     """
 
     parts = range(p0, p0 + d * _MAX_TERMS, d)
@@ -395,9 +394,6 @@ def _parts_sums(p0: int, d: int, b: int):
 
         return on_circle
 
-    def log_value_complex(z: complex) -> complex:
-        return log_value_circle(abs(z))(z)
-
     def fulcrum34(s: float) -> tuple[float, float]:
         # F(s) = sum_j -c_j ln(1 - x_j), x_j = e^{p_j s}, so F^(q)(s) =
         # sum_j c_j p_j^q sum_k k^{q-1} x_j^k, an inner sum in closed form
@@ -423,7 +419,7 @@ def _parts_sums(p0: int, d: int, b: int):
             if j > _MAX_TERMS:
                 raise TruncationTooLarge("series summation did not reach its tail criterion")
 
-    return log_value, mean, variance, log_value_complex, fulcrum34, log_value_circle
+    return log_value, mean, variance, fulcrum34, log_value_circle
 
 
 # -- exact coefficient oracles ---------------------------------------------------
@@ -576,11 +572,11 @@ def make_family(spec: FamilySpec, trunc: int = 512) -> Family:
 
     if v in ("P", "Q", "Pab", "Wab"):
         p0, d, b = _parts_shape(spec)
-        log_value, mean, variance, log_complex, fulcrum34, log_circle = _parts_sums(p0, d, b)
+        log_value, mean, variance, fulcrum34, log_circle = _parts_sums(p0, d, b)
         return Family(
             **common, radius=1.0, mean_sup=math.inf, log_value=log_value, mean=mean,
-            variance=variance, log_value_complex=log_complex, log_value_circle=log_circle,
-            q_gcd=math.gcd(p0, d), fulcrum34=fulcrum34,
+            variance=variance, log_value_circle=log_circle, q_gcd=math.gcd(p0, d),
+            fulcrum34=fulcrum34,
         )
 
     return _closed_family(spec, common)
@@ -690,7 +686,7 @@ def _closed_family(spec: FamilySpec, common: dict) -> Family:
     k0, k1, k2, k3, k4 = kappas
     return Family(
         **common, radius=radius, mean_sup=mean_sup,
-        log_value=k0, mean=k1, variance=k2, log_value_complex=log_complex,
+        log_value=k0, mean=k1, variance=k2, log_value_circle=lambda t: log_complex,
         q_gcd=q_gcd, fulcrum34=partial(_fulcrum34, k3, k4),
     )
 

@@ -7,12 +7,14 @@ its regime to ``large_powers.estimate``. The options live in one table,
 ``GLOBAL_OPTIONS`` and each verb's ``Verb.options``. ``_read_argv`` reads a
 well-formed command from it with argparse's conversions and checks, and
 builds no parser; any other argv, help included, goes to the argparse tree
-built from the same table. Every numeric result is reported as a
-natural-log column plus, when representable, the decimal value. Exit
-codes: 0 success, 2 usage error, 3 domain error (the error name from the
-owning module is echoed verbatim). A family spec that does not parse
-(``--family nope``) is ``InvalidSpec`` and exits 3, like any other named
-error. A float overflow or division by zero that escapes a verb is
+built from the same table. Each lagrange op reads the options
+``LAGRANGE_READS`` names and refuses any other off its default (exit 2).
+Every numeric result is reported as a natural-log column plus, when
+representable, the decimal value. Exit codes: 0 success, 2 usage error, 3
+domain error (the error name from the owning module is echoed verbatim). A
+family spec that does not parse (``--family nope``) is ``InvalidSpec`` and
+exits 3, like any other named error, as is a vocabulary word with a stray
+or missing argument or an empty list (``--stats mean:3``, ``--stats ,``). A float overflow or division by zero that escapes a verb is
 reported as ``DomainError`` and exits 3 too.
 """
 
@@ -77,6 +79,23 @@ def _log_cells(value: LogNumber, what: str = "ln") -> tuple[str, str]:
 def _estimate_row(est: A.Estimate, n: int) -> dict:
     ln_c, v_c = _log_cells(est.value)
     return {"op": est.method, "n": n, "ln": ln_c, "value": v_c}
+
+
+def _word_list(text: str, what: str) -> list[str]:
+    """The words of a comma list; InvalidSpec when it holds none."""
+    words = [w.strip() for w in text.split(",") if w.strip()]
+    if not words:
+        raise InvalidSpec(f"no {what} in {text!r}")
+    return words
+
+
+def _split_word(word: str, bare: tuple[str, ...], what: str) -> tuple[str, str]:
+    """A vocabulary word's name and argument; InvalidSpec for an argument
+    to a name in ``bare``, which takes none."""
+    name, colon, arg = word.partition(":")
+    if colon and name in bare:
+        raise InvalidSpec(f"{what} {name} takes no argument, got {word!r}")
+    return name, arg
 
 
 def emit_rows(rows: list[dict], columns: list[str], fmt: str, stream) -> None:
@@ -144,7 +163,7 @@ def _exact_text(value: Fraction, alone: bool) -> str:
 def cmd_coeff(args, stream) -> int:
     spec = C.parse_family(args.family)
     fam = C.make_family(spec, trunc=args.trunc)
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    methods = _word_list(args.method, "coeff method")
     n = args.n
     rows: list[dict] = []
     exact_log: LogNumber | None = None
@@ -176,7 +195,8 @@ def cmd_coeff(args, stream) -> int:
 
 
 def _family_stat(fam, stat: str, t: float) -> float | complex | str:
-    name, _, arg = stat.partition(":")
+    name, arg = _split_word(stat, ("mean", "var", "clan", "zerofree", "maxterm", "gap", "qgcd"),
+                            "family stat")
     if name == "mean":
         return fam.mean(t)
     if name == "var":
@@ -210,7 +230,7 @@ def _family_stat(fam, stat: str, t: float) -> float | complex | str:
 
 def cmd_family(args, stream) -> int:
     fam = C.make_family(C.parse_family(args.family), trunc=args.trunc)
-    stats = [s.strip() for s in args.stats.split(",") if s.strip()]
+    stats = _word_list(args.stats, "family stat")
     fam.check_radius(args.t)
     rows = []
     for stat in stats:
@@ -236,15 +256,17 @@ def cmd_family(args, stream) -> int:
 
 
 def _parse_regime(text: str, q: LP.PowerCoeffQuery) -> LP.Regime:
-    head, _, rest = text.partition(":")
+    head, rest = _split_word(text, ("auto", "smallk", "fixedk", "largek"), "regime")
     if head == "auto":
         return LP.auto_regime(q)
-    if head == "comparable":
-        a, b = (float(v) for v in rest.split(","))
-        return LP.Regime("comparable", a=a, b=b)
-    if head in ("limitl", "limit_l"):
-        l, w = (float(v) for v in rest.split(","))
-        return LP.Regime("limit_l", l=l, omega=w)
+    if head in ("comparable", "limitl", "limit_l"):
+        pair = rest.split(",")
+        if len(pair) != 2:
+            raise InvalidSpec(f"regime {text!r} needs two values, got {len(pair)}")
+        a, b = (float(v) for v in pair)
+        if head == "comparable":
+            return LP.Regime("comparable", a=a, b=b)
+        return LP.Regime("limit_l", l=a, omega=b)
     if head == "boundary":
         return LP.Regime("boundary", omega=float(rest) if rest else 0.0)
     if head == "smallk":
@@ -292,13 +314,25 @@ def cmd_largepow(args, stream) -> int:
 # -- lagrange verb ----------------------------------------------------------------
 
 
+# the options each lagrange op reads; any other must keep its default
+LAGRANGE_READS = {
+    "apex": "psi", "omm": "psi n", "power": "psi q n", "func": "psi h n", "bt": "t j n",
+    "btasym": "t j n", "pp": "s t n", "ppasym": "s t n", "general": "psi h t s j n",
+    "sample": "psi h t s j trials",
+}
+
+
 def cmd_lagrange(args, stream) -> int:
     rows = []
     op = args.op
-    if op in ("apex", "omm", "power", "func", "general", "sample"):
+    reads = ["op", *LAGRANGE_READS.get(op, "").split()]
+    for name, option in VERBS["lagrange"].options.items():
+        if name[2:] not in reads and getattr(args, name[2:]) != option.default:
+            raise ValueError(f"lagrange --op {op} does not read {name}")
+    if "psi" in reads:
         psi = C.make_family(C.parse_family(args.psi), trunc=args.trunc)
     h = None  # the outer series of func, the initial law of general and sample
-    if args.h and op in ("func", "general", "sample"):
+    if args.h:
         h = C.make_family(C.parse_family(args.h), trunc=args.trunc)
     if op in ("general", "sample"):
         spec = L.LagrangianSpec(psi=psi, t=args.t, s=args.s, initial=h,
@@ -359,7 +393,7 @@ def cmd_lagrange(args, stream) -> int:
 
 def cmd_diag(args, stream) -> int:
     fam = C.make_family(C.parse_family(args.family), trunc=args.trunc)
-    stats = [s.strip() for s in args.stats.split(",") if s.strip()]
+    stats = _word_list(args.stats, "diag stat")
     radii = [float(x) for x in args.t.split(",")]
     for t in radii:
         fam.check_radius(t)
@@ -367,7 +401,7 @@ def cmd_diag(args, stream) -> int:
     for t in radii:
         row: dict = {"t": _fmt(t)}
         for stat in stats:
-            name, _, arg = stat.partition(":")
+            name, arg = _split_word(stat, ("cltsup", "sgint", "gratio"), "diag stat")
             if name == "cltsup":
                 cells = {name: A.local_clt_sup(fam, t)}
             elif name == "sgint":
@@ -457,8 +491,7 @@ VERBS = {
                                 "smallkref:J | fixedk | largek"),
     }, cmd_largepow),
     "lagrange": Verb("Lagrange-equation and progeny asymptotics", {
-        "--op": Option(default="omm", choices=("apex", "omm", "power", "func", "bt", "btasym",
-                                               "pp", "ppasym", "general", "sample")),
+        "--op": Option(default="omm", choices=tuple(LAGRANGE_READS)),
         "--psi": Option(default="exp"),
         "--h": Option(help="outer/initial series for func/general"),
         "--n": Option(int, 10),

@@ -47,19 +47,11 @@ class NoConvergence(KhinfamError):
 
 # -- khinchin families -------------------------------------------------------
 
-class NoCoefficientAccess(KhinfamError):
-    pass
-
-
 class RadiusOutOfRange(KhinfamError):
     pass
 
 
 class DerivativeOrderUnavailable(KhinfamError):
-    pass
-
-
-class ComplexEvalUnavailable(KhinfamError):
     pass
 
 

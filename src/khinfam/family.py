@@ -6,10 +6,10 @@ each radius t inside the disk of convergence, the law P(X_t = n) = a_n t^n
 operations on it: mass, moments, characteristic function, fulcrum
 derivatives, Chernoff bounds and the structural diagnostics.
 
-Evaluation is organized around logs: a family must know ln f(t) (and
-optionally ln f(z) for complex z); the mean, the variance and the third and
-fourth fulcrum derivatives are the derivatives of order 1 to 4 of the
-fulcrum s -> ln f(e^s), i.e. the first four cumulants of X_t, each
+Evaluation is organized around logs: a family must know ln f(t), and ln f
+on each circle |z| = t inside the radius; the mean, the variance and the
+third and fourth fulcrum derivatives are the derivatives of order 1 to 4 of
+the fulcrum s -> ln f(e^s), i.e. the first four cumulants of X_t, each
 supplied by the family itself, none by numerical differentiation. Moments
 up to order 4 come from these cumulants.
 """
@@ -24,11 +24,9 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import series as se
 from .errors import (
-    ComplexEvalUnavailable,
     DerivativeOrderUnavailable,
     DomainError,
     IndexBeyondTruncation,
-    NoCoefficientAccess,
     RadiusOutOfRange,
     WindowTooNarrow,
     ZeroInSector,
@@ -68,23 +66,16 @@ class Family:
     ``log_value`` is ln f(t) on (0, radius); ``mean`` and ``variance`` are
     m_f and sigma_f^2. ``fulcrum34`` returns the third and fourth fulcrum
     derivatives at s = ln t (the third and fourth cumulants of X_t).
-    ``log_value_complex`` is any branch of log f(z); only
-    exp(log f(z) - log f(t)) is ever consumed, which is branch-free.
 
-    ``log_value_circle``, when given, takes a radius t and returns an
-    evaluator of ln f on the circle |z| = t that must agree with
-    ``log_value_complex`` there. It does the work that depends only on the
-    radius once, for callers that evaluate many angles at one t (see
-    ``circle_evaluator``). ``dataclasses.replace(fam, log_value_complex=g)``
-    keeps it, so those callers go on evaluating the family's own ln f;
-    replace ``log_value_circle`` too, or set it to None, to route them
-    through g.
+    ``log_value_circle`` takes a radius t and returns an evaluator of any
+    branch of ln f on the circle |z| = t, having done once the work that
+    depends only on t; only exp(ln f(z) - ln f(t)) is ever consumed, which
+    is branch-free (``log_charfn``).
 
     ``oracle`` is the one route to the exact coefficients, an ``Oracle``
-    whose cap no build may pass, or None when the family has no coefficient
-    access. A reader asks ``coeffs_through(n)`` for the window it needs;
-    ``coeffs`` reads through the cap. ``dataclasses.replace`` hands the
-    oracle on without calling it, and ``replace(fam, oracle=None)`` drops it.
+    whose cap no build may pass. A reader asks ``coeffs_through(n)`` for the
+    window it needs; ``coeffs`` reads through the cap.
+    ``dataclasses.replace`` hands the oracle on without calling it.
 
     ``spec`` is the catalog spec a family was made from, None for one made
     from raw coefficients.
@@ -97,21 +88,17 @@ class Family:
     mean: Callable[[float], float]
     variance: Callable[[float], float]
     fulcrum34: Callable[[float], tuple[float, float]]
-    log_value_complex: Callable[[complex], complex] | None = None
-    log_value_circle: Callable[[float], Callable[[complex], complex]] | None = None
+    log_value_circle: Callable[[float], Callable[[complex], complex]]
+    oracle: Oracle = field(compare=False, repr=False)
     q_gcd: int = 1
     usg: bool = False
     boundary_variance: float | None = None
     spec: FamilySpec | None = None
-    oracle: Oracle | None = field(default=None, compare=False, repr=False)
+    log_value_complex = None  # not a field; perfbench/tracing.py reads the name
 
     @property
-    def coeffs(self) -> se.CoeffSeries | None:
-        return None if self.oracle is None else self.coeffs_through(self.oracle.cap)
-
-    @property
-    def has_coeffs(self) -> bool:
-        return self.oracle is not None
+    def coeffs(self) -> se.CoeffSeries:
+        return self.coeffs_through(self.oracle.cap)
 
     @property
     def degree(self) -> float:
@@ -121,8 +108,6 @@ class Family:
     def coeffs_through(self, n: int) -> se.CoeffSeries:
         """a_0..a_n exactly; IndexBeyondTruncation past the oracle's cap, save
         the zeros past a polynomial's degree within it."""
-        if self.oracle is None:
-            raise NoCoefficientAccess(f"{self.name} has no coefficient access")
         if n < 0:
             raise IndexBeyondTruncation(f"index {n} is negative")
         if n <= self.oracle.cap:
@@ -147,9 +132,9 @@ class Family:
 
 
 def log_mass(fam: Family, t: float, n: int) -> LogNumber:
-    """P(X_t = n) as a LogNumber; requires coefficient access."""
+    """P(X_t = n) as a LogNumber."""
     fam.check_radius(t)
-    if n > fam.degree and fam.has_coeffs:  # past a polynomial's degree, unread
+    if n > fam.degree:  # past a polynomial's degree, unread
         return LogNumber.zero()
     cs = fam.coeffs_through(n)
     if cs.coeff(n) == 0:
@@ -332,21 +317,18 @@ def _direct_weighted_sum(fam: Family, t: float, weight: Callable[[float], float]
 # -- characteristic and moment generating functions ----------------------------
 
 
-def circle_evaluator(fam: Family, t: float) -> Callable[[complex], complex]:
-    """ln f on the circle |z| = t: the family's ``log_value_circle`` at t,
-    or else ``log_value_complex`` itself."""
-    if fam.log_value_circle is not None:
-        return fam.log_value_circle(t)
-    return fam.log_value_complex
+def log_charfn(fam: Family, t: float) -> Callable[[float], complex]:
+    """theta -> ln f(t e^{i theta}) - ln f(t), a logarithm of
+    E[e^{i theta X_t}], through the circle evaluator at t and with ln f(t)
+    taken once. The caller checks t."""
+    log_f, on_circle = fam.log_value(t), fam.log_value_circle(t)
+    return lambda theta: on_circle(t * cmath.exp(1j * theta)) - log_f
 
 
 def charfn(fam: Family, t: float, theta: float) -> complex:
     """E[e^{i theta X_t}] = f(t e^{i theta}) / f(t)."""
     fam.check_radius(t)
-    if fam.log_value_complex is None:
-        raise ComplexEvalUnavailable(f"{fam.name} has no complex evaluation")
-    z = t * cmath.exp(1j * theta)
-    return cmath.exp(fam.log_value_complex(z) - fam.log_value(t))
+    return cmath.exp(log_charfn(fam, t)(theta))
 
 
 def mgf(fam: Family, t: float, lam: float) -> float:
@@ -437,26 +419,24 @@ def gap_stats(fam: Family, t: float) -> GapStats:
 def zero_free_halfwidth(fam: Family, t: float) -> float:
     """Angular half-width pi / (2 sigma_f(t)) of the guaranteed zero-free sector.
 
-    With complex evaluation, f(z) / f(t) is checked for a zero at 256 angles
-    on each side of the axis, through the circle evaluator at t and with
-    ln f(t) computed once. A zero, whether ln f fails there (``cmath.log(0)``
-    raises) or returns a -inf real part, raises ``ZeroInSector``.
+    f(z) / f(t) is checked for a zero at 256 angles on each side of the
+    axis, through ``log_charfn``. A zero, whether ln f fails there
+    (``cmath.log(0)`` raises) or returns a -inf real part, raises
+    ``ZeroInSector``.
     """
     fam.check_radius(t)
     hw = math.pi / (2.0 * math.sqrt(fam.variance(t)))
-    if fam.log_value_complex is not None:
-        log_f = fam.log_value(t)
-        log_f_circle = circle_evaluator(fam, t)
-        for i in range(256):
-            theta = (i + 0.5) / 256 * min(hw, math.pi)
-            for th in (theta, -theta):
+    log_phi = log_charfn(fam, t)
+    for i in range(256):
+        theta = (i + 0.5) / 256 * min(hw, math.pi)
+        for th in (theta, -theta):
+            try:
+                w = log_phi(th)
+            except (ValueError, ZeroDivisionError):
+                w = -math.inf
+            if cmath.exp(w) == 0:  # as it is for every w with a -inf real part
                 z = t * cmath.exp(1j * th)
-                try:
-                    w = log_f_circle(z) - log_f
-                except (ValueError, ZeroDivisionError):
-                    w = -math.inf
-                if cmath.exp(w) == 0:  # as it is for every w with a -inf real part
-                    raise ZeroInSector(f"{fam.name} vanishes at {z}, inside the sector")
+                raise ZeroInSector(f"{fam.name} vanishes at {z}, inside the sector")
     return hw
 
 
@@ -542,7 +522,7 @@ def family_from_coeffs(
         log_value=overflow_named(log_value, "ln f"),
         mean=overflow_named(mean_fn, "mean"),
         variance=overflow_named(lambda t: central(t, 2), "variance"),
-        log_value_complex=log_complex_dense,
+        log_value_circle=lambda t: log_complex_dense,
         oracle=Oracle(lambda n: coeffs, coeffs.order),
         q_gcd=se.support_gcd(coeffs),
         fulcrum34=overflow_named(fulcrum34_fn, "fulcrum derivatives"),

@@ -59,8 +59,8 @@ def apex(psi: Family) -> Apex:
     if psi.mean_sup == 1.0:
         if math.isinf(psi.radius):
             # degree-one polynomial a + b z
-            head = psi.coeffs_through(1) if psi.has_coeffs else None
-            if head is None or head.nonzero_indices() != [0, 1]:
+            head = psi.coeffs_through(1)
+            if head.nonzero_indices() != [0, 1]:
                 raise MeanSupBelowOne(
                     f"{psi.name}: mean limit 1 at infinite radius is the a+bz case only"
                 )

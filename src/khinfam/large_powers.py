@@ -21,7 +21,6 @@ from .errors import (
     FirstCoefficientZero,
     KTooLarge,
     NoApplicableRegime,
-    NoCoefficientAccess,
     NotUSG,
     PrefactorRadiusTooSmall,
     RatioOutOfBand,
@@ -64,20 +63,16 @@ class PowerCoeffQuery:
 def exact_power_coeff(q: PowerCoeffQuery) -> Fraction:
     """coeff_k(psi^n), or of h*psi^n with a prefactor, exactly.
 
-    Refused, in this order: psi without coefficients, a binary-powering
-    cost estimate over CONVOLUTION_BUDGET, a prefactor without
-    coefficients, a k past the cap of either oracle (``coeffs_through``).
-    The coefficient is ``series.power_coeff``'s, which picks its own route.
+    Refused, in this order: a binary-powering cost estimate over
+    CONVOLUTION_BUDGET, then a k past the cap of either oracle
+    (``coeffs_through``), psi's first. The coefficient is
+    ``series.power_coeff``'s, which picks its own route.
     """
     psi, n, k, h = q.psi, q.n, q.k, q.prefactor
-    # the oracles are built only past every refusal
-    if not psi.has_coeffs:
-        raise NoCoefficientAccess(f"{psi.name} carries no coefficients")
+    # the oracles are built only past the budget
     cost = (k + 1) ** 2 * (2 * max(1, n.bit_length()))
     if cost > CONVOLUTION_BUDGET:
         raise BudgetExceeded(f"estimated {cost} coefficient-multiplies exceeds the budget")
-    if h is not None and not h.has_coeffs:
-        raise NoCoefficientAccess("prefactor carries no coefficients")
     a = psi.coeffs_through(k)
     hc = None if h is None else h.coeffs_through(k)
     return se.power_coeff(a, n, k, hc)
@@ -127,12 +122,19 @@ def estimate_boundary(q: PowerCoeffQuery, omega: float = 0.0) -> Estimate:
     return _estimate("boundary", q, psi.radius, var, lead)
 
 
+def _require_small_k(q: PowerCoeffQuery) -> None:
+    """The small-k regime's domain: psi'(0) > 0, k >= 1 and k/n at most
+    SMALL_K_MAX_RATIO."""
+    if q.psi.coeffs_through(1).coeff(1) <= 0:
+        raise FirstCoefficientZero(f"{q.psi.name} has psi'(0) = 0")
+    if q.k < 1 or q.k / q.n > SMALL_K_MAX_RATIO:
+        raise RegimeMismatch(f"k/n = {q.k / q.n} not small (threshold {SMALL_K_MAX_RATIO})")
+
+
 def estimate_small_k(q: PowerCoeffQuery) -> Estimate:
     """Regime k -> infinity with k = o(n); needs psi'(0) > 0."""
     psi, n, k = q.psi, q.n, q.k
-    _require_b1(psi)
-    if k < 1 or k / n > SMALL_K_MAX_RATIO:
-        raise RegimeMismatch(f"k/n = {k / n} not small (threshold {SMALL_K_MAX_RATIO})")
+    _require_small_k(q)
     sp = saddle_solve(psi, k / n)
     return _estimate("small_k", q, sp.t, k / n)
 
@@ -151,9 +153,10 @@ def series_b_coefficients(psi: se.CoeffSeries, j_max: int) -> list[Fraction]:
 
 
 def estimate_small_k_refined(q: PowerCoeffQuery, j_terms: int) -> Estimate:
-    """Small-k estimate with the J-term exponential correction in k^j/n^{j-1}."""
+    """Small-k estimate with the J-term exponential correction in k^j/n^{j-1};
+    the same domain as ``estimate_small_k``."""
     psi, n, k = q.psi, q.n, q.k
-    _require_b1(psi)
+    _require_small_k(q)
     if j_terms < 1:
         raise ValueError("need at least one correction term")
     head = psi.coeffs_through(j_terms)
@@ -259,7 +262,7 @@ def auto_regime(q: PowerCoeffQuery) -> Regime:
     if bare and k <= FIXED_K_MAX and n >= 10 * k:
         return Regime("fixed_k")
     ratio = k / n
-    if ratio <= SMALL_K_MAX_RATIO and _has_b1(psi):
+    if ratio <= SMALL_K_MAX_RATIO and psi.coeffs_through(1).coeff(1) > 0:
         return Regime("small_k")
     if bare and psi.usg and ratio >= LARGE_K_MIN_RATIO:
         return Regime("large_k")
@@ -301,14 +304,3 @@ def estimate_auto(q: PowerCoeffQuery) -> tuple[Regime, Estimate | FixedKPolynomi
     """``estimate`` in the ``auto_regime`` regime; kept for the benchmark's saddle pool."""
     regime = auto_regime(q)
     return regime, estimate(q, regime)
-
-
-def _has_b1(psi: Family) -> bool:
-    if psi.has_coeffs:
-        return psi.coeffs_through(1).coeff(1) > 0
-    return psi.q_gcd == 1
-
-
-def _require_b1(psi: Family) -> None:
-    if not _has_b1(psi):
-        raise FirstCoefficientZero(f"{psi.name} has psi'(0) = 0")

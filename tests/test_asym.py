@@ -18,7 +18,6 @@ from khinfam import lagrange as L
 from khinfam import large_powers as LP
 from khinfam.catalog import bell_numbers, exact_coeffs, make_family, parse_family
 from khinfam.errors import (
-    ComplexEvalUnavailable,
     DomainError,
     QGcdViolation,
     TargetAboveMeanSup,
@@ -431,16 +430,13 @@ class TestReusingSimpson:
         assert radii == [0.5]
         assert len(calls) == 4097
         assert len(set(calls)) == 4097
-        # the circle evaluator is kept by replace, so complex ln f is not called
-        lvc, direct = _counting(fam.log_value_complex)
-        A.strong_gaussian_integral(dataclasses.replace(fam, log_value_complex=lvc), 0.5)
-        assert direct == []
 
 
 def _full_range_sgint(fam, t, tol=1e-8):
     """The integral by the full-range rule: Simpson on [-pi sigma, pi sigma]
-    from a 4096-interval base, with ln f from log_value_complex at every
-    point. The oracle of the half-range rule, which relies on evenness."""
+    from a 4096-interval base, with ln f from the circle evaluator at |z|
+    at every point. The oracle of the half-range rule, which relies on
+    evenness."""
     sigma = math.sqrt(fam.variance(t))
     m = fam.mean(t)
     log_f = fam.log_value(t)
@@ -448,7 +444,7 @@ def _full_range_sgint(fam, t, tol=1e-8):
 
     def integrand(theta):
         z = t * cmath.exp(1j * theta / sigma)
-        val = cmath.exp(fam.log_value_complex(z) - log_f - 1j * theta * m / sigma)
+        val = cmath.exp(fam.log_value_circle(abs(z))(z) - log_f - 1j * theta * m / sigma)
         return abs(val - math.exp(-theta * theta / 2.0))
 
     return A._adaptive_simpson(integrand, -half, half, tol, base=4096)
@@ -524,7 +520,7 @@ class TestCircleEvaluator:
         assert radii == [args[0]]
         on_circle = fam.log_value_circle(args[0])
         for z in calls:
-            assert on_circle(z) == fam.log_value_complex(z), z
+            assert on_circle(z) == fam.log_value_circle(abs(z))(z), z
 
     @pytest.mark.parametrize("op,text,args", POOL_CIRCLES)
     def test_one_lambert_order_per_call(self, monkeypatch, op, text, args):
@@ -538,17 +534,6 @@ class TestCircleEvaluator:
         monkeypatch.setattr(C, "_lambert_order", counted)
         _diagnostic(op)(fam, *args)
         assert radii == [args[0]]
-
-    @pytest.mark.parametrize("op,text,args", POOL_CIRCLES)
-    def test_a_law_without_complex_evaluation_is_refused(self, op, text, args):
-        bare = dataclasses.replace(make_family(parse_family(text), trunc=64), log_value_complex=None)
-        with pytest.raises(ComplexEvalUnavailable, match=bare.name):
-            _diagnostic(op)(bare, *args)
-
-    def test_closed_forms_fall_back_to_complex_ln_f(self):
-        fam = make_family(parse_family("geom"), trunc=8)
-        assert fam.log_value_circle is None
-        assert F.circle_evaluator(fam, 0.7) is fam.log_value_complex
 
 
 class TestSaddleEvaluations:

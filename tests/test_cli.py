@@ -91,7 +91,7 @@ class TestFamilyVerb:
 
         def planted(spec, trunc):
             fam = make_family(spec, trunc=trunc)
-            return dataclasses.replace(fam, log_value_complex=log_at_zero, log_value_circle=None)
+            return dataclasses.replace(fam, log_value_circle=lambda t: log_at_zero)
 
         monkeypatch.setattr(cli.C, "make_family", planted)
         code = cli.main(["family", "--family", "exp", "--t", "1", "--stats", "zerofree"])
@@ -1038,7 +1038,8 @@ def test_borel_tanner_asym_refuses_an_empty_initial_size(capsys):
 
 @pytest.mark.parametrize("op", ["omm", "func --h exp", "general"])
 def test_index_zero_is_a_usage_error(op, capsys):
-    assert cli.main(shlex.split(f"lagrange --op {op} --psi exp --t 0.5 --n 0")) == 2
+    t = " --t 0.5" if op == "general" else ""  # omm and func read no --t
+    assert cli.main(shlex.split(f"lagrange --op {op} --psi exp{t} --n 0")) == 2
     assert capsys.readouterr().err == "usage error: n must be >= 1\n"
 
 
@@ -1053,3 +1054,53 @@ def test_exact_power_over_budget_refused_unbuilt(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[1].split() == ["large_k", "1000", "100000", "67271.806371"]
+
+
+@pytest.mark.parametrize("line,option", [
+    ("lagrange --op bt --t 0.5 --j 1 --n 3 --psi nope", "--psi"),
+    ("lagrange --op omm --psi geom --n 40 --h nope --s 5 --q 9 --trials 0", "--h"),
+])
+def test_a_lagrange_option_its_op_does_not_read_is_refused(line, option, capsys):
+    # each printed a row with exit 0, the option unread
+    assert cli.main(shlex.split(line)) == 2
+    op = shlex.split(line)[2]
+    assert capsys.readouterr() == ("", f"usage error: lagrange --op {op} does not read {option}\n")
+
+
+def test_every_lagrange_option_is_read_by_some_op():
+    read = {name for names in cli.LAGRANGE_READS.values() for name in names.split()}
+    assert {"--op", *(f"--{name}" for name in read)} == set(cli.VERBS["lagrange"].options)
+
+
+@pytest.mark.parametrize("line", [
+    "largepow --psi geom --n 100 --k 50 --regime smallkref",
+    "largepow --psi binom:4 --n 100 --k 150 --regime smallkref",
+    "largepow --psi poly:1,1 --n 100 --k 60 --regime smallkref:3",
+])
+def test_refined_small_k_refuses_a_k_that_is_not_small(line, capsys):
+    # each printed a ratio far from 1 with exit 0, where smallk refuses
+    assert cli.main(shlex.split(line)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: RegimeMismatch: k/n = ")
+
+
+@pytest.mark.parametrize("line", [
+    "family --family exp --t 1 --stats mean:3",
+    "family --family exp --t 1 --stats qgcd:9",
+    "diag --family geom --t 0.5 --stats cltsup:2",
+    "largepow --psi exp --n 100 --k 10 --regime auto:junk",
+    "largepow --psi exp --n 500 --k 12 --regime smallk:7",
+    "largepow --psi exp --n 100 --k 10 --regime fixedk:junk",
+    "largepow --psi exp --n 100 --k 10 --regime largek:x",
+    "largepow --psi poly:1,1 --n 100 --k 60 --regime comparable:1",
+    "largepow --psi poly:1,1 --n 100 --k 60 --regime comparable:0.1,0.9,7",
+    "family --family exp --t 1 --stats ,",
+    "diag --family geom --t 0.5 --stats ,",
+    "coeff --family exp --n 5 --method ,",
+])
+def test_a_word_with_a_stray_or_missing_argument_or_an_empty_list_is_refused(line, capsys):
+    # a stray argument was ignored and an empty list printed a bare header,
+    # each with exit 0; a wrong count for comparable exited 2 on an unpack
+    assert cli.main(shlex.split(line)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: InvalidSpec: ")

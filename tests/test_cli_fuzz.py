@@ -1,14 +1,15 @@
 """A small fuzz of the CLI contract.
 
 Commands are drawn from the family grammar (with malformed specs among
-them) and the verbs coeff, family, largepow, lagrange and diag, with
-arguments that are small, huge, at a radius, past it, nan, 0 or negative.
-Every command must exit 0, 2 or 3 with no exception escaping ``cli.main``,
-and a success must print no nan or inf token (perfbench's ``_NAN_INF``,
-the same test its cli workload applies) and, from the family verb, no
-negative variance in any output format. The option-table reader refuses
-each command, or reads the namespace argparse parses from it. The search
-is derandomized, so a tier-1 run sees the same commands every time.
+them) and the verbs coeff, family, largepow, lagrange (each op with the
+options it reads) and diag, with arguments that are small, huge, at a
+radius, past it, nan, 0 or negative. Every command must exit 0, 2 or 3
+with no exception escaping ``cli.main``, and a success must print no nan
+or inf token (perfbench's ``_NAN_INF``, the same test its cli workload
+applies) and, from the family verb, no negative variance in any output
+format. The option-table reader refuses each command, or reads the
+namespace argparse parses from it. The search is derandomized, so a
+tier-1 run sees the same commands every time.
 """
 
 import contextlib
@@ -67,13 +68,13 @@ LARGEPOW = _words(st.just("largepow"), _opt("--psi", FAMILIES),
                   _opt("--regime", st.sampled_from([
                       "auto", "comparable:0.2,3.8", "limitl:2,0.5", "boundary", "smallk",
                       "smallkref:1", "fixedk", "largek"])))
-LAGRANGE = _words(st.just("lagrange"),
-                  _opt("--op", st.sampled_from(["apex", "omm", "power", "func", "bt",
-                                                "btasym", "pp", "ppasym", "general",
-                                                "sample"])),
-                  _opt("--psi", FAMILIES), _opt("--h", FAMILIES), _opt("--n", INTS),
-                  _opt("--t", REALS), _opt("--s", REALS), _opt("--j", SMALL_INTS),
-                  _opt("--trials", SMALL_INTS))
+# each lagrange op with the options it reads, since it refuses any other
+LAGRANGE_VALUES = {"psi": FAMILIES, "h": FAMILIES, "n": INTS, "q": SMALL_INTS, "t": REALS,
+                   "s": REALS, "j": SMALL_INTS, "trials": SMALL_INTS}
+LAGRANGE = st.sampled_from(list(khinfam.cli.LAGRANGE_READS)).flatmap(
+    lambda op: _words(st.just("lagrange"), st.just(["--op", op]),
+                      *(_opt(f"--{name}", LAGRANGE_VALUES[name])
+                        for name in khinfam.cli.LAGRANGE_READS[op].split())))
 DIAG = _words(st.just("diag"), _opt("--family", FAMILIES),
               _opt("--t", st.lists(REALS, min_size=1, max_size=2).map(",".join)),
               _opt("--stats", st.sampled_from(["cltsup", "sgint", "gratio", "cuts",
@@ -121,6 +122,7 @@ def printed_variances(stdout):
 @example(shlex.split("diag --family bell --t 700 --stats sgint"))
 @example(shlex.split("lagrange --op apex --psi poly:1,1"))
 @example(shlex.split("lagrange --op ppasym --n 0"))
+@example(shlex.split("lagrange --op bt --t 0.5 --j 1 --n 3 --psi nope"))
 def test_every_command_keeps_the_contract(perfbench_run, argv):
     assert_read_as_argparse_reads(argv)
     got = perfbench_run.pools.run_cli(khinfam, argv)

@@ -14,9 +14,7 @@ from khinfam import family as F
 from khinfam import series as S
 from khinfam.catalog import exact_coeffs, make_family, parse_family
 from khinfam.errors import (
-    ComplexEvalUnavailable,
     IndexBeyondTruncation,
-    NoCoefficientAccess,
     RadiusOutOfRange,
     TruncationTooLarge,
     WindowTooNarrow,
@@ -63,14 +61,6 @@ class TestMass:
     def test_degenerate_origin(self, fams):
         assert F.mass(fams["exp"], 0.0, 0) == 1.0
         assert F.mass(fams["exp"], 0.0, 3) == 0.0
-
-    def test_requires_coefficients(self):
-        fam = make_family(parse_family("exp"), trunc=8)
-        import dataclasses
-
-        bare = dataclasses.replace(fam, oracle=None)
-        with pytest.raises(NoCoefficientAccess):
-            F.mass(bare, 1.0, 0)
 
     def test_total_with_tail_bound(self, fams):
         total, tail = F.mass_total(fams["P"], 0.5)
@@ -216,15 +206,6 @@ class TestMoments:
         direct = F._direct_weighted_sum(fams["exp"], 1.0, lambda x: x**5, 5)
         assert abs(F.moment(fams["exp"], 1.0, 5) - direct) < 1e-12
 
-    def test_high_order_without_coefficients_rejected(self, fams):
-        import dataclasses
-
-        from khinfam.errors import NoCoefficientAccess
-
-        bare = dataclasses.replace(fams["exp"], oracle=None)
-        with pytest.raises(NoCoefficientAccess):
-            F.moment(bare, 1.0, 5)
-
 
 class TestFactorialMoments:
     def test_poisson_powers(self, fams):
@@ -318,13 +299,6 @@ class TestCharacteristicFunction:
             z2 = F._direct_weighted_sum(fam, t, lambda n: (n - m) ** 2 / var)
             assert abs(z1) < 1e-8
             assert abs(z2 - 1.0) < 1e-8
-
-    def test_complex_eval_unavailable(self, fams):
-        import dataclasses
-
-        bare = dataclasses.replace(fams["exp"], log_value_complex=None)
-        with pytest.raises(ComplexEvalUnavailable):
-            F.charfn(bare, 1.0, 0.5)
 
 
 class TestFulcrum:
@@ -644,13 +618,6 @@ class TestLazyOracle:
         assert dataclasses.replace(fam, name="P'").coeffs is first
         assert len(builds) == 1
 
-    def test_replace_with_none_drops_the_oracle(self, builds):
-        fam = make_family(parse_family("exp"), trunc=16)
-        bare = dataclasses.replace(fam, oracle=None)
-        assert bare.coeffs is None
-        assert dataclasses.replace(bare, mean=lambda t: t).coeffs is None
-        assert builds == []
-
     def test_replace_with_a_series(self):
         fam = make_family(parse_family("exp"), trunc=16)
         series = S.CoeffSeries.from_list([1, 2, 3])
@@ -811,10 +778,29 @@ CONSTRUCTION_PINS = {
 @pytest.mark.parametrize("text,t", list(CONSTRUCTION_PINS))
 def test_evaluators_pinned_bit_for_bit(text, t):
     fam = make_family(parse_family(text), trunc=16)
-    c = fam.log_value_complex(cmath.rect(t, 1.0))
+    z = cmath.rect(t, 1.0)
+    c = fam.log_value_circle(abs(z))(z)
     got = (fam.log_value(t), fam.mean(t), fam.variance(t),
            *fam.fulcrum34(math.log(t)), c.real, c.imag)
     assert tuple(x.hex() for x in got) == CONSTRUCTION_PINS[text, t]
+
+
+COMPLETE_SPECS = ["exp", "bernoulli", "geom", "bell", "P", "Q", "setsoflists", "binom:5",
+                  "negbinom:3", "poly:1,2,1", "canprod:1,2", "expof:poly:0,1,1", "Pab:3,2",
+                  "Wab:2,1"]
+
+
+@pytest.mark.parametrize("text", COMPLETE_SPECS)
+def test_every_family_is_complete(text):
+    # each variant's circle evaluator is ln f on the real axis too, its law
+    # has charfn 1 at theta = 0, and its oracle builds
+    fam = make_family(parse_family(text), trunc=16)
+    for t in ((0.3, 0.7) if fam.radius == 1.0 else (0.5, 2.0)):
+        on_axis = fam.log_value_circle(t)(t)
+        assert abs(on_axis.real - fam.log_value(t)) <= 1e-12 * abs(fam.log_value(t)), t
+        assert abs(on_axis.imag) <= 1e-12, t
+        assert abs(F.charfn(fam, t, 0.0) - 1.0) <= 1e-12, t
+    assert fam.coeffs_through(8).order == 8
 
 
 class TestRadiusCheck:
@@ -852,16 +838,16 @@ class TestRadiusCheck:
 def _planted(fam, t, log_at_zero):
     """fam with ln f replaced by ln(f(z) (z - z0)), z0 the first point that
     ``zero_free_halfwidth`` checks at t, and ``log_at_zero`` giving ln f at z0.
-    The circle evaluator is dropped, so the check reads ``log_value_complex``."""
+    The circle evaluator at every radius is that ln f."""
     hw = math.pi / (2.0 * math.sqrt(fam.variance(t)))
     z0 = t * cmath.exp(1j * (0.5 / 256 * min(hw, math.pi)))
 
-    def log_value_complex(z):
+    def planted_log_f(z):
         if z == z0:
-            return log_at_zero(fam.log_value_complex(z), z - z0)
-        return fam.log_value_complex(z) + cmath.log(z - z0)
+            return log_at_zero(fam.log_value_circle(abs(z))(z), z - z0)
+        return fam.log_value_circle(abs(z))(z) + cmath.log(z - z0)
 
-    return dataclasses.replace(fam, log_value_complex=log_value_complex, log_value_circle=None)
+    return dataclasses.replace(fam, log_value_circle=lambda t: planted_log_f)
 
 
 class TestZeroInSector:
@@ -881,8 +867,7 @@ class TestZeroInSector:
     def test_planted_zero_outside_the_sector_passes(self, fams):
         # the same f with its zero moved to the negative axis, far outside
         fam = dataclasses.replace(
-            fams["exp"], log_value_circle=None,
-            log_value_complex=lambda z: z + cmath.log(z + 1.0),
+            fams["exp"], log_value_circle=lambda t: lambda z: z + cmath.log(z + 1.0),
         )
         F.zero_free_halfwidth(fam, 1.0)
 

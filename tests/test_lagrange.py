@@ -1,5 +1,6 @@
 """Lagrange solutions, tree asymptotics and progeny distributions."""
 
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -13,7 +14,6 @@ from khinfam.catalog import exact_coeffs, make_family, parse_family
 from khinfam.errors import (
     IndexBelowJ,
     MeanSupBelowOne,
-    NoCoefficientAccess,
     ParameterDomain,
     QGcdViolation,
     RadiusOutOfRange,
@@ -191,7 +191,8 @@ class TestFuncAsym:
         h_z = F.Family(
             name="z", radius=math.inf, mean_sup=1.0,
             log_value=math.log, mean=lambda t: 1.0, variance=lambda t: 0.0,
-            fulcrum34=lambda s: (0.0, 0.0),
+            fulcrum34=lambda s: (0.0, 0.0), log_value_circle=lambda t: cmath.log,
+            oracle=F.Oracle(lambda n: S.CoeffSeries.from_list([0, 1]), 1),
         )
         a = L.func_asym(h_z, expf, 30)
         b = L.omm_estimate(expf, 30)
@@ -202,6 +203,8 @@ class TestFuncAsym:
             name="z^2", radius=math.inf, mean_sup=2.0,
             log_value=lambda t: 2 * math.log(t), mean=lambda t: 2.0,
             variance=lambda t: 0.0, fulcrum34=lambda s: (0.0, 0.0),
+            log_value_circle=lambda t: lambda z: 2 * cmath.log(z),
+            oracle=F.Oracle(lambda n: S.CoeffSeries.from_list([0, 0, 1]), 2),
         )
         est = L.func_asym(h_z2, expf, 30)
         exact = LogNumber.from_fraction(
@@ -423,13 +426,6 @@ class TestSampler:
         hot = dataclasses.replace(expf, mean=lambda t: 1.5)
         with pytest.raises(SupercriticalSpec):
             L.gw_sample(dataclasses.replace(spec, psi=hot), 10, seed=1)
-
-    def test_a_law_without_coefficients_is_refused_by_its_oracle(self, expf):
-        # the oracle's own refusal, once ZeroCoefficient, a support-lattice name
-        bare = dataclasses.replace(expf, oracle=None)
-        spec = L.LagrangianSpec(psi=bare, t=0.5, s=1.0, monomial_j=1)
-        with pytest.raises(NoCoefficientAccess, match=bare.name):
-            L.gw_sample(spec, 10, seed=1)
 
     def test_the_table_is_the_laws_window(self, expf, geom):
         for fam, t in ((expf, 0.5), (geom, 0.4)):

@@ -17,7 +17,6 @@ from khinfam.errors import (
     IndexBeyondTruncation,
     KTooLarge,
     NoApplicableRegime,
-    NoCoefficientAccess,
     NotUSG,
     PrefactorRadiusTooSmall,
     QGcdViolation,
@@ -140,21 +139,8 @@ class TestExactRefusals:
         with pytest.raises(BudgetExceeded):
             LP.exact_power_coeff(LP.PowerCoeffQuery(psi, 16, 10_000, prefactor=psi))
 
-    def test_psi_access_refused_first(self, binom, multiplies):
-        bare = dataclasses.replace(binom, oracle=None)
-        q = LP.PowerCoeffQuery(bare, 10, 4, prefactor=bare)
-        with pytest.raises(NoCoefficientAccess, match=bare.name):
-            LP.exact_power_coeff(q)
-        with pytest.raises(NoCoefficientAccess, match=bare.name):
-            LP.exact_power_coeff(LP.PowerCoeffQuery(bare, 2**40, 60_000))
-        assert multiplies == []
-
     def test_prefactor_access_refused_second(self, binom, multiplies):
         bare = dataclasses.replace(binom, oracle=None)
-        q = LP.PowerCoeffQuery(binom, 10, 4, prefactor=bare)
-        with pytest.raises(NoCoefficientAccess, match="prefactor"):
-            LP.exact_power_coeff(q)
-        assert multiplies == []
         # the budget is checked before the prefactor, as it always was
         with pytest.raises(BudgetExceeded):
             LP.exact_power_coeff(LP.PowerCoeffQuery(binom, 16, 10_000, prefactor=bare))
@@ -590,18 +576,6 @@ class TestDispatch:
     def test_unknown_regime_refused(self, binom):
         with pytest.raises(RegimeMismatch):
             LP.estimate(LP.PowerCoeffQuery(binom, 100, 3), LP.Regime("nope"))
-
-    @pytest.mark.parametrize("bare_psi,regime", [
-        (True, LP.Regime("small_k_refined")),  # was FirstCoefficientZero
-        (True, LP.Regime("fixed_k")),  # was NoApplicableRegime
-        (False, LP.Regime("small_k")),  # the prefactor's h(0); was PrefactorRadiusTooSmall
-    ], ids=["refined-psi", "fixed_k-psi", "small_k-prefactor"])
-    def test_a_missing_oracle_is_refused_by_the_oracle(self, binom, bare_psi, regime):
-        bare = dataclasses.replace(binom, oracle=None)
-        q = (LP.PowerCoeffQuery(bare, 1000, 20) if bare_psi
-             else LP.PowerCoeffQuery(binom, 1000, 20, prefactor=bare))
-        with pytest.raises(NoCoefficientAccess, match=bare.name):
-            LP.estimate(q, regime)
 
 
 class TestErrorConvergence:
